@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .graphcore import ParseError
+from .graphcore import ParseError, _content_lines
 from .polyq import LaurentPoly, qbinom
 
 
@@ -111,9 +111,6 @@ class ArcGraph:
     def sign(self, v):
         return self.signs[v - 1]
 
-    def source(self, edge):
-        return edge[1]
-
     def target(self, edge):
         kind, v = edge
         return v + 1 if kind == "b" else self.over[v - 1]
@@ -167,13 +164,6 @@ class ArcGraph:
         return _one_minus_t_power(-self.sign(v))
 
 
-def build_arcgraph(crossings, rot=None, red_orders=None, rot_k=None):
-    """ArcGraph from (sign, over_arc) pairs plus decorations."""
-    signs = tuple(s for s, _ in crossings)
-    over = tuple(w for _, w in crossings)
-    return ArcGraph(signs, over, rot=rot, red_orders=red_orders, rot_k=rot_k)
-
-
 def parse_arc(text):
     """Parse the arc file format.
 
@@ -187,10 +177,7 @@ def parse_arc(text):
     rot = {}
     red_orders = {}
     rot_k = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         word = parts[0]
         if word == "crossings":
@@ -412,21 +399,6 @@ def flow_stats(g, f):
         bucket = fb if kind == "b" else fr
         bucket[g.sign(u)] += f[g.edge_index[e]]
     return FlowStats(fb[1], fb[-1], fr[1], fr[-1])
-
-
-def red_value_sums(g, f, values):
-    """Sums of per-copy values split by source sign (diagnostics).
-
-    values is aligned with red_copies(g, f); returns (plus, minus).
-    """
-    copies = red_copies(g, f)
-    plus = minus = 0
-    for (e, _), value in zip(copies, values):
-        if g.sign(e[1]) == 1:
-            plus += value
-        else:
-            minus += value
-    return plus, minus
 
 
 def flow_configurations(g, f):

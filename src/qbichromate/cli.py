@@ -119,7 +119,7 @@ def _parser():
     return top
 
 
-def _need(args, report, flag):
+def _need(args, flag):
     value = getattr(args, flag.replace("-", "_"))
     if value is None:
         raise ParseError("--%s is required for this suite" % flag)
@@ -264,7 +264,7 @@ def _suite_qbinom(args, report):
 
 
 def _suite_qchrom(args, report):
-    g = load_graph(_need(args, report, "graph"))
+    g = load_graph(_need(args, "graph"))
     report.add_input("graph", args.graph)
     for n in range(1, 5):
         report.verdict("direct equals subset n=%d" % n,
@@ -272,8 +272,8 @@ def _suite_qchrom(args, report):
 
 
 def _suite_potts(args, report):
-    g = load_graph(_need(args, report, "graph"))
-    w = statmech.load_couplings(_need(args, report, "couplings"))
+    g = load_graph(_need(args, "graph"))
+    w = statmech.load_couplings(_need(args, "couplings"))
     report.add_input("graph", args.graph)
     report.add_input("couplings", args.couplings)
     k = args.k if args.k is not None else 3
@@ -292,7 +292,7 @@ def _random_couplings(rng, edge_count):
 
 
 def _suite_qpotts(args, report):
-    g = load_graph(_need(args, report, "graph"))
+    g = load_graph(_need(args, "graph"))
     report.add_input("graph", args.graph)
     k = args.k if args.k is not None else 3
     report.add("k", k)
@@ -311,8 +311,8 @@ def _suite_qpotts(args, report):
 
 
 def _suite_vdw(args, report):
-    g = load_graph(_need(args, report, "graph"))
-    w = statmech.load_couplings(_need(args, report, "couplings"))
+    g = load_graph(_need(args, "graph"))
+    w = statmech.load_couplings(_need(args, "couplings"))
     report.add_input("graph", args.graph)
     report.add_input("couplings", args.couplings)
     direct, expansion = statmech.vdw_pair(g, w)
@@ -322,7 +322,7 @@ def _suite_vdw(args, report):
 
 
 def _suite_bracket(args, report):
-    k = knotdiag.load_pd(_need(args, report, "pd"))
+    k = knotdiag.load_pd(_need(args, "pd"))
     report.add_input("pd", args.pd)
     f = knotdiag.kauffman_f(k)
     for face in knotdiag.faces(k):
@@ -334,7 +334,7 @@ def _suite_bracket(args, report):
 
 
 def _suite_arcflow(args, report):
-    g = arcflow.load_arc(_need(args, report, "arc"))
+    g = arcflow.load_arc(_need(args, "arc"))
     report.add_input("arc", args.arc)
     n = args.n if args.n is not None else 2
     report.add("n", n)
@@ -355,7 +355,7 @@ def _suite_arcflow(args, report):
 
 
 def _suite_chordal(args, report):
-    path = _need(args, report, "structure")
+    path = _need(args, "structure")
     parents, a_sets, b_sizes = chordal.load_structure(path)
     report.add_input("structure", path)
     z = args.z if args.z is not None else 3

@@ -1,9 +1,9 @@
-"""Multigraphs, edge subsets as bitmasks, and the shared text format.
+"""Multigraphs, the edge-subset statistics kernel, and the shared text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
-parallel edges are allowed.  Edge subsets are represented as integer
-bitmasks where bit i selects edges[i], which keeps subset enumeration and
-set algebra cheap inside the exponential-size sums used elsewhere.
+parallel edges are allowed.  Every subset expansion in the package folds
+the histogram of one kernel, Multigraph.subset_statistics; the per-subset
+queries take an edge subset as a bitmask where bit i selects edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -44,16 +44,63 @@ class Multigraph:
     def edge_count(self):
         return len(self.edges)
 
-    def subsets(self):
-        """Iterate over all edge subsets as bitmasks, 0 .. 2^m - 1."""
-        for mask in range(1 << len(self.edges)):
-            yield mask
+    def subset_statistics(self, weights=None):
+        """Histogram of all 2^m edge subsets A, as {(sorted component
+        sizes of (V, A), |A|, odd-degree count of (V, A)): summed weight}.
+
+        A subset weighs the product of weights[i] over its edges (ints,
+        Fractions or monomial LaurentPolys), or 1 when weights is None.
+        The walk is depth-first, edge by edge, with a union-find that
+        rolls back on backtrack (union by size, no path compression).
+        """
+        edges = self.edges
+        m = len(edges)
+        if weights is None:
+            weights = (1,) * m
+        elif len(weights) != m:
+            raise ValueError("got %d weights for %d edges" % (len(weights), m))
+        vertices = range(1, self.vertex_count + 1)
+        parent = list(range(self.vertex_count + 1))
+        size = [1] * (self.vertex_count + 1)
+        odd = [0] * (self.vertex_count + 1)
+        histogram = {}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def walk(i, chosen, odd_count, weight):
+            if i == m:
+                sizes = tuple(sorted(size[v] for v in vertices if parent[v] == v))
+                key = (sizes, chosen, odd_count)
+                histogram[key] = histogram.get(key, 0) + weight
+                return
+            walk(i + 1, chosen, odd_count, weight)
+            u, v = edges[i]
+            # A loop flips its vertex twice, so its parity is unchanged.
+            odd[u] ^= 1
+            odd_count += 2 * odd[u] - 1
+            odd[v] ^= 1
+            odd_count += 2 * odd[v] - 1
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                if size[ru] < size[rv]:
+                    ru, rv = rv, ru
+                parent[rv] = ru
+                size[ru] += size[rv]
+            walk(i + 1, chosen + 1, odd_count, weight * weights[i])
+            if ru != rv:
+                size[ru] -= size[rv]
+                parent[rv] = rv
+            odd[u] ^= 1
+            odd[v] ^= 1
+
+        walk(0, 0, 0, 1)
+        return histogram
 
     def subset_size(self, mask):
         return bin(mask).count("1")
-
-    def subset_edges(self, mask):
-        return [self.edges[i] for i in range(len(self.edges)) if mask >> i & 1]
 
     def components(self, mask):
         """Vertex sets of the components of (V, selected edges).

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graphcore import Multigraph, ParseError
+from .graphcore import Multigraph, ParseError, _content_lines
 from .polyq import LaurentPoly
 
 
@@ -63,10 +63,7 @@ class KnotPD:
 def parse_pd(text):
     """Parse the PD file format: one line per crossing, "X<sign> a b c d"."""
     crossings = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] not in ("X+", "X-"):
             raise ParseError("expected 'X+' or 'X-', got %r" % parts[0], lineno)
@@ -137,6 +134,8 @@ def _validate(k):
     if len(seen) != 2 * k.r:
         raise ValueError("strand closes after %d of %d arcs; "
                          "diagram is not a single knot" % (len(seen), 2 * k.r))
+    # Tracing the faces checks planarity.
+    _Embedding(k)
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,11 @@ class _Embedding:
                 if port == start:
                     break
             self.faces.append(Face(fid, tuple(corners), tuple(arcs)))
+        # Euler's formula: a planar diagram has r + 2 faces, fewer on a
+        # surface of higher genus.
         if len(self.faces) != k.r + 2:
-            raise AssertionError("traced %d faces, expected %d"
-                                 % (len(self.faces), k.r + 2))
+            raise ValueError("diagram is not planar: traced %d faces, "
+                             "expected %d" % (len(self.faces), k.r + 2))
 
     def colors(self, outer_face):
         """Checkerboard 2-coloring; the outer face's class is white (0)."""
@@ -222,7 +223,7 @@ def faces(k):
 
     A corner (ci, j) is the sector of crossing ci between slots j and
     j+1 (mod 4); every corner belongs to exactly one face, and the face
-    count is always r + 2.
+    count is r + 2 (parse_pd rejects non-planar diagrams).
     """
     return _Embedding(k).faces
 
@@ -405,13 +406,12 @@ def jones_via_bichromate(k, outer_face, route="kk"):
     prefactor = sign * a ** (-3 * w) * a ** (-sum(m.eta))
     if route == "kk":
         total = LaurentPoly()
-        for mask in m.graph.subsets():
-            exponent = (2 * m.graph.component_count(mask)
-                        + m.graph.subset_size(mask) - nv - 1)
+        weights = [a ** (2 * e) for e in m.eta]
+        for (sizes, chosen, _), weight in m.graph.subset_statistics(weights).items():
+            exponent = 2 * len(sizes) + chosen - nv - 1
             if exponent < 0:
                 raise AssertionError("negative loop exponent %d" % exponent)
-            eta_sum = sum(m.eta[i] for i in range(k.r) if mask >> i & 1)
-            total = total + d ** exponent * a ** (2 * eta_sum)
+            total = total + d ** exponent * weight
         return prefactor * total
     if route == "kkk":
         if len(set(m.b)) > 1:

@@ -45,14 +45,18 @@ def mq_subset(g, n):
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    q = LaurentPoly.variable("q")
     out = LaurentPoly()
-    for mask in g.subsets():
-        sign = -1 if g.subset_size(mask) % 2 else 1
-        term = LaurentPoly.constant(sign)
-        for part in g.components(mask):
-            term = term * qint(n, q ** len(part))
-        out = out + term
+    for (sizes, chosen, _), count in g.subset_statistics().items():
+        out = out + (-1) ** chosen * count * _component_qints(sizes, n)
+    return out
+
+
+def _component_qints(sizes, n):
+    """Product over component sizes s of the quantum integer of n in base q^s."""
+    q = LaurentPoly.variable("q")
+    out = LaurentPoly.constant(1)
+    for s in sizes:
+        out = out * qint(n, q ** s)
     return out
 
 
@@ -73,9 +77,9 @@ def mq_complete(k, n):
 def bichromate(g):
     """The subset-expansion polynomial sum over A of a^c(A) * b^|A|."""
     terms = {}
-    for mask in g.subsets():
-        key = (g.component_count(mask), g.subset_size(mask))
-        terms[key] = terms.get(key, 0) + 1
+    for (sizes, chosen, _), count in g.subset_statistics().items():
+        key = (len(sizes), chosen)
+        terms[key] = terms.get(key, 0) + count
     return LaurentPoly(("a", "b"), {k: Fraction(c) for k, c in terms.items()})
 
 
@@ -89,8 +93,7 @@ def tutte(g, form="tutte"):
     """
     if form not in ("tutte", "whitney-rank"):
         raise ValueError("form must be 'tutte' or 'whitney-rank', got %r" % form)
-    rank_full = g.vertex_count - g.component_count(0 if not g.edges else
-                                                   (1 << len(g.edges)) - 1)
+    rank_full = g.vertex_count - g.component_count((1 << len(g.edges)) - 1)
     if form == "tutte":
         first = LaurentPoly.variable("x") - 1
         second = LaurentPoly.variable("y") - 1
@@ -98,9 +101,9 @@ def tutte(g, form="tutte"):
         first = LaurentPoly.variable("u")
         second = LaurentPoly.variable("v")
     out = LaurentPoly()
-    for mask in g.subsets():
-        rank = g.vertex_count - g.component_count(mask)
-        out = out + first ** (rank_full - rank) * second ** (g.subset_size(mask) - rank)
+    for (sizes, chosen, _), count in g.subset_statistics().items():
+        rank = g.vertex_count - len(sizes)
+        out = out + count * first ** (rank_full - rank) * second ** (chosen - rank)
     return out
 
 
@@ -113,14 +116,10 @@ def q_bichromate(g, y):
     """
     if y < 1:
         raise ValueError("need y >= 1, got %d" % y)
-    q = LaurentPoly.variable("q")
     x = LaurentPoly.variable("x")
     out = LaurentPoly()
-    for mask in g.subsets():
-        term = x ** g.subset_size(mask)
-        for part in g.components(mask):
-            term = term * qint(y, q ** len(part))
-        out = out + term
+    for (sizes, chosen, _), count in g.subset_statistics().items():
+        out = out + count * x ** chosen * _component_qints(sizes, y)
     return out
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graphcore import ParseError
-from .polyq import LaurentPoly, qint
+from .graphcore import ParseError, _content_lines
+from .polyq import LaurentPoly
+from .qchrom import _component_qints
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,7 @@ def parse_couplings(text):
     "v <rational>" or "ch <rational> <rational>"."""
     kind = None
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] not in ("v", "ch"):
             raise ParseError("expected 'v <rational>' or 'ch <rational> <rational>'",
@@ -129,12 +127,8 @@ def potts_fk(g, k, w):
     _require_kind(w, "v", "potts_fk")
     w.check_edge_count(g)
     total = Fraction(0)
-    for mask in g.subsets():
-        term = Fraction(k) ** g.component_count(mask)
-        for i in range(g.edge_count):
-            if mask >> i & 1:
-                term *= w.values[i]
-        total += term
+    for (sizes, _, _), weight in g.subset_statistics(w.values).items():
+        total += Fraction(k) ** len(sizes) * weight
     return total
 
 
@@ -154,17 +148,9 @@ def qpotts_pair(g, k, w):
         raise ValueError("need k >= 1")
     _require_kind(w, "v", "qpotts_pair")
     w.check_edge_count(g)
-    q = LaurentPoly.variable("q")
     subset_form = LaurentPoly()
-    for mask in g.subsets():
-        term = LaurentPoly.constant(1)
-        for part in g.components(mask):
-            term = term * qint(k, q ** len(part))
-        coeff = Fraction(1)
-        for i in range(g.edge_count):
-            if mask >> i & 1:
-                coeff *= w.values[i]
-        subset_form = subset_form + coeff * term
+    for (sizes, _, _), weight in g.subset_statistics(w.values).items():
+        subset_form = subset_form + weight * _component_qints(sizes, k)
     state_terms = {}
     for s in product(range(k), repeat=g.vertex_count):
         weight = Fraction(1)
@@ -231,14 +217,9 @@ def vdw_pair(g, w):
     minus = q - q ** -1
     plus = q + q ** -1
     expansion = LaurentPoly()
-    for mask in g.subsets():
-        coeff = Fraction(1)
-        for i in range(g.edge_count):
-            if mask >> i & 1:
-                c, h = w.values[i]
-                coeff *= h / c
-        odd = g.odd_degree_count(mask)
-        expansion = expansion + coeff * minus ** odd * plus ** (g.vertex_count - odd)
+    ratios = [h / c for c, h in w.values]
+    for (_, _, odd), weight in g.subset_statistics(ratios).items():
+        expansion = expansion + weight * minus ** odd * plus ** (g.vertex_count - odd)
     for c, h in w.values:
         expansion = expansion * c
     return direct, expansion

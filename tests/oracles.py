@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's own data structures and
-algorithms so that agreement is meaningful: the chromatic oracle uses
-deletion-contraction (the package counts colorings directly), and the
-bracket oracle re-parses PD text and walks loops through explicit port
+algorithms so that agreement is meaningful: the chromatic and Tutte
+oracles use deletion-contraction (the package counts colorings directly
+and sums over edge subsets), and the bracket oracle re-parses PD text and walks loops through explicit port
 pairings (the package uses union-find), with plain dict Laurent
 arithmetic in one variable.
 """
@@ -31,6 +31,43 @@ def chromatic_count(vertex_count, edges, n):
     contracted = chromatic_count(
         vertex_count - 1, [(relabel(a), relabel(b)) for a, b in rest], n)
     return deleted - contracted
+
+
+def _connected(edges, a, b):
+    """Whether a reaches b along the given edges."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if x == b:
+            return True
+        for u, v in edges:
+            if x in (u, v):
+                y = v if u == x else u
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return False
+
+
+def tutte_poly(edges):
+    """Tutte polynomial as a dict {(x-exponent, y-exponent): coeff}, by
+    deletion-contraction: T = y T(G-e) for a loop e, x T(G/e) for a
+    bridge e, and T(G-e) + T(G/e) otherwise; T = 1 without edges."""
+    edges = list(edges)
+    if not edges:
+        return {(0, 0): 1}
+    (u, v), rest = edges[0], edges[1:]
+    if u == v:
+        return {(i, j + 1): c for (i, j), c in tutte_poly(rest).items()}
+    contracted = tutte_poly([(u if a == v else a, u if b == v else b)
+                             for a, b in rest])
+    if not _connected(rest, u, v):
+        return {(i + 1, j): c for (i, j), c in contracted.items()}
+    out = dict(tutte_poly(rest))
+    for key, c in contracted.items():
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def _parse_pd_ports(text):

@@ -110,6 +110,16 @@ def test_missing_suite_input():
     assert result.stderr.startswith("error: ")
 
 
+def test_non_planar_pd_is_an_input_error(tmp_path):
+    pd = tmp_path / "nonplanar.pd"
+    pd.write_text("X- 3 4 1 2\nX- 1 3 2 4\n")
+    for argv in (["jones"], ["median"], ["identities", "--suite", "bracket"]):
+        result = invoke(argv + ["--pd", str(pd)])
+        assert result.returncode == 2, argv
+        assert result.stderr.startswith("error: "), argv
+        assert "Traceback" not in result.stderr, argv
+
+
 def test_colored_jones_routes_agree(capsys):
     outs = []
     for route in ("main", "catmm", "ma2"):

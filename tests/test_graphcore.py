@@ -1,5 +1,7 @@
 """Graph text format and multigraph helpers."""
 
+from fractions import Fraction
+
 import pytest
 
 from qbichromate.graphcore import Multigraph, ParseError, load_graph, parse_graph
@@ -48,11 +50,52 @@ def test_components():
     assert sorted(map(sorted, comps)) == [[1, 2], [3], [4]]
 
 
-def test_subsets_and_subset_edges():
+def test_subset_size():
     g = Multigraph(3, ((1, 2), (2, 3), (1, 3)))
-    assert len(list(g.subsets())) == 8
     assert g.subset_size(0b101) == 2
-    assert g.subset_edges(0b101) == [(1, 2), (1, 3)]
+    assert g.subset_size(0) == 0
+
+
+def reference_statistics(g, weights=None):
+    """The kernel's histogram rebuilt mask by mask from the per-subset
+    queries."""
+    histogram = {}
+    for mask in range(1 << g.edge_count):
+        sizes = tuple(sorted(len(part) for part in g.components(mask)))
+        key = (sizes, g.subset_size(mask), g.odd_degree_count(mask))
+        weight = 1
+        for i in range(g.edge_count):
+            if weights is not None and mask >> i & 1:
+                weight *= weights[i]
+        histogram[key] = histogram.get(key, 0) + weight
+    return histogram
+
+
+def test_subset_statistics_match_per_mask_reference(catalog):
+    graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
+    assert any(g.has_loop() for g in graphs)
+    assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
+    for g in graphs:
+        assert g.subset_statistics() == reference_statistics(g), g
+        weights = [Fraction((-1) ** i * (i + 2), 2 * i + 3)
+                   for i in range(g.edge_count)]
+        assert g.subset_statistics(weights) == \
+            reference_statistics(g, weights), g
+
+
+def test_subset_statistics_small_cases():
+    assert Multigraph(0, ()).subset_statistics() == {((), 0, 0): 1}
+    assert Multigraph(2, ()).subset_statistics() == {((1, 1), 0, 0): 1}
+    # a loop never merges components or changes degree parity
+    loop = Multigraph(2, ((1, 1), (1, 2)))
+    assert loop.subset_statistics() == {((1, 1), 0, 0): 1, ((1, 1), 1, 0): 1,
+                                         ((2,), 1, 2): 1, ((2,), 2, 2): 1}
+    assert loop.subset_statistics([3, 5]) == {((1, 1), 0, 0): 1,
+                                              ((1, 1), 1, 0): 3,
+                                              ((2,), 1, 2): 5,
+                                              ((2,), 2, 2): 15}
+    with pytest.raises(ValueError):
+        loop.subset_statistics([1])
 
 
 def test_degree_and_odd_degree():

@@ -37,6 +37,14 @@ def test_parse_pd_errors():
         parse_pd("X+ 1 2 3 4\n")
 
 
+def test_parse_pd_rejects_non_planar_diagram():
+    # a valid single strand whose rotation system traces 2 faces, not
+    # the r + 2 = 4 of a planar diagram
+    with pytest.raises(ParseError) as e:
+        parse_pd("X- 3 4 1 2\nX- 1 3 2 4\n")
+    assert "not planar" in str(e.value)
+
+
 def test_face_counts():
     tre = load_pd(fixture_path("trefoil.pd"))
     fig8 = load_pd(fixture_path("fig8.pd"))

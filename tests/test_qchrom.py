@@ -8,6 +8,7 @@ from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly, qbinom, qint
 from qbichromate.qchrom import (bichromate, mdef_chord, mq_complete, mq_direct,
                                 mq_subset, q_bichromate, tutte)
+import oracles
 
 Q = LaurentPoly.variable("q")
 
@@ -67,6 +68,18 @@ def test_tutte_triangle():
     assert tutte(g) == x ** 2 + x + y
     with pytest.raises(ValueError):
         tutte(g, form="nope")
+
+
+def test_tutte_matches_deletion_contraction_oracle(catalog):
+    assert any(g.has_loop() for g in catalog)
+    assert any(len(g.edges) != len(set(g.edges)) for g in catalog)
+    for g in catalog:
+        poly = tutte(g)
+        got = {}
+        for exps, coeff in poly.terms.items():
+            powers = dict(zip(poly.variables, exps))
+            got[(powers.get("x", 0), powers.get("y", 0))] = coeff
+        assert got == oracles.tutte_poly(g.edges), g
 
 
 def test_whitney_rank_relates_to_tutte():

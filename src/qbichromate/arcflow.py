@@ -137,9 +137,6 @@ class ArcGraph:
                              % edge)
         return self._rot[edge]
 
-    def has_full_rot(self):
-        return all(e in self._rot for e in self.reduced_edges)
-
     def flow_value(self, f, edge):
         return 0 if edge is None else f[self.edge_index[edge]]
 
@@ -265,11 +262,6 @@ def parse_arc(text):
                         rot_k=rot_k)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def load_arc(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_arc(handle.read())
 
 
 def enumerate_flows(g, n):

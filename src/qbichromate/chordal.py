@@ -437,8 +437,3 @@ def parse_structure(text):
     a_sets = tuple(a_lines.get(w, frozenset()) for w in range(1, n + 1))
     b_sizes = tuple(b_lines.get(w, 0) for w in range(1, n + 1))
     return parents, a_sets, b_sizes
-
-
-def load_structure(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_structure(handle.read())

@@ -4,7 +4,8 @@ One binary, subcommand style.  Compute subcommands print a small report
 (command, input digests, parameters, result polynomials in canonical
 text); identity subcommands additionally print one PASS/FAIL line per
 checked identity, with both sides shown on failure.  Exit codes: 0 for
-success or all-pass, 1 when some identity fails, 2 on input errors.
+success or all-pass, 1 when some identity fails, 2 on input errors, 3
+on an internal fault (any other exception, reported as one line).
 Stdout is byte-stable for identical invocations; wall time goes to
 stderr, and only when --timing is given.
 """
@@ -18,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import arcflow, chordal, knotdiag, qchrom, statmech
-from .graphcore import ParseError, load_graph
+from .graphcore import ParseError, parse_graph
 from .polyq import LaurentPoly, qbinom, qbinomial_theorem_check
 
 
@@ -30,10 +31,13 @@ class Report:
         self.fields = []
         self.verdicts = []
 
-    def add_input(self, name, path):
+    def add_input(self, name, path, parse):
+        """Read path once, record its digest and return parse(its text)."""
         with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()[:12]
+            data = handle.read()
+        digest = hashlib.sha256(data).hexdigest()[:12]
         self.fields.append((name, "%s sha256=%s" % (path, digest)))
+        return parse(data.decode("utf-8"))
 
     def add(self, name, value):
         self.fields.append((name, str(value)))
@@ -127,8 +131,7 @@ def _need(args, flag):
 
 
 def _cmd_qchrom(args, report):
-    g = load_graph(args.graph)
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", args.graph, parse_graph)
     report.add("n", args.n)
     direct = qchrom.mq_direct(g, args.n)
     report.add("result", direct)
@@ -136,30 +139,25 @@ def _cmd_qchrom(args, report):
 
 
 def _cmd_bichromate(args, report):
-    g = load_graph(args.graph)
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", args.graph, parse_graph)
     report.add("result", qchrom.bichromate(g))
 
 
 def _cmd_tutte(args, report):
-    g = load_graph(args.graph)
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", args.graph, parse_graph)
     report.add("form", args.form)
     report.add("result", qchrom.tutte(g, form=args.form))
 
 
 def _cmd_qbichromate(args, report):
-    g = load_graph(args.graph)
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", args.graph, parse_graph)
     report.add("y", args.y)
     report.add("result", qchrom.q_bichromate(g, args.y))
 
 
 def _cmd_potts(args, report):
-    g = load_graph(args.graph)
-    w = statmech.load_couplings(args.couplings)
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", args.graph, parse_graph)
+    w = report.add_input("couplings", args.couplings, statmech.parse_couplings)
     report.add("k", args.k)
     direct = statmech.potts_direct(g, args.k, w)
     report.add("result", direct)
@@ -168,10 +166,8 @@ def _cmd_potts(args, report):
 
 
 def _cmd_qpotts(args, report):
-    g = load_graph(args.graph)
-    w = statmech.load_couplings(args.couplings)
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", args.graph, parse_graph)
+    w = report.add_input("couplings", args.couplings, statmech.parse_couplings)
     report.add("k", args.k)
     subset_form, state_form = statmech.qpotts_pair(g, args.k, w)
     report.add("result", subset_form)
@@ -179,28 +175,23 @@ def _cmd_qpotts(args, report):
 
 
 def _cmd_ising(args, report):
-    g = load_graph(args.graph)
-    w = statmech.load_couplings(args.couplings)
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", args.graph, parse_graph)
+    w = report.add_input("couplings", args.couplings, statmech.parse_couplings)
     direct, via_potts = statmech.ising_pair(g, w)
     report.add("result", direct)
     report.verdict("Potts route agrees", direct, via_potts)
 
 
 def _cmd_vdw(args, report):
-    g = load_graph(args.graph)
-    w = statmech.load_couplings(args.couplings)
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", args.graph, parse_graph)
+    w = report.add_input("couplings", args.couplings, statmech.parse_couplings)
     direct, expansion = statmech.vdw_pair(g, w)
     report.add("result", direct)
     report.verdict("high-temperature expansion agrees", direct, expansion)
 
 
 def _cmd_jones(args, report):
-    k = knotdiag.load_pd(args.pd)
-    report.add_input("pd", args.pd)
+    k = report.add_input("pd", args.pd, knotdiag.parse_pd)
     report.add("form", args.form)
     if args.form == "t":
         report.add("result", knotdiag.jones(k))
@@ -209,8 +200,7 @@ def _cmd_jones(args, report):
 
 
 def _cmd_median(args, report):
-    k = knotdiag.load_pd(args.pd)
-    report.add_input("pd", args.pd)
+    k = report.add_input("pd", args.pd, knotdiag.parse_pd)
     if args.outer_face is None:
         for face in knotdiag.faces(k):
             report.add("face %d" % face.id,
@@ -228,16 +218,14 @@ def _cmd_median(args, report):
 
 
 def _cmd_colored_jones(args, report):
-    g = arcflow.load_arc(args.arc)
-    report.add_input("arc", args.arc)
+    g = report.add_input("arc", args.arc, arcflow.parse_arc)
     report.add("n", args.n)
     report.add("route", args.route)
     report.add("result", arcflow.colored_jones(g, args.n, route=args.route))
 
 
 def _cmd_chordal_check(args, report):
-    g = load_graph(args.graph)
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", args.graph, parse_graph)
     try:
         order, m = chordal.peo(g)
     except chordal.NotChordal as exc:
@@ -264,18 +252,16 @@ def _suite_qbinom(args, report):
 
 
 def _suite_qchrom(args, report):
-    g = load_graph(_need(args, "graph"))
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", _need(args, "graph"), parse_graph)
     for n in range(1, 5):
         report.verdict("direct equals subset n=%d" % n,
                        qchrom.mq_direct(g, n), qchrom.mq_subset(g, n))
 
 
 def _suite_potts(args, report):
-    g = load_graph(_need(args, "graph"))
-    w = statmech.load_couplings(_need(args, "couplings"))
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", _need(args, "graph"), parse_graph)
+    w = report.add_input("couplings", _need(args, "couplings"),
+                         statmech.parse_couplings)
     k = args.k if args.k is not None else 3
     report.add("k", k)
     report.verdict("direct equals random-cluster k=%d" % k,
@@ -292,13 +278,12 @@ def _random_couplings(rng, edge_count):
 
 
 def _suite_qpotts(args, report):
-    g = load_graph(_need(args, "graph"))
-    report.add_input("graph", args.graph)
+    g = report.add_input("graph", _need(args, "graph"), parse_graph)
     k = args.k if args.k is not None else 3
     report.add("k", k)
     if args.couplings:
-        trials = [("file", statmech.load_couplings(args.couplings))]
-        report.add_input("couplings", args.couplings)
+        trials = [("file", report.add_input("couplings", args.couplings,
+                                            statmech.parse_couplings))]
     else:
         rng = random.Random(args.seed)
         report.add("seed", args.seed)
@@ -311,10 +296,9 @@ def _suite_qpotts(args, report):
 
 
 def _suite_vdw(args, report):
-    g = load_graph(_need(args, "graph"))
-    w = statmech.load_couplings(_need(args, "couplings"))
-    report.add_input("graph", args.graph)
-    report.add_input("couplings", args.couplings)
+    g = report.add_input("graph", _need(args, "graph"), parse_graph)
+    w = report.add_input("couplings", _need(args, "couplings"),
+                         statmech.parse_couplings)
     direct, expansion = statmech.vdw_pair(g, w)
     report.verdict("direct equals expansion", direct, expansion)
     lhs, rhs = statmech.lemma_w_eval(g)
@@ -322,8 +306,7 @@ def _suite_vdw(args, report):
 
 
 def _suite_bracket(args, report):
-    k = knotdiag.load_pd(_need(args, "pd"))
-    report.add_input("pd", args.pd)
+    k = report.add_input("pd", _need(args, "pd"), knotdiag.parse_pd)
     f = knotdiag.kauffman_f(k)
     for face in knotdiag.faces(k):
         report.verdict_true("loop count model, outer face %d" % face.id,
@@ -334,8 +317,7 @@ def _suite_bracket(args, report):
 
 
 def _suite_arcflow(args, report):
-    g = arcflow.load_arc(_need(args, "arc"))
-    report.add_input("arc", args.arc)
+    g = report.add_input("arc", _need(args, "arc"), arcflow.parse_arc)
     n = args.n if args.n is not None else 2
     report.add("n", n)
     flows = arcflow.enumerate_flows(g, n)
@@ -355,9 +337,8 @@ def _suite_arcflow(args, report):
 
 
 def _suite_chordal(args, report):
-    path = _need(args, "structure")
-    parents, a_sets, b_sizes = chordal.load_structure(path)
-    report.add_input("structure", path)
+    parents, a_sets, b_sizes = report.add_input(
+        "structure", _need(args, "structure"), chordal.parse_structure)
     z = args.z if args.z is not None else 3
     report.add("z", z)
     structures = chordal.tree_structures(parents, a_sets, b_sizes)
@@ -421,6 +402,10 @@ def run(argv):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2, report
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3, report
     if args.emit == "json":
         report.emit_json(sys.stdout)
     else:

@@ -1,9 +1,12 @@
-"""Multigraphs, the edge-subset statistics kernel, and the shared text format.
+"""Multigraphs, the edge-subset and spin-state kernels, and the shared
+text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
 parallel edges are allowed.  Every subset expansion in the package folds
-the histogram of one kernel, Multigraph.subset_statistics; the per-subset
-queries take an edge subset as a bitmask where bit i selects edges[i].
+the histogram of one kernel, Multigraph.subset_statistics, and every
+agree/differ state sum folds that of Multigraph.state_sums; the
+per-subset queries take an edge subset as a bitmask where bit i selects
+edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -15,6 +18,8 @@ Text format, one declaration per line (blank lines and '#' comments skipped):
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 
 class ParseError(ValueError):
@@ -99,6 +104,60 @@ class Multigraph:
         walk(0, 0, 0, 1)
         return histogram
 
+    def state_sums(self, spins, weights):
+        """Histogram of all states s: V -> spins, as {sum of s(v): summed
+        weight}, leaving out sums whose weight cancels to zero.
+
+        A state weighs the product over edges i = (u, v) of weights[i][0]
+        when s(u) = s(v) (a loop always agrees) and weights[i][1]
+        otherwise (ints or Fractions).  The walk sets vertices 1..n
+        depth-first with an explicit stack, multiplies in each edge's
+        factor once its later endpoint is set, and prunes a partial
+        weight of zero.  It runs in integers: each edge's pair is scaled
+        by its common denominator, and the sums are divided by the
+        product of those scales at the end.
+        """
+        n = self.vertex_count
+        if len(weights) != len(self.edges):
+            raise ValueError("got %d weights for %d edges"
+                             % (len(weights), len(self.edges)))
+        closing = [[] for _ in range(n + 1)]
+        scale = 1
+        for (u, v), (agree, differ) in zip(self.edges, weights):
+            d = lcm(agree.denominator, differ.denominator)
+            scale *= d
+            closing[max(u, v)].append((min(u, v), int(agree * d),
+                                       int(differ * d)))
+        # Level v holds the spin index tried next at vertex v, and the
+        # weight and spin sum of vertices 1..v.
+        spin = [None] * (n + 1)
+        next_index = [0] * (n + 1)
+        weight = [1] * (n + 1)
+        total = [0] * (n + 1)
+        histogram = {0: 1} if n == 0 else {}
+        v = 1 if n else 0
+        while v:
+            if next_index[v] == len(spins):
+                next_index[v] = 0
+                v -= 1
+                continue
+            s = spins[next_index[v]]
+            next_index[v] += 1
+            spin[v] = s
+            w = weight[v - 1]
+            for u, agree, differ in closing[v]:
+                w *= agree if spin[u] == s else differ
+            if not w:
+                continue
+            if v == n:
+                key = total[v - 1] + s
+                histogram[key] = histogram.get(key, 0) + w
+            else:
+                weight[v] = w
+                total[v] = total[v - 1] + s
+                v += 1
+        return {key: Fraction(w, scale) for key, w in histogram.items() if w}
+
     def subset_size(self, mask):
         return bin(mask).count("1")
 
@@ -144,25 +203,6 @@ class Multigraph:
     def has_loop(self):
         return any(u == v for u, v in self.edges)
 
-    def degree(self, vertex):
-        total = 0
-        for u, v in self.edges:
-            if u == vertex:
-                total += 1
-            if v == vertex:
-                total += 1
-        return total
-
-    def neighbors(self, vertex):
-        """Distinct neighbors of a vertex, excluding the vertex itself."""
-        out = set()
-        for u, v in self.edges:
-            if u == vertex and v != vertex:
-                out.add(v)
-            elif v == vertex and u != vertex:
-                out.add(u)
-        return out
-
     def to_text(self):
         lines = ["vertices %d" % self.vertex_count]
         lines.extend("%d %d" % (u, v) for u, v in self.edges)
@@ -207,8 +247,3 @@ def parse_graph(text):
     if vertex_count is None:
         raise ParseError("missing 'vertices <count>' header")
     return Multigraph(vertex_count, tuple(edges))
-
-
-def load_graph(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())

@@ -85,11 +85,6 @@ def parse_pd(text):
     return k
 
 
-def load_pd(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_pd(handle.read())
-
-
 def _port_maps(k):
     """Return (entry port, exit port) maps per arc label.
 
@@ -320,12 +315,15 @@ def kauffman_f(k):
     by (-A)^(-3 W) where W is the writhe.  The result is 1 on any diagram
     of the unknot.
     """
+    counts = {}
+    for s in bracket_states(k.r):
+        key = (state_loop_count(k, s), sum(s))
+        counts[key] = counts.get(key, 0) + 1
     d = _loop_variable()
     a = LaurentPoly.variable("A")
     total = LaurentPoly()
-    for s in bracket_states(k.r):
-        loops = state_loop_count(k, s)
-        total = total + d ** (loops - 1) * a ** sum(s)
+    for (loops, e), count in counts.items():
+        total = total + count * d ** (loops - 1) * a ** e
     w = k.writhe
     sign = -1 if w % 2 else 1
     return sign * a ** (-3 * w) * total

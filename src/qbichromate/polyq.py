@@ -87,14 +87,6 @@ class LaurentPoly:
     def variable(cls, name):
         return cls((name,), {(1,): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, coeff, powers):
-        """Build coeff * prod(var**exp) from a {name: exponent} mapping."""
-        coeff = _as_fraction(coeff)
-        names = tuple(sorted(powers))
-        exps = tuple(int(powers[n]) for n in names)
-        return cls(names, {exps: coeff})
-
     # ---------------------------------------------------------------- predicates
 
     def is_zero(self):

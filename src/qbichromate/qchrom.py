@@ -24,17 +24,8 @@ def mq_direct(g, n):
     """Sum q^(sum of colors) over proper colorings with colors 0..n-1."""
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    terms = {}
-    for coloring in product(range(n), repeat=g.vertex_count):
-        ok = True
-        for u, v in g.edges:
-            if coloring[u - 1] == coloring[v - 1]:
-                ok = False
-                break
-        if ok:
-            e = sum(coloring)
-            terms[(e,)] = terms.get((e,), 0) + 1
-    return LaurentPoly(("q",), {e: Fraction(c) for e, c in terms.items()})
+    sums = g.state_sums(range(n), ((0, 1),) * g.edge_count)
+    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
 
 
 def mq_subset(g, n):

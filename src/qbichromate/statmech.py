@@ -13,7 +13,6 @@ Ising model they run over -1, +1.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .graphcore import ParseError, _content_lines
 from .polyq import LaurentPoly
@@ -92,11 +91,6 @@ def parse_couplings(text):
         raise ParseError(str(exc)) from None
 
 
-def load_couplings(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_couplings(handle.read())
-
-
 def _require_kind(w, kind, what):
     if w.kind != kind:
         raise ValueError("%s needs '%s' couplings, got '%s'" % (what, kind, w.kind))
@@ -109,14 +103,8 @@ def potts_direct(g, k, w):
         raise ValueError("need k >= 1")
     _require_kind(w, "v", "potts_direct")
     w.check_edge_count(g)
-    total = Fraction(0)
-    for s in product(range(1, k + 1), repeat=g.vertex_count):
-        weight = Fraction(1)
-        for i, (u, v) in enumerate(g.edges):
-            if s[u - 1] == s[v - 1]:
-                weight *= 1 + w.values[i]
-        total += weight
-    return total
+    sums = g.state_sums(range(1, k + 1), [(1 + v, 1) for v in w.values])
+    return sum(sums.values(), Fraction(0))
 
 
 def potts_fk(g, k, w):
@@ -151,32 +139,19 @@ def qpotts_pair(g, k, w):
     subset_form = LaurentPoly()
     for (sizes, _, _), weight in g.subset_statistics(w.values).items():
         subset_form = subset_form + weight * _component_qints(sizes, k)
-    state_terms = {}
-    for s in product(range(k), repeat=g.vertex_count):
-        weight = Fraction(1)
-        for i, (u, v) in enumerate(g.edges):
-            if s[u - 1] == s[v - 1]:
-                weight *= 1 + w.values[i]
-        e = sum(s)
-        state_terms[(e,)] = state_terms.get((e,), Fraction(0)) + weight
-    state_form = LaurentPoly(("q",), state_terms)
+    sums = g.state_sums(range(k), [(1 + v, 1) for v in w.values])
+    state_form = LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
     return subset_form, state_form
 
 
 def ising_direct(g, w):
     """Sum over s: V -> {-1,+1} of q^(sum s(v)) times the product over
-    edges of (c_e + s(i)s(j) h_e)."""
+    edges of (c_e + s(i)s(j) h_e); s(i)s(j) is +1 exactly when the spins
+    agree."""
     _require_kind(w, "ch", "ising_direct")
     w.check_edge_count(g)
-    terms = {}
-    for s in product((-1, 1), repeat=g.vertex_count):
-        weight = Fraction(1)
-        for i, (u, v) in enumerate(g.edges):
-            c, h = w.values[i]
-            weight *= c + s[u - 1] * s[v - 1] * h
-        e = sum(s)
-        terms[(e,)] = terms.get((e,), Fraction(0)) + weight
-    return LaurentPoly(("q",), terms)
+    sums = g.state_sums((-1, 1), [(c + h, c - h) for c, h in w.values])
+    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
 
 
 def ising_pair(g, w):
@@ -229,14 +204,8 @@ def lemma_w_eval(g):
     """Spin sum of q^(sum s(v)) times the product of s(i)s(j) over ALL
     edges, against the closed form
     (q - q^-1)^o(E) (q + q^-1)^(|V| - o(E))."""
-    terms = {}
-    for s in product((-1, 1), repeat=g.vertex_count):
-        weight = 1
-        for u, v in g.edges:
-            weight *= s[u - 1] * s[v - 1]
-        e = sum(s)
-        terms[(e,)] = terms.get((e,), 0) + weight
-    lhs = LaurentPoly(("q",), {e: Fraction(c) for e, c in terms.items()})
+    sums = g.state_sums((-1, 1), ((1, -1),) * g.edge_count)
+    lhs = LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
     q = LaurentPoly.variable("q")
     full = (1 << g.edge_count) - 1
     odd = g.odd_degree_count(full)

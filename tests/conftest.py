@@ -17,6 +17,11 @@ def fixture_path(name):
     return str(FIXTURES / name)
 
 
+def load_fixture(name, parse):
+    """Parse a fixture file with one of the package's parse_* functions."""
+    return parse((FIXTURES / name).read_text(encoding="utf-8"))
+
+
 def small_simple_graphs(max_vertices=4):
     """Every labeled simple graph on 1..max_vertices vertices."""
     out = []

@@ -14,13 +14,13 @@ from fractions import Fraction
 
 from qbichromate.arcflow import (arcjones, catmm_flow_sum, colored_jones,
                                  delta_flow, enumerate_flows, flow_weight_beta,
-                                 frst_fiber_sum, load_arc, ma2_flow_sum,
-                                 main_flow_weight, z_nf)
-from qbichromate.chordal import (load_structure, str2_pair, str20_pair,
+                                 frst_fiber_sum, ma2_flow_sum, main_flow_weight,
+                                 parse_arc, z_nf)
+from qbichromate.chordal import (parse_structure, str2_pair, str20_pair,
                                  structure_count, tree_structures)
 from qbichromate.graphcore import Multigraph
 from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
-                                  kauffman_f, load_pd, prop_mm_check)
+                                  kauffman_f, parse_pd, prop_mm_check)
 from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check)
 from qbichromate.qchrom import (bichromate, mq_complete, mq_direct, mq_subset,
                                 q_bichromate)
@@ -28,7 +28,7 @@ from qbichromate.statmech import (Couplings, lemma_w_eval, potts_direct,
                                   potts_fk, qpotts_pair, vdw_pair)
 
 import oracles
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 ONE = LaurentPoly.constant(1)
 Q = LaurentPoly.variable("q")
@@ -161,14 +161,14 @@ def test_even_subgraph_count_identity(tiny_catalog):
 
 def test_face_graph_state_model():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         for face in range(len(faces(k))):
             assert prop_mm_check(k, face), (name, face)
 
 
 def test_face_graph_route_recovers_bracket():
     for name in ("trefoil.pd", "fig8.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
         for face in range(len(faces(k))):
             assert jones_via_bichromate(k, face, route="kk") == f, (name, face)
@@ -176,11 +176,11 @@ def test_face_graph_route_recovers_bracket():
 
 def test_jones_normalization_and_oracle():
     for name in ("kink.pd", "kinkneg.pd"):
-        assert jones(load_pd(fixture_path(name))) == ONE
+        assert jones(load_fixture(name, parse_pd)) == ONE
     for name in ("trefoil.pd", "fig8.pd"):
         with open(fixture_path(name), "r", encoding="utf-8") as handle:
             text = handle.read()
-        got = jones(load_pd(fixture_path(name)))
+        got = jones(load_fixture(name, parse_pd))
         expect = oracles.jones_from_bracket(text)
         assert {e[0] if e else 0: c for e, c in got.terms.items()} == expect
 
@@ -190,7 +190,7 @@ def test_jones_normalization_and_oracle():
 
 def test_flow_weights_agree_per_flow():
     for name in ("trefoil.arc", "fig8.arc"):
-        g = load_arc(fixture_path(name))
+        g = load_fixture(name, parse_arc)
         for n in (1, 2, 3):
             for f in enumerate_flows(g, n):
                 catmm = catmm_flow_sum(g, f, n)
@@ -202,7 +202,7 @@ def test_flow_weights_agree_per_flow():
 
 def test_flow_route_totals_agree():
     for name in ("trefoil.arc", "fig8.arc"):
-        g = load_arc(fixture_path(name))
+        g = load_fixture(name, parse_arc)
         for n in (1, 2, 3):
             main = colored_jones(g, n, route="main")
             assert main == colored_jones(g, n, route="catmm"), (name, n)
@@ -211,7 +211,7 @@ def test_flow_route_totals_agree():
 
 def test_cycle_fibers_at_level_one():
     for name in ("trefoil.arc", "fig8.arc"):
-        g = load_arc(fixture_path(name))
+        g = load_fixture(name, parse_arc)
         for f in enumerate_flows(g, 1):
             fiber = frst_fiber_sum(g, f, 1)
             assert fiber == main_flow_weight(g, f, 1), (name, f)
@@ -220,7 +220,7 @@ def test_cycle_fibers_at_level_one():
 
 def test_saturated_flows_vanish():
     for name in ("trefoil.arc", "fig8.arc"):
-        g = load_arc(fixture_path(name))
+        g = load_fixture(name, parse_arc)
         for n in (1, 2):
             admitted = set(enumerate_flows(g, n))
             over = [f for f in enumerate_flows(g, n + 1) if f not in admitted]
@@ -235,12 +235,12 @@ def test_saturated_flows_vanish():
 
 
 def test_level_one_matches_diagram_invariant():
-    arc = load_arc(fixture_path("trefoil.arc"))
-    pd = load_pd(fixture_path("trefoil.pd"))
+    arc = load_fixture("trefoil.arc", parse_arc)
+    pd = load_fixture("trefoil.pd", parse_pd)
     assert colored_jones(arc, 1) == mirror(jones(pd))
     assert arcjones(arc) == mirror(jones(pd))
-    arc8 = load_arc(fixture_path("fig8.arc"))
-    pd8 = load_pd(fixture_path("fig8.pd"))
+    arc8 = load_fixture("fig8.arc", parse_arc)
+    pd8 = load_fixture("fig8.pd", parse_pd)
     assert colored_jones(arc8, 1) == mirror(jones(pd8))
 
 
@@ -299,7 +299,7 @@ def str_grid():
         for parents, a_sets, b_sizes in grid_instances(4, 2, 2, max_ground=5):
             if len(parents) == 4:
                 yield parents, a_sets, b_sizes, (2,)
-    chain = load_structure(fixture_path("chain.s"))
+    chain = load_fixture("chain.s", parse_structure)
     yield chain + ((4,),)
     yield (0, 1), (frozenset({1, 2}), frozenset({3})), (0, 1), (4,)
 

@@ -5,21 +5,21 @@ import pytest
 from qbichromate.arcflow import (ArcGraph, arcjones, cabled_graph,
                                  catmm_flow_sum, colored_jones, cycle_families,
                                  delta_flow, enumerate_flows, flow_stats,
-                                 load_arc, ma2_flow_sum, main_flow_weight,
-                                 parse_arc, z_nf)
+                                 ma2_flow_sum, main_flow_weight, parse_arc,
+                                 z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
-from conftest import fixture_path
+from conftest import load_fixture
 
 T = LaurentPoly.variable("t")
 
 
 def trefoil():
-    return load_arc(fixture_path("trefoil.arc"))
+    return load_fixture("trefoil.arc", parse_arc)
 
 
 def fig8():
-    return load_arc(fixture_path("fig8.arc"))
+    return load_fixture("fig8.arc", parse_arc)
 
 
 def test_parse_arc():
@@ -27,7 +27,6 @@ def test_parse_arc():
     assert g.r == 3
     assert g.signs == (1, 1, 1)
     assert g.over == (3, 1, 2)
-    assert g.has_full_rot()
     assert g.rot_k == -5
 
 
@@ -63,7 +62,6 @@ def test_flow_stats():
 
 def test_missing_rot_raises():
     bare = ArcGraph((1, 1, 1), (3, 1, 2))
-    assert not bare.has_full_rot()
     with pytest.raises(ValueError):
         delta_flow(bare, (1, 1))
 

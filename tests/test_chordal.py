@@ -4,11 +4,11 @@ import warnings
 
 import pytest
 
-from qbichromate.chordal import (NotChordal, load_structure, parse_structure,
+from qbichromate.chordal import (NotChordal, parse_structure,
                                  peo, graph_of_structure, str2_pair,
                                  str20_pair, structure_count, tree_structures)
 from qbichromate.graphcore import Multigraph, ParseError
-from conftest import fixture_path
+from conftest import load_fixture
 
 
 def test_peo_path():
@@ -38,7 +38,7 @@ def test_peo_rejects_cycle():
 
 
 def test_parse_structure():
-    parents, a_sets, b_sizes = load_structure(fixture_path("chain.s"))
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     assert parents == (0, 1, 2)
     assert a_sets == (frozenset({1, 2}), frozenset({3}), frozenset({4}))
     assert b_sizes == (0, 1, 1)
@@ -55,7 +55,7 @@ def test_parse_structure_errors():
 
 
 def test_structure_count_matches_enumeration():
-    parents, a_sets, b_sizes = load_structure(fixture_path("chain.s"))
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     ss = list(tree_structures(parents, a_sets, b_sizes))
     assert structure_count(parents, a_sets, b_sizes) == len(ss) == 4
     # structures are distinct
@@ -84,14 +84,14 @@ def test_instance_validation():
 
 
 def test_graph_of_structure_is_chordal():
-    parents, a_sets, b_sizes = load_structure(fixture_path("chain.s"))
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     for s in tree_structures(parents, a_sets, b_sizes):
         g = graph_of_structure(s)
         peo(g)
 
 
 def test_str2_identity():
-    parents, a_sets, b_sizes = load_structure(fixture_path("chain.s"))
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     for s in tree_structures(parents, a_sets, b_sizes):
         for z in (1, 2, 3):
             lhs, rhs = str2_pair(s, z)
@@ -99,7 +99,7 @@ def test_str2_identity():
 
 
 def test_str20_identity():
-    parents, a_sets, b_sizes = load_structure(fixture_path("chain.s"))
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     for z in (1, 2, 3):
         lhs, rhs = str20_pair(parents, a_sets, b_sizes, z)
         assert lhs == rhs

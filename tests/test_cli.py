@@ -38,6 +38,18 @@ def test_exit_code_on_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+    # the graph is parsed before the couplings
+    couplings = tmp_path / "bad.c"
+    couplings.write_text("v one\n")
+    code, _ = run(["potts", "--graph", str(bad), "--couplings",
+                   str(couplings), "--k", "2"])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+    binary = tmp_path / "binary.g"
+    binary.write_bytes(b"\xff\xfe\n")
+    code, _ = run(["qchrom", "--graph", str(binary), "--n", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_json_emit(capsys):
@@ -118,6 +130,21 @@ def test_non_planar_pd_is_an_input_error(tmp_path):
         assert result.returncode == 2, argv
         assert result.stderr.startswith("error: "), argv
         assert "Traceback" not in result.stderr, argv
+
+
+def test_internal_fault_exits_3(tmp_path):
+    # 1999 edges: the subset walk recurses past Python's default limit
+    graph = tmp_path / "path.g"
+    graph.write_text("vertices 2000\n"
+                     + "".join("%d %d\n" % (i, i + 1) for i in range(1, 2000)))
+    couplings = tmp_path / "path.c"
+    couplings.write_text("v 1/2\n" * 1999)
+    result = invoke(["potts", "--graph", str(graph), "--couplings",
+                     str(couplings), "--k", "1"])
+    assert result.returncode == 3
+    assert result.stderr.startswith("internal error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_colored_jones_routes_agree(capsys):

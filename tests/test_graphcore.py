@@ -1,11 +1,14 @@
 """Graph text format and multigraph helpers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qbichromate.graphcore import Multigraph, ParseError, load_graph, parse_graph
-from conftest import fixture_path
+from qbichromate.graphcore import Multigraph, ParseError, parse_graph
+from qbichromate.qchrom import mq_direct
+from qbichromate.statmech import Couplings, potts_direct
+from conftest import load_fixture
 
 
 def test_parse_basic():
@@ -32,13 +35,11 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("")
 
 
-def test_load_graph(tmp_path):
-    g = load_graph(fixture_path("tri.g"))
+def test_load_graph():
+    g = load_fixture("tri.g", parse_graph)
     assert g.vertex_count == 3
     assert len(g.edges) == 3
-    p = tmp_path / "x.g"
-    p.write_text(g.to_text())
-    assert load_graph(str(p)) == g
+    assert parse_graph(g.to_text()) == g
 
 
 def test_components():
@@ -98,20 +99,60 @@ def test_subset_statistics_small_cases():
         loop.subset_statistics([1])
 
 
+def reference_state_sums(g, spins, weights):
+    """The state kernel's histogram rebuilt state by state."""
+    histogram = {}
+    for s in product(spins, repeat=g.vertex_count):
+        weight = 1
+        for (u, v), (agree, differ) in zip(g.edges, weights):
+            weight *= agree if s[u - 1] == s[v - 1] else differ
+        histogram[sum(s)] = histogram.get(sum(s), 0) + weight
+    return {key: w for key, w in histogram.items() if w}
+
+
+def test_state_sums_match_per_state_reference(catalog):
+    graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
+    for g in graphs:
+        m = g.edge_count
+        weight_sets = [
+            [(0, 1)] * m,
+            [(1, -1)] * m,
+            [(2 + i, -1 - i) for i in range(m)],
+            [(Fraction(i, 3), Fraction(3, 2 * i + 1)) for i in range(m)],
+        ]
+        for spins in (range(3), (-1, 1)):
+            for weights in weight_sets:
+                assert g.state_sums(spins, weights) == \
+                    reference_state_sums(g, spins, weights), (g, weights)
+
+
+def test_state_sums_small_cases():
+    assert Multigraph(0, ()).state_sums(range(3), []) == {0: 1}
+    assert Multigraph(0, ()).state_sums((), []) == {0: 1}
+    assert Multigraph(2, ()).state_sums((), []) == {}
+    assert Multigraph(2, ()).state_sums((-1, 1), []) == {-2: 1, 0: 2, 2: 1}
+    # a loop always takes its agree weight
+    loop = Multigraph(1, ((1, 1),))
+    assert loop.state_sums(range(2), [(5, 7)]) == {0: 5, 1: 5}
+    assert loop.state_sums(range(2), [(0, 7)]) == {}
+    with pytest.raises(ValueError):
+        loop.state_sums(range(2), [])
+
+
+def test_state_sums_deep_graphs():
+    # one spin per vertex: the walk must not recurse per vertex
+    assert mq_direct(Multigraph(2000, ()), 1) == 1
+    path = Multigraph(2000, tuple((i, i + 1) for i in range(1, 2000)))
+    w = Couplings.uniform_v(path.edge_count, Fraction(1, 2))
+    assert potts_direct(path, 1, w) == Fraction(3, 2) ** 1999
+
+
 def test_degree_and_odd_degree():
     g = Multigraph(3, ((1, 2), (1, 2), (2, 3)))
-    assert g.degree(2) == 3
     assert g.odd_degree_count((1 << 3) - 1) == 2
     loop = Multigraph(1, ((1, 1),))
     assert loop.has_loop()
-    # a loop adds two to its vertex degree
-    assert loop.degree(1) == 2
     assert loop.odd_degree_count(1) == 0
-
-
-def test_neighbors():
-    g = Multigraph(3, ((1, 2), (2, 3)))
-    assert g.neighbors(2) == {1, 3}
 
 
 def test_validation():

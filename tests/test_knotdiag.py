@@ -6,11 +6,11 @@ import pytest
 
 from qbichromate.graphcore import ParseError
 from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
-                                  kauffman_f, load_pd, median_graph, parse_pd,
+                                  kauffman_f, median_graph, parse_pd,
                                   prop_mm_check)
 from qbichromate.polyq import LaurentPoly
 import oracles
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 
 def read(name):
@@ -46,38 +46,38 @@ def test_parse_pd_rejects_non_planar_diagram():
 
 
 def test_face_counts():
-    tre = load_pd(fixture_path("trefoil.pd"))
-    fig8 = load_pd(fixture_path("fig8.pd"))
+    tre = load_fixture("trefoil.pd", parse_pd)
+    fig8 = load_fixture("fig8.pd", parse_pd)
     # Euler: crossings - arcs + faces = 2
     assert len(faces(tre)) == 5
     assert len(faces(fig8)) == 6
-    kink = load_pd(fixture_path("kink.pd"))
+    kink = load_fixture("kink.pd", parse_pd)
     assert len(faces(kink)) == 3
 
 
 def test_kink_is_unknotted():
     for name in ("kink.pd", "kinkneg.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         assert kauffman_f(k) == LaurentPoly.constant(1)
         assert jones(k) == LaurentPoly.constant(1)
 
 
 def test_trefoil_jones():
     t = LaurentPoly.variable("t")
-    k = load_pd(fixture_path("trefoil.pd"))
+    k = load_fixture("trefoil.pd", parse_pd)
     assert jones(k) == t + t ** 3 - t ** 4
 
 
 def test_jones_matches_state_sum_oracle():
     for name in ("trefoil.pd", "fig8.pd", "kink.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         expect = oracles.jones_from_bracket(read(name))
         got = jones(k)
         assert {e[0] if e else 0: c for e, c in got.terms.items()} == expect
 
 
 def test_median_graph_trefoil():
-    k = load_pd(fixture_path("trefoil.pd"))
+    k = load_fixture("trefoil.pd", parse_pd)
     m = median_graph(k, 0)
     assert m.graph.vertex_count == 3
     assert sorted(m.graph.edges) == [(1, 2), (2, 3), (3, 1)] or \
@@ -91,23 +91,23 @@ def test_median_graph_trefoil():
 
 def test_prop_mm():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         for face in range(len(faces(k))):
             assert prop_mm_check(k, face)
 
 
 def test_bichromate_route_equals_bracket():
     for name in ("trefoil.pd", "fig8.pd"):
-        k = load_pd(fixture_path(name))
+        k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
         for face in range(len(faces(k))):
             assert jones_via_bichromate(k, face, route="kk") == f
 
 
 def test_uniform_sign_route():
-    tre = load_pd(fixture_path("trefoil.pd"))
+    tre = load_fixture("trefoil.pd", parse_pd)
     assert jones_via_bichromate(tre, 0, route="kkk") == kauffman_f(tre)
-    fig8 = load_pd(fixture_path("fig8.pd"))
+    fig8 = load_fixture("fig8.pd", parse_pd)
     with pytest.raises(ValueError):
         jones_via_bichromate(fig8, 0, route="kkk")
     with pytest.raises(ValueError):

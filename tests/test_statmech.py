@@ -7,9 +7,9 @@ import pytest
 from qbichromate.graphcore import Multigraph, ParseError
 from qbichromate.polyq import LaurentPoly
 from qbichromate.statmech import (Couplings, ising_direct, ising_pair,
-                                  lemma_w_eval, load_couplings, parse_couplings,
-                                  potts_direct, potts_fk, qpotts_pair, vdw_pair)
-from conftest import fixture_path
+                                  lemma_w_eval, parse_couplings, potts_direct,
+                                  potts_fk, qpotts_pair, vdw_pair)
+from conftest import load_fixture
 
 TRI = Multigraph(3, ((1, 2), (2, 3), (1, 3)))
 PATH3 = Multigraph(3, ((1, 2), (2, 3)))
@@ -48,7 +48,7 @@ def test_parse_couplings():
 
 
 def test_load_couplings():
-    w = load_couplings(fixture_path("hyp.c"))
+    w = load_fixture("hyp.c", parse_couplings)
     assert w.kind == "ch"
     assert w.values[0] == (Fraction(5, 4), Fraction(3, 4))
 
@@ -83,7 +83,7 @@ def test_qpotts_pair_small():
 
 
 def test_ising_pair():
-    w = load_couplings(fixture_path("hyp.c"))
+    w = load_fixture("hyp.c", parse_couplings)
     direct, via = ising_pair(TRI, w)
     assert direct == via
     assert direct == ising_direct(TRI, w)
@@ -98,7 +98,7 @@ def test_ising_direct_uniform():
 
 
 def test_vdw_pair():
-    w = load_couplings(fixture_path("hyp.c"))
+    w = load_fixture("hyp.c", parse_couplings)
     lhs, rhs = vdw_pair(TRI, w)
     assert lhs == rhs
 

@@ -30,6 +30,7 @@ from itertools import combinations, permutations, product
 
 from .graphcore import ParseError, _content_lines
 from .polyq import LaurentPoly, qbinom
+from .qchrom import mdef_chord
 
 
 def _t_power(e):
@@ -580,8 +581,6 @@ def chord_diagrams(g, f):
 def ma2_flow_sum(g, f, n):
     """Average of defect-corrected coloring sums over the flow's
     diagrams: sum of mdef(diagram, n) / deg over chord_diagrams."""
-    from .qchrom import mdef_chord
-
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     total = LaurentPoly()

@@ -28,7 +28,7 @@ polynomials in q:
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .graphcore import Multigraph, ParseError, _content_lines
 from .polyq import LaurentPoly, qint
@@ -260,25 +260,18 @@ def tree_structures(parents, a_sets, b_sizes):
                 % (w, b_sizes[w - 1], len(a_sets[p - 1]) + b_sizes[p - 1]),
                 stacklevel=2)
             return []
-    results = []
-    b_sets = {root: frozenset()}
-
-    def extend(pos):
-        if pos == len(topdown):
-            final = tuple(b_sets[w] for w in range(1, n + 1))
-            s = TreeStructure(parents, a_sets, final)
-            _check_heredity(s)
-            results.append(s)
-            return
-        w = topdown[pos]
+    # Level by level, so earlier nodes in topdown order vary slowest.
+    partial = [{root: frozenset()}]
+    for w in topdown[1:]:
         p = parents[w - 1]
-        pool = sorted(a_sets[p - 1] | b_sets[p])
-        for choice in combinations(pool, b_sizes[w - 1]):
-            b_sets[w] = frozenset(choice)
-            extend(pos + 1)
-        del b_sets[w]
-
-    extend(1)
+        partial = [{**chosen, w: frozenset(choice)} for chosen in partial
+                   for choice in combinations(
+                       sorted(a_sets[p - 1] | chosen[p]), b_sizes[w - 1])]
+    results = [TreeStructure(parents, a_sets,
+                             tuple(chosen[w] for w in range(1, n + 1)))
+               for chosen in partial]
+    for s in results:
+        _check_heredity(s)
     return results
 
 
@@ -311,7 +304,7 @@ def graph_of_structure(s):
     return Multigraph(s.ground_size, tuple(sorted(edges)))
 
 
-def _qint_product(values):
+def _qints(values):
     """Product of (v)_q over the values; zero if any value is <= 0."""
     if any(v <= 0 for v in values):
         return LaurentPoly()
@@ -324,21 +317,12 @@ def _qint_product(values):
 def _defected_sum(s, z):
     """Sum of q^(sum of v_x - def(x)) over bag-injective colorings v of
     the ground set with colors 0..z-1, where def(x) counts elements y
-    below x in x's owning bag with v_y < v_x."""
-    k = s.ground_size
-    bags = [tuple(sorted(s.bag(w))) for w in range(1, s.node_count + 1)]
-    owner_bag = {x: bags[s.owner(x) - 1] for x in range(1, k + 1)}
-    terms = {}
-    for v in product(range(z), repeat=k):
-        if any(len({v[x - 1] for x in bag}) != len(bag) for bag in bags):
-            continue
-        expo = 0
-        for x in range(1, k + 1):
-            defect = sum(1 for y in owner_bag[x]
-                         if y < x and v[y - 1] < v[x - 1])
-            expo += v[x - 1] - defect
-        terms[(expo,)] = terms.get((expo,), 0) + 1
-    return LaurentPoly(("q",), terms)
+    below x in x's owning bag with v_y < v_x.  A coloring is bag-injective
+    exactly when it is proper on graph_of_structure(s)."""
+    defects = [[y for y in s.bag(s.owner(x)) if y < x]
+               for x in range(1, s.ground_size + 1)]
+    sums = graph_of_structure(s).defected_sums(z, defects)
+    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
 
 
 def str2_pair(s, z):
@@ -350,7 +334,7 @@ def str2_pair(s, z):
     if z < 1:
         raise ValueError("z must be a positive integer")
     lhs = _defected_sum(s, z)
-    rhs = _qint_product([z - s.m(x) for x in range(1, s.ground_size + 1)])
+    rhs = _qints([z - s.m(x) for x in range(1, s.ground_size + 1)])
     return lhs, rhs
 
 
@@ -372,7 +356,7 @@ def str20_pair(parents, a_sets, b_sizes, z):
         lhs = lhs + _defected_sum(s, z)
     m_by_x = _m_values(a_norm, b_norm)
     rhs = (LaurentPoly.constant(structure_count(parents, a_sets, b_sizes))
-           * _qint_product([z - m_by_x[x] for x in sorted(m_by_x)]))
+           * _qints([z - m_by_x[x] for x in sorted(m_by_x)]))
     return lhs, rhs
 
 

@@ -1,12 +1,11 @@
-"""Multigraphs, the edge-subset and spin-state kernels, and the shared
-text format.
+"""Multigraphs, their three enumeration kernels, and the shared text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
 parallel edges are allowed.  Every subset expansion in the package folds
-the histogram of one kernel, Multigraph.subset_statistics, and every
-agree/differ state sum folds that of Multigraph.state_sums; the
-per-subset queries take an edge subset as a bitmask where bit i selects
-edges[i].
+the histogram of Multigraph.subset_statistics, every agree/differ state
+sum that of Multigraph.state_sums, and every defected coloring sum that
+of Multigraph.defected_sums; the per-subset queries take an edge subset
+as a bitmask where bit i selects edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -157,6 +156,59 @@ class Multigraph:
                 total[v] = total[v - 1] + s
                 v += 1
         return {key: Fraction(w, scale) for key, w in histogram.items() if w}
+
+    def defected_sums(self, n, defects):
+        """Histogram of the proper colorings v: V -> {0..n-1} (adjacent
+        vertices differ, so a loop allows none), as {sum of v(x) minus the
+        defects of x: count}; the defects of x are the entries y of
+        defects[x-1] (1-based, repeats counting) with v(y) < v(x).  The
+        walk sets vertices 1..n depth-first with an explicit stack, checks
+        each edge and defect pair once its later vertex is set, and prunes
+        at the first clash.
+        """
+        k = self.vertex_count
+        if len(defects) != k:
+            raise ValueError("got %d defect lists for %d vertices"
+                             % (len(defects), k))
+        # A loop makes its vertex its own earlier neighbor: all clash.
+        earlier = [set() for _ in range(k + 1)]
+        for u, v in self.edges:
+            earlier[max(u, v)].add(min(u, v))
+        # A pair (x, y), y listed by x, is checked at max(x, y).
+        below = [[] for _ in range(k + 1)]
+        above = [[] for _ in range(k + 1)]
+        for x, listed in enumerate(defects, start=1):
+            for y in listed:
+                if not 1 <= y <= k:
+                    raise ValueError("defect vertex %d not in 1..%d" % (y, k))
+                if y < x:
+                    below[x].append(y)
+                elif y > x:
+                    above[y].append(x)
+        # Level v holds the color of vertex v (-1 before its first) and
+        # the exponent of vertices 1..v.
+        color = [-1] * (k + 1)
+        total = [0] * (k + 1)
+        histogram = {0: 1} if k == 0 else {}
+        v = 1 if k else 0
+        while v:
+            c = color[v] + 1
+            if c >= n:
+                color[v] = -1
+                v -= 1
+                continue
+            color[v] = c
+            if any(color[u] == c for u in earlier[v]):
+                continue
+            e = (total[v - 1] + c
+                 - sum(1 for y in below[v] if color[y] < c)
+                 - sum(1 for x in above[v] if c < color[x]))
+            if v == k:
+                histogram[e] = histogram.get(e, 0) + 1
+            else:
+                total[v] = e
+                v += 1
+        return histogram
 
     def subset_size(self, mask):
         return bin(mask).count("1")

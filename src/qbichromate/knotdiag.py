@@ -25,6 +25,7 @@ from itertools import product
 
 from .graphcore import Multigraph, ParseError, _content_lines
 from .polyq import LaurentPoly
+from .qchrom import bichromate
 
 
 @dataclass(frozen=True)
@@ -393,8 +394,6 @@ def jones_via_bichromate(k, outer_face, route="kk"):
     not in general, and only the eta form reproduces kauffman_f for both
     shadings of every diagram.
     """
-    from .qchrom import bichromate
-
     m = median_graph(k, outer_face)
     d = _loop_variable()
     a = LaurentPoly.variable("A")

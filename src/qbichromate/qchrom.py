@@ -14,9 +14,9 @@ arcflow module, which in turn imports this one.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
+from .graphcore import Multigraph
 from .polyq import LaurentPoly, qbinom, qint
 
 
@@ -135,49 +135,15 @@ def mdef_chord(d, n):
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     chords = d.chords
-    count = len(chords)
-    adjacent = [[False] * count for _ in range(count)]
-    for i in range(count):
-        si, ei = chords[i]
-        for j in range(i + 1, count):
-            sj, ej = chords[j]
-            lo, hi = (i, j) if si < sj else (j, i)
-            # not disjoint: the later start falls before the earlier end
-            if chords[hi][0] < chords[lo][1]:
-                adjacent[i][j] = adjacent[j][i] = True
-    start_encirclers = []
-    end_encirclers = []
-    for i in range(count):
-        si, ei = chords[i]
-        end_group = d.group_of(ei)
-        starts = []
-        ends = []
-        for j in range(count):
-            if j == i:
-                continue
-            sj, ej = chords[j]
-            if sj < si < ej:
-                starts.append(j)
-            if sj < ei < ej and d.group_of(ej) > end_group:
-                ends.append(j)
-        start_encirclers.append(starts)
-        end_encirclers.append(ends)
-    terms = {}
-    for values in product(range(n), repeat=count):
-        ok = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                if adjacent[i][j] and values[i] == values[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        exponent = 0
-        for i in range(count):
-            def1 = sum(1 for j in start_encirclers[i] if values[j] < values[i])
-            def2 = sum(1 for j in end_encirclers[i] if values[j] < values[i])
-            exponent += values[i] - def1 - def2
-        terms[(exponent,)] = terms.get((exponent,), 0) + 1
-    return LaurentPoly(("t",), {e: Fraction(c) for e, c in terms.items()})
+    end_group = [d.group_of(e) for _, e in chords]
+    edges = []
+    defects = []
+    for i, (si, ei) in enumerate(chords):
+        edges.extend((i + 1, j + 1) for j in range(i + 1, len(chords))
+                     if max(si, chords[j][0]) < min(ei, chords[j][1]))
+        starts = [j + 1 for j, (sj, ej) in enumerate(chords) if sj < si < ej]
+        ends = [j + 1 for j, (sj, ej) in enumerate(chords)
+                if sj < ei < ej and end_group[j] > end_group[i]]
+        defects.append(starts + ends)
+    sums = Multigraph(len(chords), tuple(edges)).defected_sums(n, defects)
+    return LaurentPoly(("t",), {(e,): c for e, c in sums.items()})

@@ -3,12 +3,15 @@
 These deliberately avoid the package's own data structures and
 algorithms so that agreement is meaningful: the chromatic and Tutte
 oracles use deletion-contraction (the package counts colorings directly
-and sums over edge subsets), and the bracket oracle re-parses PD text and walks loops through explicit port
+and sums over edge subsets), the defected coloring oracle tries every
+assignment in turn (the package walks vertex by vertex and prunes), and
+the bracket oracle re-parses PD text and walks loops through explicit port
 pairings (the package uses union-find), with plain dict Laurent
 arithmetic in one variable.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def chromatic_count(vertex_count, edges, n):
@@ -31,6 +34,22 @@ def chromatic_count(vertex_count, edges, n):
     contracted = chromatic_count(
         vertex_count - 1, [(relabel(a), relabel(b)) for a, b in rest], n)
     return deleted - contracted
+
+
+def defected_sums_reference(vertex_count, edges, n, defects):
+    """{sum of v(x) minus defects of x: count} over proper colorings v
+    with colors 0..n-1, where the defects of x are the entries y of
+    defects[x-1] with v(y) < v(x), by trying all n^|V| assignments."""
+    out = {}
+    for v in product(range(n), repeat=vertex_count):
+        if any(v[a - 1] == v[b - 1] for a, b in edges):
+            continue
+        exponent = 0
+        for x in range(1, vertex_count + 1):
+            exponent += v[x - 1]
+            exponent -= sum(1 for y in defects[x - 1] if v[y - 1] < v[x - 1])
+        out[exponent] = out.get(exponent, 0) + 1
+    return out
 
 
 def _connected(edges, a, b):

@@ -147,6 +147,19 @@ def test_internal_fault_exits_3(tmp_path):
     assert result.stdout == ""
 
 
+def test_deep_chordal_structure(tmp_path):
+    # a 1500-node chain: neither the structure enumeration nor the
+    # coloring walk may recurse once per node
+    chain = tmp_path / "chain.s"
+    chain.write_text("tree " + " ".join(map(str, range(1500))) + "\n"
+                     + "".join("A %d %d\n" % (w, w) for w in range(1, 1501)))
+    result = invoke(["identities", "--suite", "chordal",
+                     "--structure", str(chain), "--z", "1"])
+    assert result.returncode == 0, result.stderr
+    assert "internal error" not in result.stderr
+    assert result.stdout.endswith("checked: 3 failed: 0\n")
+
+
 def test_colored_jones_routes_agree(capsys):
     outs = []
     for route in ("main", "catmm", "ma2"):

@@ -1,5 +1,6 @@
 """Graph text format and multigraph helpers."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from qbichromate.graphcore import Multigraph, ParseError, parse_graph
 from qbichromate.qchrom import mq_direct
 from qbichromate.statmech import Couplings, potts_direct
 from conftest import load_fixture
+from oracles import defected_sums_reference
 
 
 def test_parse_basic():
@@ -145,6 +147,36 @@ def test_state_sums_deep_graphs():
     path = Multigraph(2000, tuple((i, i + 1) for i in range(1, 2000)))
     w = Couplings.uniform_v(path.edge_count, Fraction(1, 2))
     assert potts_direct(path, 1, w) == Fraction(3, 2) ** 1999
+
+
+def test_defected_sums_match_reference(catalog):
+    rng = random.Random(4)
+    graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
+    for g in graphs:
+        k = g.vertex_count
+        for _ in range(3):
+            # repeats and a vertex listing itself included
+            defects = [[rng.randint(1, k) for _ in range(rng.randint(0, 4))]
+                       for _ in range(k)]
+            if k:
+                defects[0] = defects[0] + [1, k, k]
+            for n in (1, 2, 3):
+                assert g.defected_sums(n, defects) == defected_sums_reference(
+                    k, g.edges, n, defects), (g, n, defects)
+
+
+def test_defected_sums_small_cases():
+    assert Multigraph(0, ()).defected_sums(2, []) == {0: 1}
+    assert Multigraph(1, ((1, 1),)).defected_sums(3, [[]]) == {}
+    # parallel edges act as one; a repeated defect counts twice
+    pair = Multigraph(2, ((1, 2), (1, 2)))
+    assert pair.defected_sums(2, [[], [1, 1]]) == {1: 1, -1: 1}
+    with pytest.raises(ValueError):
+        pair.defected_sums(2, [[]])
+    with pytest.raises(ValueError):
+        pair.defected_sums(2, [[3], []])
+    # one color per vertex: the walk must not recurse per vertex
+    assert Multigraph(2000, ()).defected_sums(1, [[]] * 2000) == {0: 1}
 
 
 def test_degree_and_odd_degree():

@@ -138,3 +138,8 @@ def test_mdef_chord_nested_pair():
     assert mdef_chord(d, 2) == 1 + t
     # the number of terms counts the ordered value pairs
     assert sum(mdef_chord(d, 3).terms.values()) == Fraction(6)
+    # the outer chord encircles both ends of the inner one and ends in a
+    # later group, so it is a defect of the inner chord twice
+    d = _Diagram(((0, 3), (1, 2)), (1, 1, 1, 2))
+    assert mdef_chord(d, 2) == t ** -1 + t
+    assert mdef_chord(d, 3) == t ** -1 + 1 + 2 * t + t ** 2 + t ** 3

@@ -104,11 +104,6 @@ class ArcGraph:
     def r(self):
         return len(self.signs)
 
-    @property
-    def vertex_count(self):
-        """Vertices of the reduced graph (1..r-1)."""
-        return self.r - 1
-
     def sign(self, v):
         return self.signs[v - 1]
 
@@ -118,9 +113,6 @@ class ArcGraph:
 
     def blue_out(self, v):
         return ("b", v) if ("b", v) in self.edge_index else None
-
-    def blue_in(self, v):
-        return ("b", v - 1) if ("b", v - 1) in self.edge_index else None
 
     def red_out(self, v):
         return ("r", v) if ("r", v) in self.edge_index else None
@@ -148,8 +140,7 @@ class ArcGraph:
 
     def is_conserved(self, f):
         for v in range(1, self.r):
-            into = self.flow_value(f, self.blue_in(v)) \
-                + sum(f[self.edge_index[e]] for e in self._red_in[v])
+            into = sum(f[self.edge_index[e]] for e in self._entering[v])
             if into != self.vertex_flow(f, v):
                 return False
         return True
@@ -294,19 +285,23 @@ def flow_weight_beta(g, f):
     return out
 
 
+def _ahead(g, f, edge):
+    """Flow on the edges entering edge's target ahead of edge."""
+    ahead = 0
+    for e in g.entering(g.target(edge)):
+        if e == edge:
+            break
+        ahead += g.flow_value(f, e)
+    return ahead
+
+
 def _exc(g, f):
     total = 0
     for v in range(1, g.r):
         carried = g.flow_value(f, g.blue_out(v))
         red = g.red_out(v)
-        if carried == 0 or red is None:
-            continue
-        ahead = 0
-        for e in g.entering(g.target(red)):
-            if e == red:
-                break
-            ahead += g.flow_value(f, e)
-        total += g.sign(v) * carried * ahead
+        if carried and red is not None:
+            total += g.sign(v) * carried * _ahead(g, f, red)
     return total
 
 
@@ -350,14 +345,21 @@ def main_flow_weight(g, f, n):
         value = f[g.edge_index[e]]
         if value == 0:
             continue
-        ahead = 0
-        for prior in g.entering(g.target(e)):
-            if prior == e:
-                break
-            ahead += g.flow_value(f, prior)
+        ahead = _ahead(g, f, e)
         for j in range(value):
             out = out * _one_minus_t_power(-g.sign(u) * (n - j - ahead))
     return out
+
+
+def _arrivals(g, f):
+    """Red copies grouped by arrival vertex: {w: copies entering w}.
+
+    Copies are (edge, index) pairs, one per unit of red flow; each group
+    follows the entering order of the edges at w, then the index.
+    """
+    return {w: tuple((e, idx) for e in g.red_in(w)
+                     for idx in range(f[g.edge_index[e]]))
+            for w in range(1, g.r)}
 
 
 def red_copies(g, f):
@@ -366,72 +368,40 @@ def red_copies(g, f):
     Copies are (edge, index) pairs listed by target vertex, then by the
     entering order of their edge there, then by index.
     """
-    copies = []
-    for w in range(1, g.r):
-        for e in g.red_in(w):
-            for idx in range(f[g.edge_index[e]]):
-                copies.append((e, idx))
-    return tuple(copies)
-
-
-@dataclass(frozen=True)
-class FlowStats:
-    """Flow totals split by edge color and source sign (diagnostics)."""
-
-    fb_plus: int
-    fb_minus: int
-    fr_plus: int
-    fr_minus: int
-
-
-def flow_stats(g, f):
-    fb = {1: 0, -1: 0}
-    fr = {1: 0, -1: 0}
-    for e in g.reduced_edges:
-        kind, u = e
-        bucket = fb if kind == "b" else fr
-        bucket[g.sign(u)] += f[g.edge_index[e]]
-    return FlowStats(fb[1], fb[-1], fr[1], fr[-1])
+    return tuple(c for group in _arrivals(g, f).values() for c in group)
 
 
 def flow_configurations(g, f):
-    """All carried-set sequences of a flow.
+    """All carried-set sequences of a flow, each with its drop map.
 
     A configuration picks, for each blue edge i -> i+1, which f(blue)
     red copies ride it: C_i is a subset of C_{i-1} plus the copies
-    arriving at i.  The zero flow has exactly one, all-empty,
+    arriving at i.  A copy's drop is the smallest l >= its arrival with
+    the copy absent from C_l, or r-1 when it is carried through the
+    whole sequence (or arrives at the last vertex, where there is
+    nothing to ride).  Returns (config, drop) pairs, drop mapping every
+    copy to its drop; the zero flow has exactly one, all-empty,
     configuration.
     """
-    arrivals = {w: [] for w in range(1, g.r)}
-    for copy in red_copies(g, f):
-        arrivals[g.target(copy[0])].append(copy)
-    partial = [((), frozenset())]
+    arrivals = _arrivals(g, f)
+    partial = [((), frozenset(), ())]
     for i in range(1, g.r - 1):
         size = g.flow_value(f, ("b", i))
         grown = []
-        for config, last in partial:
+        for config, last, dropped in partial:
             pool = sorted(last | set(arrivals[i]))
             for choice in combinations(pool, size):
                 chosen = frozenset(choice)
-                grown.append((config + (chosen,), chosen))
+                left = tuple((c, i) for c in pool if c not in chosen)
+                grown.append((config + (chosen,), chosen, dropped + left))
         partial = grown
-    return [config for config, _ in partial]
-
-
-def _drop(g, config, copy, arrival):
-    """Smallest index l >= arrival with the copy absent from C_l.
-
-    Returns r-1 when the copy is carried through the whole sequence (or
-    arrives at the last vertex, where there is nothing to ride).
-    """
-    for l in range(arrival, g.r - 1):
-        if copy not in config[l - 1]:
-            return l
-    return g.r - 1
+    carried = dict.fromkeys(red_copies(g, f), g.r - 1)
+    return [(config, {**carried, **dict(dropped)})
+            for config, _, dropped in partial]
 
 
 def admissible_pairs(g, f, n):
-    """Configuration/value pairs passing the equal-value drop test.
+    """Configuration/drop/value triples passing the equal-value drop test.
 
     Values live in 0..n-1, one per red copy.  For two copies with equal
     values arriving at i <= j, the earlier one must be dropped before j;
@@ -442,8 +412,7 @@ def admissible_pairs(g, f, n):
     copies = red_copies(g, f)
     arrival = {c: g.target(c[0]) for c in copies}
     pairs = []
-    for config in flow_configurations(g, f):
-        drop = {c: _drop(g, config, c, arrival[c]) for c in copies}
+    for config, drop in flow_configurations(g, f):
         for values in product(range(n), repeat=len(copies)):
             ok = True
             for a, b in combinations(range(len(copies)), 2):
@@ -459,7 +428,7 @@ def admissible_pairs(g, f, n):
                     ok = False
                     break
             if ok:
-                pairs.append((config, values))
+                pairs.append((config, drop, values))
     return pairs
 
 
@@ -471,31 +440,23 @@ def catmm_flow_sum(g, f, n):
     edge, or arriving earlier at the same vertex), def2 counts
     smaller-valued copies still riding when it is dropped.
     """
+    arrivals = _arrivals(g, f)
     copies = red_copies(g, f)
-    arrival = {c: g.target(c[0]) for c in copies}
-    same_arrival_earlier = {}
-    for pos, c in enumerate(copies):
-        same_arrival_earlier[c] = [c2 for c2 in copies[:pos]
-                                   if arrival[c2] == arrival[c]]
     terms = {}
-    grouped = {}
-    for config, values in admissible_pairs(g, f, n):
-        if config not in grouped:
-            grouped[config] = {c: _drop(g, config, c, arrival[c])
-                               for c in copies}
-        drop = grouped[config]
+    for config, drop, values in admissible_pairs(g, f, n):
         value_of = dict(zip(copies, values))
         exponent = 0
-        for c in copies:
-            rode_in = config[arrival[c] - 2] if arrival[c] >= 2 else frozenset()
-            def1 = sum(1 for c2 in rode_in if value_of[c2] < value_of[c])
-            def1 += sum(1 for c2 in same_arrival_earlier[c]
-                        if value_of[c2] < value_of[c])
-            def2 = 0
-            if drop[c] <= g.r - 2:
-                def2 = sum(1 for c2 in config[drop[c] - 1]
-                           if value_of[c2] < value_of[c])
-            exponent += value_of[c] - def1 - def2
+        for w, group in arrivals.items():
+            rode_in = config[w - 2] if w >= 2 else frozenset()
+            for pos, c in enumerate(group):
+                value = value_of[c]
+                def1 = sum(1 for c2 in rode_in if value_of[c2] < value)
+                def1 += sum(1 for c2 in group[:pos] if value_of[c2] < value)
+                def2 = 0
+                if drop[c] <= g.r - 2:
+                    def2 = sum(1 for c2 in config[drop[c] - 1]
+                               if value_of[c2] < value)
+                exponent += value - def1 - def2
         terms[(exponent,)] = terms.get((exponent,), 0) + 1
     return LaurentPoly(("t",), terms)
 
@@ -543,13 +504,10 @@ def chord_diagrams(g, f):
     configuration, so deg is what the assignment enumeration actually
     produced, not a formula.
     """
+    arrivals = _arrivals(g, f)
     copies = red_copies(g, f)
-    arrival = {c: g.target(c[0]) for c in copies}
     results = []
-    for config in flow_configurations(g, f):
-        drop = {c: _drop(g, config, c, arrival[c]) for c in copies}
-        starts_at = {v: [c for c in copies if arrival[c] == v]
-                     for v in range(1, g.r)}
+    for config, drop in flow_configurations(g, f):
         ends_at = {v: [c for c in copies if drop[c] == v]
                    for v in range(1, g.r)}
         start_pos = {}
@@ -557,12 +515,12 @@ def chord_diagrams(g, f):
         groups = []
         position = 0
         for v in range(1, g.r):
-            for c in starts_at[v]:
+            for c in arrivals[v]:
                 start_pos[c] = position
                 position += 1
             end_slots[v] = list(range(position, position + len(ends_at[v])))
             position += len(ends_at[v])
-            groups.append((len(starts_at[v]), len(ends_at[v])))
+            groups.append((len(arrivals[v]), len(ends_at[v])))
         diagrams = set()
         orderings = [permutations(ends_at[v]) for v in range(1, g.r)]
         for combo in product(*orderings):
@@ -600,19 +558,16 @@ def z_nf(g, f, n):
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    stats = flow_stats(g, f)
-    exponent = delta_flow(g, f) + n * (stats.fb_minus - stats.fb_plus)
-    out = (_one_minus_t_power(1) ** stats.fr_minus
-           * _one_minus_t_power(-1) ** stats.fr_plus)
+    blue = {1: 0, -1: 0}
+    red = {1: 0, -1: 0}
+    for e in g.reduced_edges:
+        kind, u = e
+        (blue if kind == "b" else red)[g.sign(u)] += f[g.edge_index[e]]
+    exponent = delta_flow(g, f) + n * (blue[-1] - blue[1])
+    out = _one_minus_t_power(1) ** red[-1] * _one_minus_t_power(-1) ** red[1]
     for e, idx in red_copies(g, f):
-        if g.sign(e[1]) != 1:
-            continue
-        ahead = 0
-        for prior in g.entering(g.target(e)):
-            if prior == e:
-                break
-            ahead += g.flow_value(f, prior)
-        exponent -= n - 1 - (ahead + idx)
+        if g.sign(e[1]) == 1:
+            exponent -= n - 1 - (_ahead(g, f, e) + idx)
     for v in range(1, g.r):
         exponent += (g.flow_value(f, g.red_out(v))
                      * g.flow_value(f, g.blue_out(v)))

@@ -210,16 +210,20 @@ def _instance(parents, a_sets, b_sizes):
         raise ValueError("b sizes must be nonnegative")
     if b_sizes[root - 1] != 0:
         raise ValueError("the root inherits nothing; its b size must be 0")
+    # above[w]: the largest label owned by a proper ancestor of w (0 if none)
+    above = [0] * (n + 1)
+    for w in topdown[1:]:
+        p = parents[w - 1]
+        above[w] = max(above[p], max(a_sets[p - 1], default=0))
     for w in range(1, n + 1):
-        i = parents[w - 1]
-        while i != 0:
-            if a_sets[i - 1] and a_sets[w - 1] \
-                    and max(a_sets[i - 1]) > min(a_sets[w - 1]):
-                raise ValueError(
-                    "ground labels must grow away from the root: node %d "
-                    "owns a larger element than its descendant node %d"
-                    % (i, w))
-            i = parents[i - 1]
+        if a_sets[w - 1] and above[w] > min(a_sets[w - 1]):
+            i = parents[w - 1]
+            while max(a_sets[i - 1], default=0) <= min(a_sets[w - 1]):
+                i = parents[i - 1]
+            raise ValueError(
+                "ground labels must grow away from the root: node %d "
+                "owns a larger element than its descendant node %d"
+                % (i, w))
     return root, tuple(topdown), a_sets, b_sizes
 
 

@@ -1,12 +1,14 @@
 """Arc-graph flows and the cabled colored invariant."""
 
+import math
+
 import pytest
 
-from qbichromate.arcflow import (ArcGraph, arcjones, cabled_graph,
-                                 catmm_flow_sum, colored_jones, cycle_families,
-                                 delta_flow, enumerate_flows, flow_stats,
-                                 ma2_flow_sum, main_flow_weight, parse_arc,
-                                 z_nf)
+from qbichromate.arcflow import (ArcGraph, _ahead, arcjones, cabled_graph,
+                                 catmm_flow_sum, chord_diagrams, colored_jones,
+                                 cycle_families, delta_flow, enumerate_flows,
+                                 flow_configurations, ma2_flow_sum,
+                                 main_flow_weight, parse_arc, red_copies, z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import load_fixture
@@ -20,6 +22,15 @@ def trefoil():
 
 def fig8():
     return load_fixture("fig8.arc", parse_arc)
+
+
+# Vertex 1 is entered by two red edges, r2 and r3, and no blue edge.
+TWO_REDS = ("crossings 5\nsigns + + - + -\nover 4 1 1 2 3\n"
+            + "".join("rot %s %d 0\n" % e for e in
+                      [("b", 1), ("b", 2), ("b", 3),
+                       ("r", 1), ("r", 2), ("r", 3), ("r", 4)])
+            + "rotK 1\n")
+REORDERED = TWO_REDS + "order 1 r 3 r 2\n"
 
 
 def test_parse_arc():
@@ -55,9 +66,92 @@ def test_flow_enumeration():
 
 def test_flow_stats():
     g = trefoil()
-    s = flow_stats(g, (1, 1))
-    assert (s.fb_plus, s.fb_minus, s.fr_plus, s.fr_minus) == (1, 0, 1, 0)
     assert delta_flow(g, (1, 1)) == -1
+
+
+def test_red_entering_orders():
+    g, h = parse_arc(TWO_REDS), parse_arc(REORDERED)
+    assert g.entering(1) == (("r", 2), ("r", 3))
+    assert h.entering(1) == (("r", 3), ("r", 2))
+    assert g.entering(2) == h.entering(2) == (("b", 1), ("r", 4))
+    # b1 b2 b3 r1 r2 r3 r4
+    f = (1, 1, 0, 2, 2, 1, 2)
+    assert g.is_conserved(f)
+    ahead = {e: _ahead(g, f, e) for e in g.reduced_edges}
+    assert ahead == {("b", 1): 0, ("b", 2): 0, ("b", 3): 0, ("r", 1): 0,
+                     ("r", 2): 0, ("r", 3): 2, ("r", 4): 1}
+    ahead = {e: _ahead(h, f, e) for e in h.reduced_edges}
+    assert ahead == {("b", 1): 0, ("b", 2): 0, ("b", 3): 0, ("r", 1): 0,
+                     ("r", 2): 1, ("r", 3): 0, ("r", 4): 1}
+    # copies are listed by arrival vertex, then entering order, then index
+    tail = ((("r", 4), 0), (("r", 4), 1), (("r", 1), 0), (("r", 1), 1))
+    assert red_copies(g, f) == ((("r", 2), 0), (("r", 2), 1),
+                                (("r", 3), 0)) + tail
+    assert red_copies(h, f) == ((("r", 3), 0), (("r", 2), 0),
+                                (("r", 2), 1)) + tail
+
+
+def test_chord_diagrams_start_in_entering_order():
+    # one copy each of r2 and r3 starts at vertex 1; the configurations
+    # drop r3 then r2 at vertex 2, and the other copy at vertex 3
+    f = (2, 1, 0, 0, 1, 1, 0)
+    nested, crossing = ((0, 3), (1, 2)), ((0, 2), (1, 3))
+    groups = ((2, 0), (0, 1), (0, 1), (0, 0))
+    for text, chords in ((TWO_REDS, [nested, crossing]),
+                         (REORDERED, [crossing, nested])):
+        out = chord_diagrams(parse_arc(text), f)
+        assert [(d.chords, d.groups, deg) for d, deg in out] \
+            == [(c, groups, 1) for c in chords]
+
+
+def test_two_reds_into_one_vertex_catmm_equals_ma2():
+    for arc in (parse_arc(TWO_REDS), parse_arc(REORDERED)):
+        for n in (1, 2, 3):
+            for f in enumerate_flows(arc, n):
+                assert catmm_flow_sum(arc, f, n) == ma2_flow_sum(arc, f, n), \
+                    (n, f)
+
+
+def test_parse_order_errors():
+    head = "crossings 5\nsigns + + - + -\nover 4 1 1 2 3\n"
+    for bad in ("order 2 b 1 r 4\n",      # the blue edge is always first
+                "order 1 r 2\n",          # r3 left out
+                "order 1 r 2 r 3 r 4\n",  # r4 enters vertex 2
+                "order 1 r 2 r 2\n"):
+        with pytest.raises(ParseError):
+            parse_arc(head + bad)
+    with pytest.raises(ParseError) as e:  # a duplicate order line
+        parse_arc(head + "order 1 r 3 r 2\norder 1 r 2 r 3\n")
+    assert "line 5" in str(e.value)
+    with pytest.raises(ValueError):
+        ArcGraph((1, 1, -1, 1, -1), (4, 1, 1, 2, 3),
+                 red_orders={2: (("b", 1), ("r", 4))})
+
+
+def test_flow_configurations_count_and_drops():
+    # C_i is chosen from C_{i-1} plus the copies arriving at i, so the
+    # count is the product of C(f(b_{i-1}) + arrivals at i, f(b_i))
+    for g in (trefoil(), fig8(), parse_arc(TWO_REDS)):
+        red = [e for e in g.reduced_edges if e[0] == "r"]
+        for n in (1, 2, 3):
+            for f in enumerate_flows(g, n):
+                value = dict(zip(g.reduced_edges, f))
+                expect = 1
+                for i in range(1, g.r - 1):
+                    arriving = sum(value[e] for e in red if g.over[e[1] - 1] == i)
+                    expect *= math.comb(value.get(("b", i - 1), 0) + arriving,
+                                        value[("b", i)])
+                configs = flow_configurations(g, f)
+                assert len(configs) == expect, (f, n)
+                assert len({config for config, _ in configs}) == expect
+                copies = {(e, idx) for e in red for idx in range(value[e])}
+                for config, drop in configs:
+                    assert set(drop) == copies
+                    for (e, idx), l in drop.items():
+                        scan = g.over[e[1] - 1]
+                        while scan < g.r - 1 and (e, idx) in config[scan - 1]:
+                            scan += 1
+                        assert l == scan, (f, config, e, idx)
 
 
 def test_missing_rot_raises():

@@ -81,6 +81,16 @@ def test_instance_validation():
     # two roots
     with pytest.raises(ValueError):
         structure_count((0, 0), ({1}, {2}), (0, 0))
+    # labels must grow down the chain 1 -> 2 -> 3; the error names the
+    # first offending descendant and its nearest offending ancestor
+    for a_sets, pair in ((({3}, {2}, {1}), (1, 2)),
+                         (({2}, {3}, {1}), (2, 3)),
+                         (({2}, set(), {1}), (1, 3))):
+        with pytest.raises(ValueError) as e:
+            structure_count((0, 1, 2), a_sets, (0, 0, 0))
+        assert "node %d owns a larger element than its descendant node %d" \
+            % pair in str(e.value)
+    assert structure_count((0, 1, 2), ({1}, set(), {2}), (0, 0, 0)) == 1
 
 
 def test_graph_of_structure_is_chordal():

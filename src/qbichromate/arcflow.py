@@ -85,6 +85,9 @@ class ArcGraph:
             red_in[self.target(e)].append(e)
         if red_orders:
             for w, order in dict(red_orders).items():
+                if not 1 <= w < r:
+                    raise ValueError("order vertex %d out of range 1..%d"
+                                     % (w, r - 1))
                 order = tuple((k, int(i)) for k, i in order)
                 if any(k != "r" for k, _ in order):
                     raise ValueError("only red edges can be reordered; the "

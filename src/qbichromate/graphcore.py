@@ -210,9 +210,6 @@ class Multigraph:
                 v += 1
         return histogram
 
-    def subset_size(self, mask):
-        return bin(mask).count("1")
-
     def components(self, mask):
         """Vertex sets of the components of (V, selected edges).
 

@@ -9,8 +9,8 @@ for a negative one.
 
 Smoothings are slot pairings: the A-smoothing connects slots 0-3 and 1-2
 (merging the corners between slots 0,1 and 2,3), the B-smoothing connects
-slots 0-1 and 2-3.  Loops of a fully smoothed diagram are counted by
-following the port pairings, with no geometry involved.
+slots 0-1 and 2-3.  The loops of all 2^r smoothings are counted by one
+walk whose union-find rolls back on backtrack, with no geometry involved.
 
 Faces are traced from the rotation system the slot order defines, so the
 combinatorial planar structure (faces, checkerboard shading, median
@@ -19,9 +19,8 @@ input: the caller picks which face is declared outside, and that face's
 color class becomes white.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 from .graphcore import Multigraph, ParseError, _content_lines
 from .polyq import LaurentPoly
@@ -267,41 +266,57 @@ def median_graph(k, outer_face):
                        tuple(b), tuple(eta), black, outer_face)
 
 
-def bracket_states(r):
-    """All 2^r smoothing choices; +1 picks the A-smoothing, -1 the B."""
-    return product((1, -1), repeat=r)
+def state_loops(k):
+    """Yield (mask, loop count) for each of the 2^r smoothings of k.
 
-
-def state_loop_count(k, s):
-    """Number of loops after smoothing every crossing as s prescribes.
-
-    Ports are joined pairwise by the smoothing arcs and by the diagram
-    arcs; the loops are the cycles of that pairing.
+    Bit ci of mask is set when crossing ci takes the A-smoothing.  Ports
+    4 ci + slot are joined along the arcs once, then crossings are smoothed
+    depth-first, A before B, by a union-find that rolls back on backtrack
+    (union by size, no path compression).  Its undo stack is the walk's
+    O(r) stack, and 4r less its height is the loop count.
     """
+    r = k.r
     arc_in, arc_out = _port_maps(k)
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    parent = list(range(4 * r))
+    size = [1] * (4 * r)
+    undo = []
 
     def union(x, y):
-        parent[find(x)] = find(y)
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            undo.append((x, y))
 
-    for ci in range(k.r):
-        for slot in range(4):
-            parent[(ci, slot)] = (ci, slot)
-    for ci, tau in enumerate(s):
-        pairs = ((0, 3), (1, 2)) if tau == 1 else ((0, 1), (2, 3))
-        for a, b in pairs:
-            union((ci, a), (ci, b))
-    for label, out_port in arc_out.items():
-        union(out_port, arc_in[label])
-    return len({find(p) for p in parent})
+    for label, (ci, slot) in arc_out.items():
+        cj, sj = arc_in[label]
+        union(4 * ci + slot, 4 * cj + sj)
+    height = [0] * r  # undo-stack height before crossing ci was smoothed
+    mask = ci = 0
+    while True:
+        for cj in range(ci, r):
+            height[cj] = len(undo)
+            mask |= 1 << cj
+            union(4 * cj, 4 * cj + 3)
+            union(4 * cj + 1, 4 * cj + 2)
+        yield mask, 4 * r - len(undo)
+        if not mask:
+            return
+        # Back up to the deepest A-smoothed crossing and smooth it B.
+        ci = mask.bit_length() - 1
+        while len(undo) > height[ci]:
+            x, y = undo.pop()
+            parent[y] = y
+            size[x] -= size[y]
+        mask ^= 1 << ci
+        union(4 * ci, 4 * ci + 1)
+        union(4 * ci + 2, 4 * ci + 3)
+        ci += 1
 
 
 def _loop_variable():
@@ -316,10 +331,8 @@ def kauffman_f(k):
     by (-A)^(-3 W) where W is the writhe.  The result is 1 on any diagram
     of the unknot.
     """
-    counts = {}
-    for s in bracket_states(k.r):
-        key = (state_loop_count(k, s), sum(s))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((loops, 2 * mask.bit_count() - k.r)
+                     for mask, loops in state_loops(k))
     d = _loop_variable()
     a = LaurentPoly.variable("A")
     total = LaurentPoly()
@@ -346,20 +359,6 @@ def jones(k):
     return LaurentPoly(("t",), terms)
 
 
-def state_edge_subset(k, s, m):
-    """Edge subset of the median graph joined by the state s.
-
-    Crossing i's median edge is kept exactly when the chosen smoothing
-    joins the two black corners there, i.e. when s[i] * eta[i] = +1.
-    Distinct states map to distinct subsets (a bijection).
-    """
-    mask = 0
-    for ci in range(k.r):
-        if s[ci] * m.eta[ci] == 1:
-            mask |= 1 << ci
-    return mask
-
-
 def prop_mm_check(k, outer_face):
     """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states.
 
@@ -368,12 +367,12 @@ def prop_mm_check(k, outer_face):
     """
     m = median_graph(k, outer_face)
     nv = m.graph.vertex_count
-    for s in bracket_states(k.r):
-        loops = state_loop_count(k, s)
-        mask = state_edge_subset(k, s, m)
-        predicted = (2 * m.graph.component_count(mask)
-                     + m.graph.subset_size(mask) - nv)
-        if loops != predicted:
+    # E(s) keeps edge ci where s joins the black corners: A if eta = +1.
+    flip = sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
+    for mask, loops in state_loops(k):
+        joined = mask ^ flip
+        if loops != (2 * m.graph.component_count(joined)
+                     + joined.bit_count() - nv):
             return False
     return True
 

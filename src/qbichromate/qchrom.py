@@ -84,7 +84,9 @@ def tutte(g, form="tutte"):
     """
     if form not in ("tutte", "whitney-rank"):
         raise ValueError("form must be 'tutte' or 'whitney-rank', got %r" % form)
-    rank_full = g.vertex_count - g.component_count((1 << len(g.edges)) - 1)
+    stats = g.subset_statistics()
+    c_full = next(len(s) for s, chosen, _ in stats if chosen == g.edge_count)
+    rank_full = g.vertex_count - c_full
     if form == "tutte":
         first = LaurentPoly.variable("x") - 1
         second = LaurentPoly.variable("y") - 1
@@ -92,7 +94,7 @@ def tutte(g, form="tutte"):
         first = LaurentPoly.variable("u")
         second = LaurentPoly.variable("v")
     out = LaurentPoly()
-    for (sizes, chosen, _), count in g.subset_statistics().items():
+    for (sizes, chosen, _), count in stats.items():
         rank = g.vertex_count - len(sizes)
         out = out + count * first ** (rank_full - rank) * second ** (chosen - rank)
     return out

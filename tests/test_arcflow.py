@@ -11,7 +11,7 @@ from qbichromate.arcflow import (ArcGraph, _ahead, arcjones, cabled_graph,
                                  main_flow_weight, parse_arc, red_copies, z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 
 T = LaurentPoly.variable("t")
 
@@ -126,6 +126,15 @@ def test_parse_order_errors():
     with pytest.raises(ValueError):
         ArcGraph((1, 1, -1, 1, -1), (4, 1, 1, 2, 3),
                  red_orders={2: (("b", 1), ("r", 4))})
+
+
+def test_parse_order_vertex_out_of_range():
+    # the reduced graph has vertices 1..r-1: vertex r is deleted
+    text = (FIXTURES / "trefoil.arc").read_text(encoding="utf-8")
+    for bad in ("order 9\n", "order 3\n", "order 0 r 2\n"):
+        with pytest.raises(ParseError) as e:
+            parse_arc(text + bad)
+        assert "out of range 1..2" in str(e.value)
 
 
 def test_flow_configurations_count_and_drops():

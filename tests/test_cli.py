@@ -132,6 +132,17 @@ def test_non_planar_pd_is_an_input_error(tmp_path):
         assert "Traceback" not in result.stderr, argv
 
 
+def test_order_vertex_out_of_range_exits_2(tmp_path, capsys):
+    arc = tmp_path / "order9.arc"
+    with open(fixture_path("trefoil.arc"), encoding="utf-8") as handle:
+        arc.write_text(handle.read() + "order 9\n")
+    code, _ = run(["colored-jones", "--arc", str(arc), "--n", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "out of range 1..2" in err
+
+
 def test_internal_fault_exits_3(tmp_path):
     # 1999 edges: the subset walk recurses past Python's default limit
     graph = tmp_path / "path.g"

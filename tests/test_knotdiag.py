@@ -7,7 +7,7 @@ import pytest
 from qbichromate.graphcore import ParseError
 from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
                                   kauffman_f, median_graph, parse_pd,
-                                  prop_mm_check)
+                                  prop_mm_check, state_loops)
 from qbichromate.polyq import LaurentPoly
 import oracles
 from conftest import fixture_path, load_fixture
@@ -16,6 +16,16 @@ from conftest import fixture_path, load_fixture
 def read(name):
     with open(fixture_path(name), "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def torus_pd(k):
+    """The torus knot T(2,k), k odd: crossing i reads (2i+1, 2i+k+1,
+    2i+2, 2i+k+2) modulo 2k, with labels in 1..2k."""
+    return "".join("X+ %d %d %d %d\n"
+                   % tuple((j - 1) % (2 * k) + 1
+                           for j in (2 * i + 1, 2 * i + k + 1,
+                                     2 * i + 2, 2 * i + k + 2))
+                   for i in range(k))
 
 
 def test_parse_pd():
@@ -112,3 +122,27 @@ def test_uniform_sign_route():
         jones_via_bichromate(fig8, 0, route="kkk")
     with pytest.raises(ValueError):
         jones_via_bichromate(tre, 0, route="bogus")
+
+
+def test_state_loops_match_port_walk_oracle():
+    texts = [read(name) for name in ("trefoil.pd", "fig8.pd", "kink.pd",
+                                     "kinkneg.pd")]
+    texts += [torus_pd(k) for k in (3, 5, 7, 9)]
+    for text in texts:
+        k = parse_pd(text)
+        _, arc_pairs = oracles._parse_pd_ports(text)
+        masks = []
+        for mask, loops in state_loops(k):
+            masks.append(mask)
+            state = [1 if mask >> ci & 1 else -1 for ci in range(k.r)]
+            assert loops == oracles._loop_count(k.r, arc_pairs, state), \
+                (text, mask)
+        assert sorted(masks) == list(range(1 << k.r))
+
+
+def test_torus_knot_jones_closed_form():
+    # T(2,k): t^((k-1)/2) (1 + t^2 - t^3 + t^4 - ... - t^k)
+    t = LaurentPoly.variable("t")
+    for k in range(3, 16, 2):
+        series = 1 + sum((-1) ** j * t ** j for j in range(2, k + 1))
+        assert jones(parse_pd(torus_pd(k))) == t ** ((k - 1) // 2) * series, k

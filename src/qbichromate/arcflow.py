@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .graphcore import ParseError, _content_lines
+from .graphcore import ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly, qbinom
 from .qchrom import mdef_chord
 
@@ -164,97 +164,63 @@ def parse_arc(text):
     i2 ...", and "rotK <int>" lines.
     """
     r = None
-    signs = None
-    over = None
+    lines = {}
     rot = {}
     red_orders = {}
-    rot_k = None
     for lineno, line in _content_lines(text):
-        parts = line.split()
-        word = parts[0]
-        if word == "crossings":
-            if r is not None:
-                raise ParseError("duplicate crossings line", lineno)
-            try:
-                r = int(parts[1]) if len(parts) == 2 else None
-            except ValueError:
-                r = None
-            if r is None or r < 1:
-                raise ParseError("expected 'crossings <positive count>'",
-                                 lineno)
-        elif word == "signs":
-            if r is None:
+        word, *args = line.split()
+        if word in ("crossings", "signs", "over", "rotK"):
+            if word in lines:
+                raise ParseError("duplicate %s line" % word, lineno)
+            if word in ("signs", "over") and r is None:
                 raise ParseError("the crossings line must come first", lineno)
-            if signs is not None:
-                raise ParseError("duplicate signs line", lineno)
-            tokens = parts[1:]
-            if len(tokens) != r or any(tk not in ("+", "-") for tk in tokens):
+        if word == "crossings":
+            message = "expected 'crossings <positive count>'"
+            (r,) = _numbers(args, message, lineno, count=1)
+            if r < 1:
+                raise ParseError(message, lineno)
+            lines[word] = r
+        elif word == "signs":
+            if len(args) != r or any(tk not in ("+", "-") for tk in args):
                 raise ParseError("expected %d sign tokens (+ or -)" % r,
                                  lineno)
-            signs = tuple(1 if tk == "+" else -1 for tk in tokens)
+            lines[word] = tuple(1 if tk == "+" else -1 for tk in args)
         elif word == "over":
-            if r is None:
-                raise ParseError("the crossings line must come first", lineno)
-            if over is not None:
-                raise ParseError("duplicate over line", lineno)
-            try:
-                over = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise ParseError("over-arcs must be integers", lineno) from None
-            if len(over) != r:
+            lines[word] = _numbers(args, "over-arcs must be integers", lineno)
+            if len(lines[word]) != r:
                 raise ParseError("expected %d over-arcs" % r, lineno)
+        elif word == "rotK":
+            (lines[word],) = _numbers(args, "expected 'rotK <int>'", lineno,
+                                      count=1)
         elif word == "rot":
-            if len(parts) != 4 or parts[1] not in ("b", "r"):
+            if len(args) != 3 or args[0] not in ("b", "r"):
                 raise ParseError("expected 'rot b|r <edge> <int>'", lineno)
-            try:
-                key = (parts[1], int(parts[2]))
-                value = int(parts[3])
-            except ValueError:
-                raise ParseError("rot takes integer edge and value",
-                                 lineno) from None
+            edge, value = _numbers(args[1:], "rot takes integer edge and value",
+                                   lineno)
+            key = (args[0], edge)
             if key in rot:
                 raise ParseError("duplicate rot for edge %s %d" % key, lineno)
             rot[key] = value
         elif word == "order":
-            try:
-                v = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError("expected 'order <vertex> r i1 r i2 ...'",
-                                 lineno) from None
-            rest = parts[2:]
-            if len(rest) % 2 or any(rest[i] != "r" for i in range(0, len(rest), 2)):
+            (v,) = _numbers(args[:1], "expected 'order <vertex> r i1 r i2 ...'",
+                            lineno, count=1)
+            rest = args[1:]
+            if len(rest) % 2 or any(tk != "r" for tk in rest[::2]):
                 raise ParseError("entering order lists red edges as 'r <i>'",
                                  lineno)
-            try:
-                order = tuple(("r", int(rest[i + 1]))
-                              for i in range(0, len(rest), 2))
-            except ValueError:
-                raise ParseError("edge numbers must be integers",
-                                 lineno) from None
+            edges = _numbers(rest[1::2], "edge numbers must be integers", lineno)
             if v in red_orders:
                 raise ParseError("duplicate order line for vertex %d" % v,
                                  lineno)
-            red_orders[v] = order
-        elif word == "rotK":
-            if rot_k is not None:
-                raise ParseError("duplicate rotK line", lineno)
-            try:
-                rot_k = int(parts[1]) if len(parts) == 2 else None
-            except ValueError:
-                rot_k = None
-            if rot_k is None:
-                raise ParseError("expected 'rotK <int>'", lineno)
+            red_orders[v] = tuple(("r", i) for i in edges)
         else:
             raise ParseError("unknown directive %r" % word, lineno)
-    if r is None:
-        raise ParseError("missing crossings line")
-    if signs is None:
-        raise ParseError("missing signs line")
-    if over is None:
-        raise ParseError("missing over line")
+    for word in ("crossings", "signs", "over"):
+        if word not in lines:
+            raise ParseError("missing %s line" % word)
     try:
-        return ArcGraph(signs, over, rot=rot, red_orders=red_orders,
-                        rot_k=rot_k)
+        return ArcGraph(lines["signs"], lines["over"], rot=rot,
+                        red_orders=red_orders, rot_k=lines.get("rotK"))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

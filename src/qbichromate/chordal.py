@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import Multigraph, ParseError, _content_lines
+from .graphcore import Multigraph, ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly, qint
 
 
@@ -384,41 +384,36 @@ def parse_structure(text):
     a_lines = {}
     b_lines = {}
     for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "tree":
+        word, *args = line.split()
+        if word == "tree":
             if parents is not None:
                 raise ParseError("duplicate tree line", lineno)
-            try:
-                parents = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise ParseError("parents must be integers", lineno) from None
+            parents = _numbers(args, "parents must be integers", lineno)
             if not parents:
                 raise ParseError("tree line needs at least one node", lineno)
-        elif parts[0] in ("A", "b"):
+        elif word in ("A", "b"):
             if parents is None:
                 raise ParseError("the tree line must come first", lineno)
-            try:
-                node = int(parts[1]) if len(parts) > 1 else 0
-            except ValueError:
-                raise ParseError("node id must be an integer", lineno) from None
+            if not args:
+                raise ParseError("expected '%s <node> %s'" % (
+                    word, "<elements...>" if word == "A" else "<size>"), lineno)
+            (node,) = _numbers(args[:1], "node id must be an integer", lineno)
             if not 1 <= node <= len(parents):
-                raise ParseError("node id %r out of range" % parts[1:2], lineno)
-            target = a_lines if parts[0] == "A" else b_lines
+                raise ParseError("node id %d out of range 1..%d"
+                                 % (node, len(parents)), lineno)
+            target = a_lines if word == "A" else b_lines
             if node in target:
                 raise ParseError("duplicate %s line for node %d"
-                                 % (parts[0], node), lineno)
-            try:
-                values = [int(p) for p in parts[2:]]
-            except ValueError:
-                raise ParseError("elements must be integers", lineno) from None
-            if parts[0] == "b":
+                                 % (word, node), lineno)
+            values = _numbers(args[1:], "elements must be integers", lineno)
+            if word == "b":
                 if len(values) != 1:
                     raise ParseError("b line needs exactly one size", lineno)
                 target[node] = values[0]
             else:
                 target[node] = frozenset(values)
         else:
-            raise ParseError("unknown directive %r" % parts[0], lineno)
+            raise ParseError("unknown directive %r" % word, lineno)
     if parents is None:
         raise ParseError("missing tree line")
     n = len(parents)

@@ -396,9 +396,6 @@ def run(argv):
         handler = _COMMANDS[args.subcommand]
     try:
         handler(args, report)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2, report
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2, report

@@ -265,6 +265,20 @@ def _content_lines(text):
             yield lineno, line
 
 
+def _numbers(tokens, message, lineno, kind=int, count=None):
+    """The tokens converted by kind (int or Fraction), as a tuple.
+
+    Raises ParseError(message, lineno) if a token does not convert, or if
+    count is given and there are not exactly count tokens.
+    """
+    if count is not None and len(tokens) != count:
+        raise ParseError(message, lineno)
+    try:
+        return tuple([kind(tok) for tok in tokens])
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(message, lineno) from None
+
+
 def parse_graph(text):
     """Parse the graph text format into a Multigraph."""
     vertex_count = None
@@ -274,21 +288,14 @@ def parse_graph(text):
         if vertex_count is None:
             if len(parts) != 2 or parts[0] != "vertices":
                 raise ParseError("expected 'vertices <count>'", lineno)
-            try:
-                vertex_count = int(parts[1])
-            except ValueError:
-                raise ParseError("vertex count %r is not an integer" % parts[1],
-                                 lineno) from None
+            (vertex_count,) = _numbers(
+                parts[1:], "vertex count %r is not an integer" % parts[1], lineno)
             if vertex_count < 0:
                 raise ParseError("vertex count must be >= 0", lineno)
             continue
         if len(parts) != 2:
             raise ParseError("expected an edge 'u v'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("edge endpoints %r are not integers" % line,
-                             lineno) from None
+        u, v = _numbers(parts, "edge endpoints %r are not integers" % line, lineno)
         if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
             raise ParseError("edge (%d, %d) out of range 1..%d"
                              % (u, v, vertex_count), lineno)

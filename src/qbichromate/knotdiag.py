@@ -22,7 +22,7 @@ color class becomes white.
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphcore import Multigraph, ParseError, _content_lines
+from .graphcore import Multigraph, ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly
 from .qchrom import bichromate
 
@@ -69,10 +69,7 @@ def parse_pd(text):
             raise ParseError("expected 'X+' or 'X-', got %r" % parts[0], lineno)
         if len(parts) != 5:
             raise ParseError("expected four arc labels", lineno)
-        try:
-            slots = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError("arc labels must be integers", lineno) from None
+        slots = _numbers(parts[1:], "arc labels must be integers", lineno)
         sign = 1 if parts[0] == "X+" else -1
         crossings.append(Crossing(sign, slots))
     if not crossings:

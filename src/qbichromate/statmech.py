@@ -14,7 +14,7 @@ Ising model they run over -1, +1.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphcore import ParseError, _content_lines
+from .graphcore import ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly
 from .qchrom import _component_qints
 
@@ -71,10 +71,8 @@ def parse_couplings(text):
         elif parts[0] != kind:
             raise ParseError("mixed coupling kinds ('%s' after '%s')"
                              % (parts[0], kind), lineno)
-        try:
-            rationals = [Fraction(tok) for tok in parts[1:]]
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("bad rational in %r" % line, lineno) from None
+        rationals = _numbers(parts[1:], "bad rational in %r" % line, lineno,
+                             Fraction)
         if kind == "v":
             if len(rationals) != 1:
                 raise ParseError("'v' takes exactly one rational", lineno)

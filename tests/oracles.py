@@ -6,8 +6,9 @@ oracles use deletion-contraction (the package counts colorings directly
 and sums over edge subsets), the defected coloring oracle tries every
 assignment in turn (the package walks vertex by vertex and prunes), and
 the bracket oracle re-parses PD text and walks loops through explicit port
-pairings (the package uses union-find), with plain dict Laurent
-arithmetic in one variable.
+pairings (the package uses union-find), and the colored Jones oracles
+are published closed-form sums (the package sums over arc-graph flows),
+all with plain dict Laurent arithmetic in one variable.
 """
 
 from fractions import Fraction
@@ -178,3 +179,35 @@ def jones_from_bracket(text):
         assert e % 4 == 0, "A-exponent %d not a multiple of 4" % e
         out[-e // 4] = Fraction(c)
     return out
+
+
+def trefoil_colored_jones(N):
+    """Le's sum for the N-dimensional colored Jones function of the
+    trefoil, as {q-exponent: coeff}:
+
+        J_N = q^(1-N) sum_k q^(-kN) prod_(j=1..k) (1 - q^(j-N)),
+
+    whose product vanishes for k >= N."""
+    total = {}
+    product_k = {0: 1}
+    for k in range(N):
+        if k:
+            product_k = _mul(product_k, {0: 1, k - N: -1})
+        for e, c in _mul(product_k, {1 - N - k * N: 1}).items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def figure_eight_colored_jones(N):
+    """Habiro's sum for the N-dimensional colored Jones function of the
+    figure-eight knot, as {q-exponent: coeff}:
+
+        J_N = sum_(k<N) prod_(j=1..k) (q^N + q^-N - q^j - q^-j)."""
+    total = {}
+    product_k = {0: 1}
+    for k in range(N):
+        if k:
+            product_k = _mul(product_k, {N: 1, -N: 1, k: -1, -k: -1})
+        for e, c in product_k.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}

@@ -12,6 +12,7 @@ from qbichromate.arcflow import (ArcGraph, _ahead, arcjones, cabled_graph,
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
+from oracles import figure_eight_colored_jones, trefoil_colored_jones
 
 T = LaurentPoly.variable("t")
 
@@ -181,6 +182,38 @@ def test_colored_jones_n1():
         assert colored_jones(g8, 1, route=route) == expect8
     with pytest.raises(ValueError):
         colored_jones(g, 1, route="bogus")
+
+
+def _monomial_shift(p, oracle):
+    """The s with p = t^s oracle(t) or p = t^s oracle(1/t), else None."""
+    terms = {(exps[0] if exps else 0): c for exps, c in p.terms.items()}
+    for q in (oracle, {-e: c for e, c in oracle.items()}):
+        s = min(terms) - min(q)
+        if len(terms) == len(q) and all(terms.get(e + s) == c
+                                        for e, c in q.items()):
+            return s
+    return None
+
+
+def test_trefoil_matches_le_sum():
+    # Le's sum for the trefoil is independent of every arcflow route;
+    # the framing left in colored_jones is a monomial, t^(3n(n-1)/2)
+    g = trefoil()
+    for n in (1, 2, 3):
+        assert _monomial_shift(colored_jones(g, n),
+                               trefoil_colored_jones(n + 1)) is not None
+
+
+def test_fig8_level_one_matches_habiro_sum():
+    assert _monomial_shift(colored_jones(fig8(), 1),
+                           figure_eight_colored_jones(2)) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: colored_jones on "
+                   "fig8 at n >= 2 disagrees with Habiro's sum")
+def test_fig8_matches_habiro_sum():
+    assert _monomial_shift(colored_jones(fig8(), 2),
+                           figure_eight_colored_jones(3)) is not None
 
 
 def test_per_flow_bridge():

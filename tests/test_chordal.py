@@ -54,6 +54,18 @@ def test_parse_structure_errors():
         parse_structure("A 1 1\n")
 
 
+def test_parse_structure_node_id_errors():
+    # the message names the id and the range, or the expected line form
+    cases = [("tree 0 1\nA 9 1\n", "line 2: node id 9 out of range 1..2"),
+             ("tree 0 1\nb 0 1\n", "line 2: node id 0 out of range 1..2"),
+             ("tree 0 1\nA\n", "line 2: expected 'A <node> <elements...>'"),
+             ("tree 0 1\nb\n", "line 2: expected 'b <node> <size>'")]
+    for text, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_structure(text)
+        assert (str(e.value), e.value.line) == (message, 2)
+
+
 def test_structure_count_matches_enumeration():
     parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     ss = list(tree_structures(parents, a_sets, b_sizes))

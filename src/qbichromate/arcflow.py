@@ -34,7 +34,7 @@ from .qchrom import mdef_chord
 
 
 def _t_power(e):
-    return LaurentPoly(("t",), {(e,): Fraction(1)})
+    return LaurentPoly.from_powers("t", {e: 1})
 
 
 def _one_minus_t_power(e):
@@ -426,8 +426,8 @@ def catmm_flow_sum(g, f, n):
                     def2 = sum(1 for c2 in config[drop[c] - 1]
                                if value_of[c2] < value)
                 exponent += value - def1 - def2
-        terms[(exponent,)] = terms.get((exponent,), 0) + 1
-    return LaurentPoly(("t",), terms)
+        terms[exponent] = terms.get(exponent, 0) + 1
+    return LaurentPoly.from_powers("t", terms)
 
 
 @dataclass(frozen=True)

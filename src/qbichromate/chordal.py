@@ -148,31 +148,11 @@ class TreeStructure:
         return len(self.parents)
 
     @property
-    def root(self):
-        return self.parents.index(0) + 1
-
-    @property
     def ground_size(self):
         return sum(len(s) for s in self.a_sets)
 
     def bag(self, w):
         return self.a_sets[w - 1] | self.b_sets[w - 1]
-
-    def owner(self, x):
-        for w in range(1, self.node_count + 1):
-            if x in self.a_sets[w - 1]:
-                return w
-        raise ValueError("element %d is not owned by any node" % x)
-
-    def m(self, x):
-        """Bag elements below x in x's owning bag.
-
-        Equals b_w plus the number of smaller elements of A_w, so it
-        depends only on the prescribed sizes, not on the chosen B sets.
-        """
-        w = self.owner(x)
-        return (len(self.b_sets[w - 1])
-                + sum(1 for y in self.a_sets[w - 1] if y < x))
 
 
 def _instance(parents, a_sets, b_sizes):
@@ -323,10 +303,12 @@ def _defected_sum(s, z):
     the ground set with colors 0..z-1, where def(x) counts elements y
     below x in x's owning bag with v_y < v_x.  A coloring is bag-injective
     exactly when it is proper on graph_of_structure(s)."""
-    defects = [[y for y in s.bag(s.owner(x)) if y < x]
+    owner = {x: w for w, owned in enumerate(s.a_sets, start=1) for x in owned}
+    defects = [[y for y in s.bag(owner[x]) if y < x]
                for x in range(1, s.ground_size + 1)]
-    sums = graph_of_structure(s).defected_sums(z, defects)
-    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
+    g = graph_of_structure(s)
+    sums = g.state_sums(range(z), ((0, 1),) * g.edge_count, defects)
+    return LaurentPoly.from_powers("q", sums)
 
 
 def str2_pair(s, z):
@@ -338,7 +320,8 @@ def str2_pair(s, z):
     if z < 1:
         raise ValueError("z must be a positive integer")
     lhs = _defected_sum(s, z)
-    rhs = _qints([z - s.m(x) for x in range(1, s.ground_size + 1)])
+    m_by_x = _m_values(s.a_sets, [len(b) for b in s.b_sets])
+    rhs = _qints([z - m_by_x[x] for x in range(1, s.ground_size + 1)])
     return lhs, rhs
 
 
@@ -365,7 +348,9 @@ def str20_pair(parents, a_sets, b_sizes, z):
 
 
 def _m_values(a_sets, b_sizes):
-    """m(x) per ground element, from the prescribed sizes alone."""
+    """m(x) per ground element: the bag elements below x in x's owning
+    bag w, that is b_w plus the smaller elements of A_w, so it depends
+    only on the prescribed sizes, not on the chosen B sets."""
     out = {}
     for w, owned in enumerate(a_sets, start=1):
         for x in owned:

@@ -1,11 +1,12 @@
-"""Multigraphs, their three enumeration kernels, and the shared text format.
+"""Multigraphs, their two enumeration kernels, and the shared text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
 parallel edges are allowed.  Every subset expansion in the package folds
-the histogram of Multigraph.subset_statistics, every agree/differ state
-sum that of Multigraph.state_sums, and every defected coloring sum that
-of Multigraph.defected_sums; the per-subset queries take an edge subset
-as a bitmask where bit i selects edges[i].
+the histogram of Multigraph.subset_statistics, and every agree/differ
+state sum that of Multigraph.state_sums; a defected coloring sum is a
+state sum over the proper colorings with defect lists, and without
+defects it is the q-chromatic sum.  The per-subset queries take an edge
+subset as a bitmask where bit i selects edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -103,18 +104,22 @@ class Multigraph:
         walk(0, 0, 0, 1)
         return histogram
 
-    def state_sums(self, spins, weights):
-        """Histogram of all states s: V -> spins, as {sum of s(v): summed
-        weight}, leaving out sums whose weight cancels to zero.
+    def state_sums(self, spins, weights, defects=None):
+        """Histogram of all states s: V -> spins, as {sum of s(v) minus the
+        defects of v: summed weight}, leaving out sums whose weight cancels
+        to zero.
 
         A state weighs the product over edges i = (u, v) of weights[i][0]
         when s(u) = s(v) (a loop always agrees) and weights[i][1]
-        otherwise (ints or Fractions).  The walk sets vertices 1..n
+        otherwise (ints or Fractions); weights ((0, 1),) * m keep exactly
+        the proper colorings.  The defects of x are the entries y of
+        defects[x-1] (1-based, repeats counting) with s(y) < s(x); with
+        defects None no vertex has any.  The walk sets vertices 1..n
         depth-first with an explicit stack, multiplies in each edge's
-        factor once its later endpoint is set, and prunes a partial
-        weight of zero.  It runs in integers: each edge's pair is scaled
-        by its common denominator, and the sums are divided by the
-        product of those scales at the end.
+        factor and counts each defect pair once its later vertex is set,
+        and prunes a partial weight of zero.  It runs in integers: each
+        edge's pair is scaled by its common denominator, and the sums are
+        divided by the product of those scales at the end.
         """
         n = self.vertex_count
         if len(weights) != len(self.edges):
@@ -127,16 +132,32 @@ class Multigraph:
             scale *= d
             closing[max(u, v)].append((min(u, v), int(agree * d),
                                        int(differ * d)))
+        # A pair (x, y), y listed by x, is checked at max(x, y); a vertex
+        # listing itself never has s(x) < s(x).  Levels without pairs
+        # (all of them without defects) skip the check on the empty list.
+        pairs = [[] for _ in range(n + 1)]
+        if defects is not None:
+            if len(defects) != n:
+                raise ValueError("got %d defect lists for %d vertices"
+                                 % (len(defects), n))
+            for x, listed in enumerate(defects, start=1):
+                for y in listed:
+                    if not 1 <= y <= n:
+                        raise ValueError("defect vertex %d not in 1..%d"
+                                         % (y, n))
+                    if y != x:
+                        pairs[max(x, y)].append((x, y))
         # Level v holds the spin index tried next at vertex v, and the
-        # weight and spin sum of vertices 1..v.
+        # weight and exponent of vertices 1..v.
         spin = [None] * (n + 1)
         next_index = [0] * (n + 1)
         weight = [1] * (n + 1)
         total = [0] * (n + 1)
+        spin_count = len(spins)
         histogram = {0: 1} if n == 0 else {}
         v = 1 if n else 0
         while v:
-            if next_index[v] == len(spins):
+            if next_index[v] == spin_count:
                 next_index[v] = 0
                 v -= 1
                 continue
@@ -148,67 +169,16 @@ class Multigraph:
                 w *= agree if spin[u] == s else differ
             if not w:
                 continue
+            key = total[v - 1] + s
+            if pairs[v]:
+                key -= sum(1 for x, y in pairs[v] if spin[y] < spin[x])
             if v == n:
-                key = total[v - 1] + s
                 histogram[key] = histogram.get(key, 0) + w
             else:
                 weight[v] = w
-                total[v] = total[v - 1] + s
+                total[v] = key
                 v += 1
         return {key: Fraction(w, scale) for key, w in histogram.items() if w}
-
-    def defected_sums(self, n, defects):
-        """Histogram of the proper colorings v: V -> {0..n-1} (adjacent
-        vertices differ, so a loop allows none), as {sum of v(x) minus the
-        defects of x: count}; the defects of x are the entries y of
-        defects[x-1] (1-based, repeats counting) with v(y) < v(x).  The
-        walk sets vertices 1..n depth-first with an explicit stack, checks
-        each edge and defect pair once its later vertex is set, and prunes
-        at the first clash.
-        """
-        k = self.vertex_count
-        if len(defects) != k:
-            raise ValueError("got %d defect lists for %d vertices"
-                             % (len(defects), k))
-        # A loop makes its vertex its own earlier neighbor: all clash.
-        earlier = [set() for _ in range(k + 1)]
-        for u, v in self.edges:
-            earlier[max(u, v)].add(min(u, v))
-        # A pair (x, y), y listed by x, is checked at max(x, y).
-        below = [[] for _ in range(k + 1)]
-        above = [[] for _ in range(k + 1)]
-        for x, listed in enumerate(defects, start=1):
-            for y in listed:
-                if not 1 <= y <= k:
-                    raise ValueError("defect vertex %d not in 1..%d" % (y, k))
-                if y < x:
-                    below[x].append(y)
-                elif y > x:
-                    above[y].append(x)
-        # Level v holds the color of vertex v (-1 before its first) and
-        # the exponent of vertices 1..v.
-        color = [-1] * (k + 1)
-        total = [0] * (k + 1)
-        histogram = {0: 1} if k == 0 else {}
-        v = 1 if k else 0
-        while v:
-            c = color[v] + 1
-            if c >= n:
-                color[v] = -1
-                v -= 1
-                continue
-            color[v] = c
-            if any(color[u] == c for u in earlier[v]):
-                continue
-            e = (total[v - 1] + c
-                 - sum(1 for y in below[v] if color[y] < c)
-                 - sum(1 for x in above[v] if c < color[x]))
-            if v == k:
-                histogram[e] = histogram.get(e, 0) + 1
-            else:
-                total[v] = e
-                v += 1
-        return histogram
 
     def components(self, mask):
         """Vertex sets of the components of (V, selected edges).
@@ -269,9 +239,14 @@ def _numbers(tokens, message, lineno, kind=int, count=None):
     """The tokens converted by kind (int or Fraction), as a tuple.
 
     Raises ParseError(message, lineno) if a token does not convert, or if
-    count is given and there are not exactly count tokens.
+    count is given and there are not exactly count tokens.  Tokens that
+    are not ASCII or contain '_' are refused before conversion: int and
+    Fraction read non-ASCII digits, and whether Fraction reads '1_0'
+    depends on the Python version.
     """
     if count is not None and len(tokens) != count:
+        raise ParseError(message, lineno)
+    if not all(tok.isascii() and "_" not in tok for tok in tokens):
         raise ParseError(message, lineno)
     try:
         return tuple([kind(tok) for tok in tokens])

@@ -352,8 +352,8 @@ def jones(k):
         e = exps[0] if exps else 0
         if e % 4:
             raise AssertionError("bracket exponent %d not divisible by 4" % e)
-        terms[(-(e // 4),)] = coeff
-    return LaurentPoly(("t",), terms)
+        terms[-(e // 4)] = coeff
+    return LaurentPoly.from_powers("t", terms)
 
 
 def prop_mm_check(k, outer_face):

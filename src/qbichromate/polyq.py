@@ -87,6 +87,15 @@ class LaurentPoly:
     def variable(cls, name):
         return cls((name,), {(1,): Fraction(1)})
 
+    @classmethod
+    def from_powers(cls, name, powers):
+        """The univariate polynomial with coefficient powers[e] at name^e.
+
+        >>> LaurentPoly.from_powers("t", {-1: 2, 3: Fraction(1, 2)})
+        LaurentPoly('2*t^-1 + 1/2*t^3')
+        """
+        return cls((name,), {(e,): c for e, c in powers.items()})
+
     # ---------------------------------------------------------------- predicates
 
     def is_zero(self):

@@ -25,7 +25,7 @@ def mq_direct(g, n):
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     sums = g.state_sums(range(n), ((0, 1),) * g.edge_count)
-    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
+    return LaurentPoly.from_powers("q", sums)
 
 
 def mq_subset(g, n):
@@ -147,5 +147,6 @@ def mdef_chord(d, n):
         ends = [j + 1 for j, (sj, ej) in enumerate(chords)
                 if sj < ei < ej and end_group[j] > end_group[i]]
         defects.append(starts + ends)
-    sums = Multigraph(len(chords), tuple(edges)).defected_sums(n, defects)
-    return LaurentPoly(("t",), {(e,): c for e, c in sums.items()})
+    sums = Multigraph(len(chords), tuple(edges)).state_sums(
+        range(n), ((0, 1),) * len(edges), defects)
+    return LaurentPoly.from_powers("t", sums)

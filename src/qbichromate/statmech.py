@@ -138,7 +138,7 @@ def qpotts_pair(g, k, w):
     for (sizes, _, _), weight in g.subset_statistics(w.values).items():
         subset_form = subset_form + weight * _component_qints(sizes, k)
     sums = g.state_sums(range(k), [(1 + v, 1) for v in w.values])
-    state_form = LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
+    state_form = LaurentPoly.from_powers("q", sums)
     return subset_form, state_form
 
 
@@ -149,7 +149,7 @@ def ising_direct(g, w):
     _require_kind(w, "ch", "ising_direct")
     w.check_edge_count(g)
     sums = g.state_sums((-1, 1), [(c + h, c - h) for c, h in w.values])
-    return LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
+    return LaurentPoly.from_powers("q", sums)
 
 
 def ising_pair(g, w):
@@ -203,7 +203,7 @@ def lemma_w_eval(g):
     edges, against the closed form
     (q - q^-1)^o(E) (q + q^-1)^(|V| - o(E))."""
     sums = g.state_sums((-1, 1), ((1, -1),) * g.edge_count)
-    lhs = LaurentPoly(("q",), {(e,): c for e, c in sums.items()})
+    lhs = LaurentPoly.from_powers("q", sums)
     q = LaurentPoly.variable("q")
     full = (1 << g.edge_count) - 1
     odd = g.odd_degree_count(full)

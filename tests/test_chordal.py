@@ -71,7 +71,8 @@ def test_structure_count_matches_enumeration():
     ss = list(tree_structures(parents, a_sets, b_sizes))
     assert structure_count(parents, a_sets, b_sizes) == len(ss) == 4
     # structures are distinct
-    assert len({tuple(s.bag(i) for i in range(s.node_count)) for s in ss}) == 4
+    assert len({tuple(s.bag(w) for w in range(1, s.node_count + 1))
+                for s in ss}) == 4
 
 
 def test_infeasible_instance_warns():

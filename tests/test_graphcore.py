@@ -95,18 +95,32 @@ def test_subset_statistics_small_cases():
         loop.subset_statistics([1])
 
 
-def reference_state_sums(g, spins, weights):
+def reference_state_sums(g, spins, weights, defects=None):
     """The state kernel's histogram rebuilt state by state."""
     histogram = {}
     for s in product(spins, repeat=g.vertex_count):
         weight = 1
         for (u, v), (agree, differ) in zip(g.edges, weights):
             weight *= agree if s[u - 1] == s[v - 1] else differ
-        histogram[sum(s)] = histogram.get(sum(s), 0) + weight
+        key = sum(s)
+        for x, listed in enumerate(defects or (), start=1):
+            key -= sum(1 for y in listed if s[y - 1] < s[x - 1])
+        histogram[key] = histogram.get(key, 0) + weight
     return {key: w for key, w in histogram.items() if w}
 
 
+def random_defects(rng, k):
+    """Defect lists for vertices 1..k, with repeats and a vertex listing
+    itself."""
+    defects = [[rng.randint(1, k) for _ in range(rng.randint(0, 4))]
+               for _ in range(k)]
+    if k:
+        defects[0] = defects[0] + [1, k, k]
+    return defects
+
+
 def test_state_sums_match_per_state_reference(catalog):
+    rng = random.Random(5)
     graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
     for g in graphs:
         m = g.edge_count
@@ -120,6 +134,11 @@ def test_state_sums_match_per_state_reference(catalog):
             for weights in weight_sets:
                 assert g.state_sums(spins, weights) == \
                     reference_state_sums(g, spins, weights), (g, weights)
+            # Fraction weights and defect lists together
+            defects = random_defects(rng, g.vertex_count)
+            assert g.state_sums(spins, weight_sets[-1], defects) == \
+                reference_state_sums(g, spins, weight_sets[-1], defects), \
+                (g, defects)
 
 
 def test_state_sums_small_cases():
@@ -143,34 +162,36 @@ def test_state_sums_deep_graphs():
     assert potts_direct(path, 1, w) == Fraction(3, 2) ** 1999
 
 
+def defected_sums(g, n, defects):
+    """The defected coloring sum: the state kernel over the proper
+    colorings with colors 0..n-1."""
+    return g.state_sums(range(n), ((0, 1),) * g.edge_count, defects)
+
+
 def test_defected_sums_match_reference(catalog):
     rng = random.Random(4)
     graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
     for g in graphs:
         k = g.vertex_count
         for _ in range(3):
-            # repeats and a vertex listing itself included
-            defects = [[rng.randint(1, k) for _ in range(rng.randint(0, 4))]
-                       for _ in range(k)]
-            if k:
-                defects[0] = defects[0] + [1, k, k]
+            defects = random_defects(rng, k)
             for n in (1, 2, 3):
-                assert g.defected_sums(n, defects) == defected_sums_reference(
+                assert defected_sums(g, n, defects) == defected_sums_reference(
                     k, g.edges, n, defects), (g, n, defects)
 
 
 def test_defected_sums_small_cases():
-    assert Multigraph(0, ()).defected_sums(2, []) == {0: 1}
-    assert Multigraph(1, ((1, 1),)).defected_sums(3, [[]]) == {}
+    assert defected_sums(Multigraph(0, ()), 2, []) == {0: 1}
+    assert defected_sums(Multigraph(1, ((1, 1),)), 3, [[]]) == {}
     # parallel edges act as one; a repeated defect counts twice
     pair = Multigraph(2, ((1, 2), (1, 2)))
-    assert pair.defected_sums(2, [[], [1, 1]]) == {1: 1, -1: 1}
-    with pytest.raises(ValueError):
-        pair.defected_sums(2, [[]])
-    with pytest.raises(ValueError):
-        pair.defected_sums(2, [[3], []])
+    assert defected_sums(pair, 2, [[], [1, 1]]) == {1: 1, -1: 1}
+    with pytest.raises(ValueError, match="got 1 defect lists for 2 vertices"):
+        defected_sums(pair, 2, [[]])
+    with pytest.raises(ValueError, match="defect vertex 3 not in 1..2"):
+        defected_sums(pair, 2, [[3], []])
     # one color per vertex: the walk must not recurse per vertex
-    assert Multigraph(2000, ()).defected_sums(1, [[]] * 2000) == {0: 1}
+    assert defected_sums(Multigraph(2000, ()), 1, [[]] * 2000) == {0: 1}
 
 
 def test_degree_and_odd_degree():

@@ -64,6 +64,11 @@ CONVERSION_ERRORS = [
     (parse_graph, "vertices x\n", "vertex count 'x' is not an integer", 1),
     (parse_graph, "vertices 2\n1 y\n", "edge endpoints '1 y' are not integers",
      2),
+    (parse_graph, "vertices \u0663\n", "vertex count '\u0663' is not an integer",
+     1),
+    (parse_graph, "vertices 2\n1 \u0662\n",
+     "edge endpoints '1 \u0662' are not integers", 2),
+    (parse_couplings, "v 1_0\n", "bad rational in 'v 1_0'", 1),
     (parse_couplings, "v 1\nv 1/0\n", "bad rational in 'v 1/0'", 2),
     (parse_couplings, "ch 1 z\n", "bad rational in 'ch 1 z'", 1),
     (parse_pd, "X+ 1 2 a 4\n", "arc labels must be integers", 1),

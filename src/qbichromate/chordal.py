@@ -152,6 +152,8 @@ class TreeStructure:
         return sum(len(s) for s in self.a_sets)
 
     def bag(self, w):
+        if not 1 <= w <= self.node_count:
+            raise ValueError("node %d out of range 1..%d" % (w, self.node_count))
         return self.a_sets[w - 1] | self.b_sets[w - 1]
 
 

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import arcflow, chordal, knotdiag, qchrom, statmech
-from .graphcore import ParseError, parse_graph
+from .graphcore import ParseError, _numbers, parse_graph
 from .polyq import LaurentPoly, qbinom, qbinomial_theorem_check
 
 
@@ -79,6 +79,14 @@ class Report:
         out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _integer(token):
+    """argparse type for integer options: the token rule of the input files."""
+    try:
+        return _numbers([token], "invalid int value: %r" % token, None)[0]
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parser():
     top = argparse.ArgumentParser(prog="qbichromate")
     subs = top.add_subparsers(dest="subcommand", required=True)
@@ -92,23 +100,23 @@ def _parser():
         return p
 
     graph = dict(required=True, metavar="FILE")
-    add("qchrom", graph=graph, n=dict(type=int, required=True))
+    add("qchrom", graph=graph, n=dict(type=_integer, required=True))
     add("bichromate", graph=graph)
     add("tutte", graph=graph,
         form=dict(choices=("tutte", "whitney-rank"), default="tutte"))
-    add("qbichromate", graph=graph, y=dict(type=int, required=True))
-    add("potts", graph=graph, k=dict(type=int, required=True),
+    add("qbichromate", graph=graph, y=dict(type=_integer, required=True))
+    add("potts", graph=graph, k=dict(type=_integer, required=True),
         couplings=dict(required=True, metavar="FILE"))
-    add("qpotts", graph=graph, k=dict(type=int, required=True),
+    add("qpotts", graph=graph, k=dict(type=_integer, required=True),
         couplings=dict(required=True, metavar="FILE"))
     add("ising", graph=graph, couplings=dict(required=True, metavar="FILE"))
     add("vdw", graph=graph, couplings=dict(required=True, metavar="FILE"))
     add("jones", pd=dict(required=True, metavar="FILE"),
         form=dict(choices=("t", "A"), default="t"))
     add("median", pd=dict(required=True, metavar="FILE"),
-        outer_face=dict(type=int, default=None))
+        outer_face=dict(type=_integer))
     add("colored-jones", arc=dict(required=True, metavar="FILE"),
-        n=dict(type=int, required=True),
+        n=dict(type=_integer, required=True),
         route=dict(choices=("ma2", "main", "catmm"), default="ma2"))
     add("identities",
         suite=dict(required=True,
@@ -116,9 +124,9 @@ def _parser():
                             "bracket", "arcflow", "chordal")),
         graph=dict(metavar="FILE"), couplings=dict(metavar="FILE"),
         pd=dict(metavar="FILE"), arc=dict(metavar="FILE"),
-        structure=dict(metavar="FILE"), n=dict(type=int, default=None),
-        k=dict(type=int, default=None), z=dict(type=int, default=None),
-        seed=dict(type=int, default=0))
+        structure=dict(metavar="FILE"), n=dict(type=_integer),
+        k=dict(type=_integer), z=dict(type=_integer),
+        seed=dict(type=_integer, default=0))
     add("chordal-check", graph=graph)
     return top
 

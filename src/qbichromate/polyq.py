@@ -1,10 +1,12 @@
 """Exact multivariate Laurent polynomials over the rationals.
 
 A polynomial is stored as a mapping from integer exponent tuples to nonzero
-Fraction coefficients, together with the tuple of variable names the
-exponents refer to.  The representation is kept canonical at all times:
+coefficients, together with the tuple of variable names the exponents
+refer to.  A coefficient is held as the exact number Python's arithmetic
+gives: an int when it is integral, a Fraction otherwise.  The
+representation is kept canonical at all times:
 
-  * zero coefficients are pruned,
+  * zero coefficients are pruned, integral ones are ints,
   * variables whose exponent is zero in every term are dropped,
   * variable names are sorted, and exponent tuples follow that order.
 
@@ -19,16 +21,20 @@ the q-binomial theorem used by the self-test suite.
 from fractions import Fraction
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
+def _exact(value):
+    """The coefficient as an int when it is integral, else as a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError("coefficient must be an int or Fraction, got %r" % (value,))
 
 
 class LaurentPoly:
-    """An immutable Laurent polynomial with Fraction coefficients.
+    """An immutable Laurent polynomial with rational coefficients.
+
+    Integral coefficients are stored as int (never bool), the others as
+    Fraction; an int and the equal Fraction compare and hash alike.
 
     >>> q = LaurentPoly.variable("q")
     >>> (q + 1) * (q - 1)
@@ -51,11 +57,9 @@ class LaurentPoly:
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple %r does not match variables %r"
                                  % (exps, variables))
-            coeff = _as_fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = coeff
         # Drop variables that never appear with a nonzero exponent.
         used = [any(exps[i] for exps in clean) for i in range(len(variables))]
         if not all(used):
@@ -78,14 +82,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value):
-        value = _as_fraction(value)
-        if not value:
-            return cls()
         return cls((), {(): value})
 
     @classmethod
     def variable(cls, name):
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def from_powers(cls, name, powers):
@@ -106,11 +107,9 @@ class LaurentPoly:
 
     def constant_value(self):
         """Return the polynomial's value as a Fraction if it is constant."""
-        if not self.terms:
-            return Fraction(0)
         if self.variables:
             raise ValueError("polynomial %s is not constant" % self)
-        return self.terms[()]
+        return Fraction(self.terms.get((), 0))
 
     # ---------------------------------------------------------------- arithmetic
 
@@ -146,7 +145,7 @@ class LaurentPoly:
         variables, a, b = self._aligned(other)
         terms = dict(a)
         for exps, coeff in b.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
         return LaurentPoly(variables, terms)
 
     __radd__ = __add__
@@ -176,11 +175,7 @@ class LaurentPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                if exps in terms:
-                    terms[exps] += prod
-                else:
-                    terms[exps] = prod
+                terms[exps] = terms.get(exps, 0) + c1 * c2
         return LaurentPoly(variables, terms)
 
     __rmul__ = __mul__
@@ -194,7 +189,8 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative powers are only defined for monomials")
             ((exps, coeff),) = self.terms.items()
-            inv = LaurentPoly(self.variables, {tuple(-e for e in exps): 1 / coeff})
+            inv = LaurentPoly(self.variables,
+                              {tuple(-e for e in exps): Fraction(1) / coeff})
             return inv ** (-power)
         out = LaurentPoly.constant(1)
         base = self
@@ -270,12 +266,6 @@ class LaurentPoly:
 
     # ---------------------------------------------------------------- printing
 
-    @staticmethod
-    def _coeff_str(coeff):
-        if coeff.denominator == 1:
-            return str(coeff.numerator)
-        return "%d/%d" % (coeff.numerator, coeff.denominator)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -283,20 +273,11 @@ class LaurentPoly:
         parts = []
         for exps in keys:
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                if e == 1:
-                    factors.append(name)
-                else:
-                    factors.append("%s^%d" % (name, e))
-            if not factors:
-                parts.append(self._coeff_str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([self._coeff_str(coeff)] + factors))
+            factors = [name if e == 1 else "%s^%d" % (name, e)
+                       for name, e in zip(self.variables, exps) if e]
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            parts.append("*".join(factors))
         return " + ".join(parts)
 
     def __repr__(self):

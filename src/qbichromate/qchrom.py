@@ -13,7 +13,6 @@ intersection graphs (mdef_chord); the diagrams themselves are built in the
 arcflow module, which in turn imports this one.
 """
 
-from fractions import Fraction
 from math import factorial
 
 from .graphcore import Multigraph
@@ -71,7 +70,7 @@ def bichromate(g):
     for (sizes, chosen, _), count in g.subset_statistics().items():
         key = (len(sizes), chosen)
         terms[key] = terms.get(key, 0) + count
-    return LaurentPoly(("a", "b"), {k: Fraction(c) for k, c in terms.items()})
+    return LaurentPoly(("a", "b"), terms)
 
 
 def tutte(g, form="tutte"):

@@ -134,12 +134,17 @@ def qpotts_pair(g, k, w):
         raise ValueError("need k >= 1")
     _require_kind(w, "v", "qpotts_pair")
     w.check_edge_count(g)
-    subset_form = LaurentPoly()
-    for (sizes, _, _), weight in g.subset_statistics(w.values).items():
-        subset_form = subset_form + weight * _component_qints(sizes, k)
     sums = g.state_sums(range(k), [(1 + v, 1) for v in w.values])
     state_form = LaurentPoly.from_powers("q", sums)
-    return subset_form, state_form
+    return _qpotts_subset_form(g, k, w.values), state_form
+
+
+def _qpotts_subset_form(g, k, vs):
+    """The subset form of qpotts_pair, with edge weights vs."""
+    out = LaurentPoly()
+    for (sizes, _, _), weight in g.subset_statistics(vs).items():
+        out = out + weight * _component_qints(sizes, k)
+    return out
 
 
 def ising_direct(g, w):
@@ -165,8 +170,8 @@ def ising_pair(g, w):
     _require_kind(w, "ch", "ising_pair")
     w.check_edge_count(g)
     direct = ising_direct(g, w)
-    vprime = Couplings("v", tuple((c + h) ** 2 - 1 for c, h in w.values))
-    subset_form, _ = qpotts_pair(g, 2, vprime)
+    subset_form = _qpotts_subset_form(
+        g, 2, [(c + h) ** 2 - 1 for c, h in w.values])
     q = LaurentPoly.variable("q")
     prefactor = Fraction(1)
     for c, h in w.values:

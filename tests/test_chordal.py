@@ -75,6 +75,15 @@ def test_structure_count_matches_enumeration():
                 for s in ss}) == 4
 
 
+def test_bag_rejects_node_outside_range():
+    parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
+    s = tree_structures(parents, a_sets, b_sizes)[0]
+    assert s.bag(1) == a_sets[0] | s.b_sets[0]
+    for w in (0, -1, s.node_count + 1):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            s.bag(w)
+
+
 def test_infeasible_instance_warns():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")

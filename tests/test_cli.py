@@ -115,6 +115,17 @@ def test_missing_required_input():
     assert "required" in result.stderr
 
 
+def test_integer_options_follow_the_token_rule():
+    # the input files refuse non-ASCII digits and '_'; so do the options
+    for argv in (["qchrom", "--graph", fixture_path("tri.g"), "--n", "\u0663"],
+                 ["qchrom", "--graph", fixture_path("tri.g"), "--n", "1_0"],
+                 ["identities", "--suite", "qbinom", "--seed", "1_0"]):
+        result = invoke(argv)
+        assert result.returncode == 2, argv
+        assert result.stdout == ""
+        assert "invalid int value" in result.stderr
+
+
 def test_missing_suite_input():
     result = invoke(["identities", "--suite", "potts",
                      "--graph", fixture_path("tri.g")])

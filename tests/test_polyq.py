@@ -11,23 +11,51 @@ from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check,
 
 
 def poly_strategy():
-    coeff = st.integers(-4, 4).map(Fraction)
+    # ints, integral Fractions and non-integral Fractions
+    coeff = st.one_of(st.integers(-4, 4),
+                      st.fractions(-4, 4, max_denominator=4))
     exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     terms = st.dictionaries(exps, coeff, max_size=4)
     return terms.map(lambda t: LaurentPoly(("x", "y"), t))
 
 
+def exact(p):
+    """p, after checking that integral coefficients are int (not bool)
+    and the others Fraction."""
+    for coeff in p.terms.values():
+        assert type(coeff) in (int, Fraction)
+        assert (type(coeff) is int) == (coeff.denominator == 1)
+    return p
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + LaurentPoly() == a
-    assert a * LaurentPoly.constant(1) == a
-    assert a - a == LaurentPoly()
+    exact(a)
+    assert exact(a + b) == exact(b + a)
+    assert exact(a * b) == exact(b * a)
+    assert exact((a + b) + c) == exact(a + (b + c))
+    assert exact((a * b) * c) == exact(a * (b * c))
+    assert exact(a * (b + c)) == exact(a * b + a * c)
+    assert exact(a + LaurentPoly()) == a
+    assert exact(a * LaurentPoly.constant(1)) == a
+    assert exact(a - a) == LaurentPoly()
+
+
+def test_coefficient_types():
+    q = LaurentPoly.variable("q")
+    half = exact((2 * q) ** -1)
+    assert half == Fraction(1, 2) * q ** -1
+    assert str(half) == "1/2*q^-1"
+    assert exact(half * 4) == 2 * q ** -1
+    one = exact(LaurentPoly.constant(True))
+    assert one == LaurentPoly.constant(1)
+    assert type(one.terms[()]) is int
+    assert LaurentPoly.constant(Fraction(0)).is_zero()
+    assert type(one.constant_value()) is Fraction
+    assert type((q + 1).evaluate({"q": 2})) is Fraction
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(0.5)
 
 
 def test_canonicalization():

@@ -226,22 +226,48 @@ def parse_arc(text):
 
 
 def enumerate_flows(g, n):
-    """All conserved flows with at most n through every vertex.
+    """All conserved flows with at most n through every vertex, sorted.
 
     Flows are tuples aligned with g.reduced_edges.  The zero flow is
     always included; at n = 1 the nonzero flows are exactly the
     characteristic vectors of vertex-disjoint directed cycle unions.
+
+    The search sets vertices 1..r-1 in turn: level v draws the values of
+    v's out-edges (blue and red) together, skips a draw whose total
+    exceeds n, and checks the conservation of every vertex whose
+    entering and leaving edges are all set by then.  The flows come back
+    in lexicographic order of their tuples.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
+    index = g.edge_index
+    out = [()] + [tuple(index[e] for e in (g.blue_out(v), g.red_out(v))
+                        if e is not None) for v in range(1, g.r)]
+    # Vertex w is checked at the level that sets the last of its edges;
+    # an edge key (kind, v) is set at level v, its source.
+    checks = [[] for _ in range(g.r)]
+    for w in range(1, g.r):
+        entering = g.entering(w)
+        level = max([w] + [e[1] for e in entering])
+        checks[level].append((tuple(index[e] for e in entering), out[w]))
+    f = [0] * len(g.reduced_edges)
     flows = []
-    for f in product(range(n + 1), repeat=len(g.reduced_edges)):
-        if not g.is_conserved(f):
-            continue
-        if any(g.vertex_flow(f, v) > n for v in range(1, g.r)):
-            continue
-        flows.append(f)
-    return flows
+
+    def assign(v):
+        if v == g.r:
+            flows.append(tuple(f))
+            return
+        for values in product(range(n + 1), repeat=len(out[v])):
+            if sum(values) > n:
+                continue
+            for i, value in zip(out[v], values):
+                f[i] = value
+            if all(sum(f[i] for i in into) == sum(f[i] for i in leaving)
+                   for into, leaving in checks[v]):
+                assign(v + 1)
+
+    assign(1)
+    return sorted(flows)
 
 
 def flow_weight_beta(g, f):
@@ -375,29 +401,37 @@ def admissible_pairs(g, f, n):
     Values live in 0..n-1, one per red copy.  For two copies with equal
     values arriving at i <= j, the earlier one must be dropped before j;
     equal values arriving at the same vertex are never admissible.
+
+    Copies are listed by arrival, so copy a < b clashes with b exactly
+    when drop(a) >= arrival(b), which covers equal arrivals too.  Each
+    configuration lists every copy's earlier clashes once; values are
+    then assigned copy by copy, each avoiding the values of its clashes.
+    The triples come configuration by configuration, in the order of
+    flow_configurations, and within one configuration in lexicographic
+    order of the value tuples.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     copies = red_copies(g, f)
-    arrival = {c: g.target(c[0]) for c in copies}
+    arrival = [g.target(e) for e, _ in copies]
+    values = [0] * len(copies)
     pairs = []
     for config, drop in flow_configurations(g, f):
-        for values in product(range(n), repeat=len(copies)):
-            ok = True
-            for a, b in combinations(range(len(copies)), 2):
-                if values[a] != values[b]:
-                    continue
-                ca, cb = copies[a], copies[b]
-                if arrival[ca] == arrival[cb]:
-                    ok = False
-                    break
-                inner, outer = (ca, cb) if arrival[ca] < arrival[cb] \
-                    else (cb, ca)
-                if drop[inner] >= arrival[outer]:
-                    ok = False
-                    break
-            if ok:
-                pairs.append((config, drop, values))
+        dropped = [drop[c] for c in copies]
+        clash = [[a for a in range(b) if dropped[a] >= arrival[b]]
+                 for b in range(len(copies))]
+
+        def assign(b):
+            if b == len(copies):
+                pairs.append((config, drop, tuple(values)))
+                return
+            taken = {values[a] for a in clash[b]}
+            for value in range(n):
+                if value not in taken:
+                    values[b] = value
+                    assign(b + 1)
+
+        assign(0)
     return pairs
 
 
@@ -407,25 +441,32 @@ def catmm_flow_sum(g, f, n):
     Each copy contributes t^(value - def1 - def2): def1 counts
     smaller-valued copies it meets on arrival (riding in on the blue
     edge, or arriving earlier at the same vertex), def2 counts
-    smaller-valued copies still riding when it is dropped.
+    smaller-valued copies still riding when it is dropped.  Which copies
+    a copy meets depends only on the configuration, so each
+    configuration lists them once, as copy indices.
     """
-    arrivals = _arrivals(g, f)
     copies = red_copies(g, f)
+    position = {c: i for i, c in enumerate(copies)}
     terms = {}
+    rows = config_now = None
+    # admissible_pairs lists each configuration's triples together.
     for config, drop, values in admissible_pairs(g, f, n):
-        value_of = dict(zip(copies, values))
-        exponent = 0
-        for w, group in arrivals.items():
-            rode_in = config[w - 2] if w >= 2 else frozenset()
-            for pos, c in enumerate(group):
-                value = value_of[c]
-                def1 = sum(1 for c2 in rode_in if value_of[c2] < value)
-                def1 += sum(1 for c2 in group[:pos] if value_of[c2] < value)
-                def2 = 0
+        if config != config_now:
+            config_now = config
+            rows = []
+            for i, c in enumerate(copies):
+                w = g.target(c[0])
+                met = list(config[w - 2]) if w >= 2 else []
+                met += [c2 for c2 in copies[:i] if g.target(c2[0]) == w]
                 if drop[c] <= g.r - 2:
-                    def2 = sum(1 for c2 in config[drop[c] - 1]
-                               if value_of[c2] < value)
-                exponent += value - def1 - def2
+                    met += config[drop[c] - 1]
+                rows.append((i, tuple(position[c2] for c2 in met)))
+        exponent = sum(values)
+        for i, met in rows:
+            value = values[i]
+            for j in met:
+                if values[j] < value:
+                    exponent -= 1
         terms[exponent] = terms.get(exponent, 0) + 1
     return LaurentPoly.from_powers("t", terms)
 

@@ -119,7 +119,8 @@ class Multigraph:
         factor and counts each defect pair once its later vertex is set,
         and prunes a partial weight of zero.  It runs in integers: each
         edge's pair is scaled by its common denominator, and the sums are
-        divided by the product of those scales at the end.
+        divided by the product of those scales at the end: the sums are
+        ints when every weight is integral, and Fractions otherwise.
         """
         n = self.vertex_count
         if len(weights) != len(self.edges):
@@ -133,8 +134,7 @@ class Multigraph:
             closing[max(u, v)].append((min(u, v), int(agree * d),
                                        int(differ * d)))
         # A pair (x, y), y listed by x, is checked at max(x, y); a vertex
-        # listing itself never has s(x) < s(x).  Levels without pairs
-        # (all of them without defects) skip the check on the empty list.
+        # listing itself never has s(x) < s(x).
         pairs = [[] for _ in range(n + 1)]
         if defects is not None:
             if len(defects) != n:
@@ -170,14 +170,17 @@ class Multigraph:
             if not w:
                 continue
             key = total[v - 1] + s
-            if pairs[v]:
-                key -= sum(1 for x, y in pairs[v] if spin[y] < spin[x])
+            for x, y in pairs[v]:
+                if spin[y] < spin[x]:
+                    key -= 1
             if v == n:
                 histogram[key] = histogram.get(key, 0) + w
             else:
                 weight[v] = w
                 total[v] = key
                 v += 1
+        if scale == 1:
+            return {key: w for key, w in histogram.items() if w}
         return {key: Fraction(w, scale) for key, w in histogram.items() if w}
 
     def components(self, mask):

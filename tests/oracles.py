@@ -8,11 +8,15 @@ assignment in turn (the package walks vertex by vertex and prunes), and
 the bracket oracle re-parses PD text and walks loops through explicit port
 pairings (the package uses union-find), and the colored Jones oracles
 are published closed-form sums (the package sums over arc-graph flows),
-all with plain dict Laurent arithmetic in one variable.
+all with plain dict Laurent arithmetic in one variable.  The arc-graph
+references generate every candidate and test it (the package searches
+and prunes); they share the package's ArcGraph and configurations.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+
+from qbichromate.arcflow import flow_configurations, red_copies
 
 
 def chromatic_count(vertex_count, edges, n):
@@ -211,3 +215,67 @@ def figure_eight_colored_jones(N):
         for e, c in product_k.items():
             total[e] = total.get(e, 0) + c
     return {e: c for e, c in total.items() if c}
+
+
+def flows_reference(g, n):
+    """Conserved flows with at most n through every vertex, by testing
+    all (n+1)^|E| tuples in lexicographic order."""
+    flows = []
+    for f in product(range(n + 1), repeat=len(g.reduced_edges)):
+        if not g.is_conserved(f):
+            continue
+        if any(g.vertex_flow(f, v) > n for v in range(1, g.r)):
+            continue
+        flows.append(f)
+    return flows
+
+
+def admissible_pairs_reference(g, f, n):
+    """(config, drop, values) triples passing the equal-value drop test,
+    by testing all n^copies value tuples of every configuration."""
+    copies = red_copies(g, f)
+    arrival = {c: g.target(c[0]) for c in copies}
+    pairs = []
+    for config, drop in flow_configurations(g, f):
+        for values in product(range(n), repeat=len(copies)):
+            ok = True
+            for a, b in combinations(range(len(copies)), 2):
+                if values[a] != values[b]:
+                    continue
+                ca, cb = copies[a], copies[b]
+                if arrival[ca] == arrival[cb]:
+                    ok = False
+                    break
+                inner, outer = (ca, cb) if arrival[ca] < arrival[cb] \
+                    else (cb, ca)
+                if drop[inner] >= arrival[outer]:
+                    ok = False
+                    break
+            if ok:
+                pairs.append((config, drop, values))
+    return pairs
+
+
+def catmm_terms_reference(g, f, pairs):
+    """{exponent: count} of the catmm flow sum over the flow's admissible
+    pairs, each pair's defects counted copy by copy from its value map."""
+    copies = red_copies(g, f)
+    terms = {}
+    for config, drop, values in pairs:
+        value_of = dict(zip(copies, values))
+        exponent = 0
+        for c in copies:
+            w = g.target(c[0])
+            value = value_of[c]
+            rode_in = config[w - 2] if w >= 2 else frozenset()
+            earlier = [c2 for c2 in copies[:copies.index(c)]
+                       if g.target(c2[0]) == w]
+            def1 = sum(1 for c2 in rode_in if value_of[c2] < value)
+            def1 += sum(1 for c2 in earlier if value_of[c2] < value)
+            def2 = 0
+            if drop[c] <= g.r - 2:
+                def2 = sum(1 for c2 in config[drop[c] - 1]
+                           if value_of[c2] < value)
+            exponent += value - def1 - def2
+        terms[exponent] = terms.get(exponent, 0) + 1
+    return terms

@@ -3,16 +3,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbichromate.arcflow import (ArcGraph, _ahead, arcjones, cabled_graph,
-                                 catmm_flow_sum, chord_diagrams, colored_jones,
-                                 cycle_families, delta_flow, enumerate_flows,
-                                 flow_configurations, ma2_flow_sum,
-                                 main_flow_weight, parse_arc, red_copies, z_nf)
+from qbichromate.arcflow import (ArcGraph, _ahead, admissible_pairs, arcjones,
+                                 cabled_graph, catmm_flow_sum, chord_diagrams,
+                                 colored_jones, cycle_families, delta_flow,
+                                 enumerate_flows, flow_configurations,
+                                 ma2_flow_sum, main_flow_weight, parse_arc,
+                                 red_copies, z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
-from oracles import figure_eight_colored_jones, trefoil_colored_jones
+from oracles import (admissible_pairs_reference, catmm_terms_reference,
+                     figure_eight_colored_jones, flows_reference,
+                     trefoil_colored_jones)
 
 T = LaurentPoly.variable("t")
 
@@ -32,6 +36,8 @@ TWO_REDS = ("crossings 5\nsigns + + - + -\nover 4 1 1 2 3\n"
                        ("r", 1), ("r", 2), ("r", 3), ("r", 4)])
             + "rotK 1\n")
 REORDERED = TWO_REDS + "order 1 r 3 r 2\n"
+# Vertex 3 is entered by two red edges and the blue edge.
+THREE_INTO_3 = "crossings 4\nsigns + + + -\nover 3 3 1 2\n"
 
 
 def test_parse_arc():
@@ -63,6 +69,59 @@ def test_flow_enumeration():
     for f in enumerate_flows(g, 2):
         assert g.is_conserved(f)
         assert all(v <= 2 for v in f)
+
+
+def test_flow_counts_closed_forms():
+    # fig8 flows are (a, b, a, b) for a + b <= n: C(n+2, 2) of them;
+    # trefoil flows are (a, a) for a <= n
+    g, h = fig8(), trefoil()
+    for n in range(1, 31):
+        assert len(enumerate_flows(g, n)) == math.comb(n + 2, 2), n
+        assert len(enumerate_flows(h, n)) == n + 1, n
+
+
+def assert_searches_match(g, n, budget=None):
+    """The flow, pair and catmm searches against generate-and-test, lists
+    compared in order.  With a budget, flows whose n^copies value tuples
+    times configurations exceed it skip the pair and catmm comparison."""
+    flows = enumerate_flows(g, n)
+    assert flows == flows_reference(g, n), n
+    for f in flows:
+        tried = n ** len(red_copies(g, f)) * len(flow_configurations(g, f))
+        if budget is not None and tried > budget:
+            continue
+        pairs = admissible_pairs_reference(g, f, n)
+        assert admissible_pairs(g, f, n) == pairs, (n, f)
+        assert catmm_flow_sum(g, f, n) == LaurentPoly.from_powers(
+            "t", catmm_terms_reference(g, f, pairs)), (n, f)
+
+
+def test_searches_match_generate_and_test():
+    arcs = [trefoil(), fig8()] + [parse_arc(text) for text in
+                                  (TWO_REDS, REORDERED, THREE_INTO_3)]
+    for g in arcs:
+        for n in (1, 2, 3):
+            assert_searches_match(g, n)
+
+
+@st.composite
+def arc_graphs(draw):
+    """Arc data with 2..5 crossings and any over-arcs, self-loops and
+    several reds into one vertex included, each vertex's reds drawn in
+    any entering order."""
+    r = draw(st.integers(2, 5))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r))
+    over = draw(st.lists(st.integers(1, r), min_size=r, max_size=r))
+    plain = ArcGraph(signs, over)
+    orders = {w: draw(st.permutations(plain.red_in(w)))
+              for w in range(1, r) if len(plain.red_in(w)) > 1}
+    return ArcGraph(signs, over, red_orders=orders)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arc_graphs(), st.integers(1, 3))
+def test_searches_match_generate_and_test_on_drawn_arcs(g, n):
+    assert_searches_match(g, n, budget=5000)
 
 
 def test_flow_stats():

@@ -154,6 +154,18 @@ def test_state_sums_small_cases():
         loop.state_sums(range(2), [])
 
 
+def test_state_sums_value_types():
+    # integral weights give int sums; any other weight gives Fractions
+    path = Multigraph(3, ((1, 2), (2, 3)))
+    for weights in ([(0, 1)] * 2, [(2, -1), (Fraction(4, 2), 3)]):
+        sums = path.state_sums(range(3), weights, [[], [1], [1, 2]])
+        assert sums and all(type(w) is int for w in sums.values()), weights
+    sums = path.state_sums((-1, 1), [(Fraction(1, 2), 1), (3, 1)])
+    assert sums == {-3: Fraction(3, 2), -1: Fraction(9, 2),
+                    1: Fraction(9, 2), 3: Fraction(3, 2)}
+    assert all(type(w) is Fraction for w in sums.values())
+
+
 def test_state_sums_deep_graphs():
     # one spin per vertex: the walk must not recurse per vertex
     assert mq_direct(Multigraph(2000, ()), 1) == 1

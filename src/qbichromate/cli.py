@@ -126,7 +126,7 @@ def _parser():
         pd=dict(metavar="FILE"), arc=dict(metavar="FILE"),
         structure=dict(metavar="FILE"), n=dict(type=_integer),
         k=dict(type=_integer), z=dict(type=_integer),
-        seed=dict(type=_integer, default=0))
+        seed=dict(type=_integer))
     add("chordal-check", graph=graph)
     return top
 
@@ -293,8 +293,9 @@ def _suite_qpotts(args, report):
         trials = [("file", report.add_input("couplings", args.couplings,
                                             statmech.parse_couplings))]
     else:
-        rng = random.Random(args.seed)
-        report.add("seed", args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = random.Random(seed)
+        report.add("seed", seed)
         trials = [("seeded trial %d" % i, _random_couplings(rng, g.edge_count))
                   for i in range(10)]
     for label, w in trials:
@@ -380,16 +381,26 @@ _COMMANDS = {
     "chordal-check": _cmd_chordal_check,
 }
 
+# Each suite with the identities flags it reads.
 _SUITES = {
-    "qbinom": _suite_qbinom,
-    "qchrom": _suite_qchrom,
-    "potts": _suite_potts,
-    "qpotts": _suite_qpotts,
-    "vdw": _suite_vdw,
-    "bracket": _suite_bracket,
-    "arcflow": _suite_arcflow,
-    "chordal": _suite_chordal,
+    "qbinom": (_suite_qbinom, ()),
+    "qchrom": (_suite_qchrom, ("graph",)),
+    "potts": (_suite_potts, ("graph", "couplings", "k")),
+    "qpotts": (_suite_qpotts, ("graph", "couplings", "k", "seed")),
+    "vdw": (_suite_vdw, ("graph", "couplings")),
+    "bracket": (_suite_bracket, ("pd",)),
+    "arcflow": (_suite_arcflow, ("arc", "n")),
+    "chordal": (_suite_chordal, ("structure", "z")),
 }
+_SUITE_FLAGS = sorted(set().union(*(reads for _, reads in _SUITES.values())))
+
+
+def _refuse_unread_flags(args, reads):
+    """Raise ParseError for a given suite flag that the suite does not read."""
+    for flag in _SUITE_FLAGS:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ParseError("--%s is not read by suite %s"
+                             % (flag, args.suite))
 
 
 def run(argv):
@@ -398,11 +409,13 @@ def run(argv):
     started = time.monotonic()
     if args.subcommand == "identities":
         report = Report("identities --suite %s" % args.suite)
-        handler = _SUITES[args.suite]
+        handler, reads = _SUITES[args.suite]
     else:
         report = Report(args.subcommand)
         handler = _COMMANDS[args.subcommand]
     try:
+        if args.subcommand == "identities":
+            _refuse_unread_flags(args, reads)
         handler(args, report)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

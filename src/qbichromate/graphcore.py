@@ -5,8 +5,11 @@ parallel edges are allowed.  Every subset expansion in the package folds
 the histogram of Multigraph.subset_statistics, and every agree/differ
 state sum that of Multigraph.state_sums; a defected coloring sum is a
 state sum over the proper colorings with defect lists, and without
-defects it is the q-chromatic sum.  The per-subset queries take an edge
-subset as a bitmask where bit i selects edges[i].
+defects it is the q-chromatic sum.  subset_statistics walks all 2^|E|
+edge subsets; state_sums sweeps the vertices one at a time and keeps
+only the spins of a frontier, so its cost grows with the frontier's
+width, not with |V|.  The per-subset queries take an edge subset as a
+bitmask where bit i selects edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -114,28 +117,49 @@ class Multigraph:
         otherwise (ints or Fractions); weights ((0, 1),) * m keep exactly
         the proper colorings.  The defects of x are the entries y of
         defects[x-1] (1-based, repeats counting) with s(y) < s(x); with
-        defects None no vertex has any.  The walk sets vertices 1..n
-        depth-first with an explicit stack, multiplies in each edge's
-        factor and counts each defect pair once its later vertex is set,
-        and prunes a partial weight of zero.  It runs in integers: each
-        edge's pair is scaled by its common denominator, and the sums are
-        divided by the product of those scales at the end: the sums are
-        ints when every weight is integral, and Fractions otherwise.
+        defects None no vertex has any.
+
+        The sweep places one vertex at a time: next is the unplaced
+        vertex with the most placed neighbours (an edge or a defect pair
+        makes two vertices neighbours), ties going to the smaller label.
+        The frontier is the placed vertices that still have an unplaced
+        neighbour, and the sweep keeps {(spins on the frontier, exponent):
+        weight}.  Placing v multiplies in the factor of each edge and
+        counts each defect pair between v and a placed vertex, drops a
+        weight of zero, and merges the states that differ only on the
+        vertices that leave the frontier.  The cost is about
+        k^(width + 1) |V| times the number of exponents, k = len(spins)
+        and width the largest frontier, in place of k^|V|: a path keeps
+        two vertices on its frontier, a complete graph all of them.  It
+        runs in integers: each edge's pair is scaled by its common
+        denominator, and the sums are divided by the product of those
+        scales at the end: the sums are ints when every weight is
+        integral, and Fractions otherwise.
         """
         n = self.vertex_count
         if len(weights) != len(self.edges):
             raise ValueError("got %d weights for %d edges"
                              % (len(weights), len(self.edges)))
-        closing = [[] for _ in range(n + 1)]
+        # links[x][y] and links[y][x] share [agree, differ, lo, hi] for
+        # x != y: the scaled factor products of the edges between x and y,
+        # and the defect pairs between them charged when the smaller label
+        # has the smaller spin (lo) and when it has the larger (hi).
+        links = [{} for _ in range(n + 1)]
         scale = 1
+        loops = 1
         for (u, v), (agree, differ) in zip(self.edges, weights):
             d = lcm(agree.denominator, differ.denominator)
             scale *= d
-            closing[max(u, v)].append((min(u, v), int(agree * d),
-                                       int(differ * d)))
-        # A pair (x, y), y listed by x, is checked at max(x, y); a vertex
-        # listing itself never has s(x) < s(x).
-        pairs = [[] for _ in range(n + 1)]
+            agree = agree.numerator * (d // agree.denominator)
+            differ = differ.numerator * (d // differ.denominator)
+            if u == v:
+                loops *= agree
+            elif v in links[u]:
+                entry = links[u][v]
+                entry[0] *= agree
+                entry[1] *= differ
+            else:
+                links[u][v] = links[v][u] = [agree, differ, 0, 0]
         if defects is not None:
             if len(defects) != n:
                 raise ValueError("got %d defect lists for %d vertices"
@@ -145,43 +169,90 @@ class Multigraph:
                     if not 1 <= y <= n:
                         raise ValueError("defect vertex %d not in 1..%d"
                                          % (y, n))
+                    # a vertex listing itself never has s(x) < s(x)
                     if y != x:
-                        pairs[max(x, y)].append((x, y))
-        # Level v holds the spin index tried next at vertex v, and the
-        # weight and exponent of vertices 1..v.
-        spin = [None] * (n + 1)
-        next_index = [0] * (n + 1)
-        weight = [1] * (n + 1)
-        total = [0] * (n + 1)
-        spin_count = len(spins)
-        histogram = {0: 1} if n == 0 else {}
-        v = 1 if n else 0
-        while v:
-            if next_index[v] == spin_count:
-                next_index[v] = 0
-                v -= 1
-                continue
-            s = spins[next_index[v]]
-            next_index[v] += 1
-            spin[v] = s
-            w = weight[v - 1]
-            for u, agree, differ in closing[v]:
-                w *= agree if spin[u] == s else differ
-            if not w:
-                continue
-            key = total[v - 1] + s
-            for x, y in pairs[v]:
-                if spin[y] < spin[x]:
-                    key -= 1
-            if v == n:
-                histogram[key] = histogram.get(key, 0) + w
+                        entry = links[x].get(y)
+                        if entry is None:
+                            entry = links[x][y] = links[y][x] = [1, 1, 0, 0]
+                        entry[2 if y < x else 3] += 1
+        if not loops:
+            return {}
+        placed = [False] * (n + 1)
+        unplaced_neighbours = list(map(len, links))
+        # The unplaced vertices with a placed neighbour.  rank[u] is u less
+        # n + 1 per placed neighbour: the least comes next.
+        candidates = set()
+        rank = list(range(n + 1))
+        unlinked = 1
+        front = []
+        states = {(0,): 1}
+        for _ in range(n):
+            if candidates:
+                v = min(candidates, key=rank.__getitem__)
+                candidates.remove(v)
             else:
-                weight[v] = w
-                total[v] = key
-                v += 1
+                while placed[unlinked]:
+                    unlinked += 1
+                v = unlinked
+            placed[v] = True
+            # (frontier position of u, factor when s(u) = s(v), otherwise)
+            # and (position, pairs charged when s(u) < s(v), when s(u) > s(v))
+            edge_checks = []
+            defect_checks = []
+            whole = True
+            for u, entry in links[v].items():
+                if not placed[u]:
+                    rank[u] -= n + 1
+                    candidates.add(u)
+                    continue
+                agree, differ, lo, hi = entry
+                i = front.index(u)
+                unplaced_neighbours[u] -= 1
+                unplaced_neighbours[v] -= 1
+                if not unplaced_neighbours[u]:
+                    whole = False
+                if agree != 1 or differ != 1:
+                    edge_checks.append((i, agree, differ))
+                if lo or hi:
+                    defect_checks.append((i, lo, hi) if u < v else (i, hi, lo))
+            if not whole:
+                keep = [i for i, u in enumerate(front)
+                        if unplaced_neighbours[u]]
+                front = [front[i] for i in keep]
+            stay = unplaced_neighbours[v] > 0
+            if stay:
+                front.append(v)
+            # A state is its spins on the frontier followed by its exponent.
+            # When the frontier empties, as it does at the last vertex, the
+            # states fold straight into a histogram of exponents.
+            fold = not front
+            new = {}
+            for state, x in states.items():
+                e = state[-1]
+                base = state[:-1] if whole else tuple([state[i] for i in keep])
+                for s in spins:
+                    w = x
+                    for i, agree, differ in edge_checks:
+                        w *= agree if state[i] == s else differ
+                    if not w:
+                        continue
+                    exponent = e + s
+                    for i, below, above in defect_checks:
+                        t = state[i]
+                        if t < s:
+                            exponent -= below
+                        elif t > s:
+                            exponent -= above
+                    key = (exponent if fold else base + (s, exponent) if stay
+                           else base + (exponent,))
+                    new[key] = new.get(key, 0) + w
+            states = {(e,): x for e, x in new.items()} if fold else new
+            if not states:
+                return {}
+        sums = {e: x * loops for (e,), x in states.items() if x}
         if scale == 1:
-            return {key: w for key, w in histogram.items() if w}
-        return {key: Fraction(w, scale) for key, w in histogram.items() if w}
+            return sums
+        return {e: Fraction(x, scale) for e, x in sums.items()}
 
     def components(self, mask):
         """Vertex sets of the components of (V, selected edges).

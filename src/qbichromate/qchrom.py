@@ -13,6 +13,7 @@ intersection graphs (mdef_chord); the diagrams themselves are built in the
 arcflow module, which in turn imports this one.
 """
 
+from functools import cache
 from math import factorial
 
 from .graphcore import Multigraph
@@ -146,6 +147,15 @@ def mdef_chord(d, n):
         ends = [j + 1 for j, (sj, ej) in enumerate(chords)
                 if sj < ei < ej and end_group[j] > end_group[i]]
         defects.append(starts + ends)
-    sums = Multigraph(len(chords), tuple(edges)).state_sums(
+    return _chord_sum(len(chords), tuple(edges),
+                      tuple(tuple(listed) for listed in defects), n)
+
+
+@cache
+def _chord_sum(chord_count, edges, defects, n):
+    """The fold behind mdef_chord, kept per intersection graph, defect
+    lists and n: diagrams repeat a few of them many times (the trefoil's
+    154 diagrams at n = 5 have 6 between them)."""
+    sums = Multigraph(chord_count, edges).state_sums(
         range(n), ((0, 1),) * len(edges), defects)
     return LaurentPoly.from_powers("t", sums)

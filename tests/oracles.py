@@ -4,17 +4,21 @@ These deliberately avoid the package's own data structures and
 algorithms so that agreement is meaningful: the chromatic and Tutte
 oracles use deletion-contraction (the package counts colorings directly
 and sums over edge subsets), the defected coloring oracle tries every
-assignment in turn (the package walks vertex by vertex and prunes), and
+assignment in turn (the package sweeps a vertex frontier), and
 the bracket oracle re-parses PD text and walks loops through explicit port
 pairings (the package uses union-find), and the colored Jones oracles
 are published closed-form sums (the package sums over arc-graph flows),
 all with plain dict Laurent arithmetic in one variable.  The arc-graph
 references generate every candidate and test it (the package searches
 and prunes); they share the package's ArcGraph and configurations.
+state_sums_reference is the package's former state kernel, a depth-first
+walk over all k^|V| states, kept as the reference for the frontier sweep
+that replaced it.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from qbichromate.arcflow import flow_configurations, red_copies
 
@@ -55,6 +59,86 @@ def defected_sums_reference(vertex_count, edges, n, defects):
             exponent -= sum(1 for y in defects[x - 1] if v[y - 1] < v[x - 1])
         out[exponent] = out.get(exponent, 0) + 1
     return out
+
+
+def state_sums_reference(g, spins, weights, defects=None):
+    """Histogram of all states s: V -> spins, as {sum of s(v) minus the
+    defects of v: summed weight}, leaving out sums whose weight cancels
+    to zero.
+
+    A state weighs the product over edges i = (u, v) of weights[i][0]
+    when s(u) = s(v) (a loop always agrees) and weights[i][1]
+    otherwise (ints or Fractions); weights ((0, 1),) * m keep exactly
+    the proper colorings.  The defects of x are the entries y of
+    defects[x-1] (1-based, repeats counting) with s(y) < s(x); with
+    defects None no vertex has any.  The walk sets vertices 1..n
+    depth-first with an explicit stack, multiplies in each edge's
+    factor and counts each defect pair once its later vertex is set,
+    and prunes a partial weight of zero.  It runs in integers: each
+    edge's pair is scaled by its common denominator, and the sums are
+    divided by the product of those scales at the end: the sums are
+    ints when every weight is integral, and Fractions otherwise.
+    """
+    n = g.vertex_count
+    if len(weights) != len(g.edges):
+        raise ValueError("got %d weights for %d edges"
+                         % (len(weights), len(g.edges)))
+    closing = [[] for _ in range(n + 1)]
+    scale = 1
+    for (u, v), (agree, differ) in zip(g.edges, weights):
+        d = lcm(agree.denominator, differ.denominator)
+        scale *= d
+        closing[max(u, v)].append((min(u, v), int(agree * d),
+                                   int(differ * d)))
+    # A pair (x, y), y listed by x, is checked at max(x, y); a vertex
+    # listing itself never has s(x) < s(x).
+    pairs = [[] for _ in range(n + 1)]
+    if defects is not None:
+        if len(defects) != n:
+            raise ValueError("got %d defect lists for %d vertices"
+                             % (len(defects), n))
+        for x, listed in enumerate(defects, start=1):
+            for y in listed:
+                if not 1 <= y <= n:
+                    raise ValueError("defect vertex %d not in 1..%d"
+                                     % (y, n))
+                if y != x:
+                    pairs[max(x, y)].append((x, y))
+    # Level v holds the spin index tried next at vertex v, and the
+    # weight and exponent of vertices 1..v.
+    spin = [None] * (n + 1)
+    next_index = [0] * (n + 1)
+    weight = [1] * (n + 1)
+    total = [0] * (n + 1)
+    spin_count = len(spins)
+    histogram = {0: 1} if n == 0 else {}
+    v = 1 if n else 0
+    while v:
+        if next_index[v] == spin_count:
+            next_index[v] = 0
+            v -= 1
+            continue
+        s = spins[next_index[v]]
+        next_index[v] += 1
+        spin[v] = s
+        w = weight[v - 1]
+        for u, agree, differ in closing[v]:
+            w *= agree if spin[u] == s else differ
+        if not w:
+            continue
+        key = total[v - 1] + s
+        for x, y in pairs[v]:
+            if spin[y] < spin[x]:
+                key -= 1
+        if v == n:
+            histogram[key] = histogram.get(key, 0) + w
+        else:
+            weight[v] = w
+            total[v] = key
+            v += 1
+    if scale == 1:
+        return {key: w for key, w in histogram.items() if w}
+    return {key: Fraction(w, scale) for key, w in histogram.items() if w}
 
 
 def _connected(edges, a, b):

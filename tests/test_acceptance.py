@@ -351,7 +351,7 @@ INVOCATIONS = [
     ["identities", "--suite", "qbinom"],
     ["identities", "--suite", "qchrom", "--graph", "tri.g"],
     ["identities", "--suite", "potts", "--graph", "tri.g",
-     "--couplings", "v.c", "--seed", "1"],
+     "--couplings", "v.c", "--k", "2"],
     ["identities", "--suite", "qpotts", "--graph", "tri.g",
      "--couplings", "v.c", "--k", "3", "--seed", "1"],
     ["identities", "--suite", "vdw", "--graph", "tri.g",

@@ -99,9 +99,8 @@ def test_timing_goes_to_stderr():
 
 
 def test_byte_stability_spot():
-    argv = ["identities", "--suite", "potts",
-            "--graph", fixture_path("tri.g"),
-            "--couplings", fixture_path("v.c"), "--seed", "3"]
+    argv = ["identities", "--suite", "qpotts",
+            "--graph", fixture_path("tri.g"), "--seed", "3"]
     first = invoke(argv)
     second = invoke(argv)
     assert first.returncode == second.returncode == 0
@@ -124,6 +123,36 @@ def test_integer_options_follow_the_token_rule():
         assert result.returncode == 2, argv
         assert result.stdout == ""
         assert "invalid int value" in result.stderr
+
+
+def test_suites_refuse_flags_they_do_not_read():
+    graph, pd = fixture_path("k2.g"), fixture_path("trefoil.pd")
+    arc = fixture_path("trefoil.arc")
+    for argv, flag, suite in (
+            (["--suite", "qchrom", "--graph", graph, "--n", "7"], "n",
+             "qchrom"),
+            (["--suite", "qbinom", "--seed", "0"], "seed", "qbinom"),
+            (["--suite", "bracket", "--pd", pd, "--graph", graph], "graph",
+             "bracket"),
+            (["--suite", "arcflow", "--arc", arc, "--k", "2"], "k", "arcflow"),
+            (["--suite", "qpotts", "--graph", graph, "--z", "3"], "z",
+             "qpotts")):
+        result = invoke(["identities"] + argv)
+        assert result.returncode == 2, argv
+        assert result.stdout == ""
+        assert result.stderr == "error: --%s is not read by suite %s\n" \
+            % (flag, suite)
+
+
+def test_qpotts_suite_seed_defaults_to_zero(capsys):
+    outputs = []
+    for seed in ([], ["--seed", "0"]):
+        code, _ = run(["identities", "--suite", "qpotts", "--graph",
+                       fixture_path("tri.g"), "--k", "2"] + seed)
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "seed: 0\n" in outputs[0]
 
 
 def test_missing_suite_input():

@@ -5,12 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbichromate.graphcore import Multigraph, ParseError, parse_graph
 from qbichromate.qchrom import mq_direct
 from qbichromate.statmech import Couplings, potts_direct
 from conftest import load_fixture
-from oracles import defected_sums_reference
+from oracles import defected_sums_reference, state_sums_reference
 
 
 def test_parse_basic():
@@ -172,6 +173,41 @@ def test_state_sums_deep_graphs():
     path = Multigraph(2000, tuple((i, i + 1) for i in range(1, 2000)))
     w = Couplings.uniform_v(path.edge_count, Fraction(1, 2))
     assert potts_direct(path, 1, w) == Fraction(3, 2) ** 1999
+
+
+WEIGHTS = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def state_sum_inputs(draw):
+    """A multigraph with shuffled labels, loops and parallel edges, its
+    weights, a spin set and optional defect lists with repeats and
+    vertices listing themselves."""
+    n = draw(st.integers(0, 6))
+    labels = draw(st.permutations(range(1, n + 1)))
+    ends = st.sampled_from(labels) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=9 if n else 0))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    weights = draw(st.lists(st.tuples(WEIGHTS, WEIGHTS),
+                            min_size=len(edges), max_size=len(edges)))
+    k = draw(st.integers(1, 3))
+    spins = draw(st.sampled_from((range(k), range(1, k + 1), (-1, 1))))
+    defects = draw(st.none() | st.lists(st.lists(ends, max_size=4),
+                                        min_size=n, max_size=n))
+    return Multigraph(n, tuple(edges)), spins, weights, defects
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_sum_inputs())
+def test_state_sums_match_depth_first_walk(drawn):
+    g, spins, weights, defects = drawn
+    got = g.state_sums(spins, weights, defects)
+    want = state_sums_reference(g, spins, weights, defects)
+    assert got == want
+    assert {e: type(w) for e, w in got.items()} == \
+        {e: type(w) for e, w in want.items()}
 
 
 def defected_sums(g, n, defects):

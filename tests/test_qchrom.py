@@ -1,13 +1,17 @@
 """Graph color-counting polynomials."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from qbichromate import qchrom
+from qbichromate.arcflow import chord_diagrams, enumerate_flows, parse_arc
 from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly, qbinom, qint
 from qbichromate.qchrom import (bichromate, mdef_chord, mq_complete, mq_direct,
                                 mq_subset, q_bichromate, tutte)
+from conftest import load_fixture
 import oracles
 
 Q = LaurentPoly.variable("q")
@@ -143,3 +147,42 @@ def test_mdef_chord_nested_pair():
     d = _Diagram(((0, 3), (1, 2)), (1, 1, 1, 2))
     assert mdef_chord(d, 2) == t ** -1 + t
     assert mdef_chord(d, 3) == t ** -1 + 1 + 2 * t + t ** 2 + t ** 3
+
+
+def reference_chord_sum(chord_count, edges, defects, n):
+    """The fold behind mdef_chord, over the depth-first reference walk."""
+    sums = oracles.state_sums_reference(Multigraph(chord_count, edges),
+                                        range(n), ((0, 1),) * len(edges),
+                                        defects)
+    return LaurentPoly.from_powers("t", sums)
+
+
+def test_mdef_chord_memo_serves_equal_graphs_per_n():
+    # the bench tracer wraps public functions, so mdef_chord must stay one
+    assert inspect.isfunction(qchrom.mdef_chord)
+    t = LaurentPoly.variable("t")
+    crossing = _Diagram(((0, 2), (1, 3)), (1, 2, 1, 2))
+    # another layout with the same intersection graph and defect lists
+    shifted = _Diagram(((0, 3), (2, 5)), (1, 1, 1, 1, 1, 2))
+    qchrom._chord_sum.cache_clear()
+    assert mdef_chord(crossing, 2) == 2
+    assert mdef_chord(crossing, 3) == 2 + 2 * t + 2 * t ** 2
+    assert qchrom._chord_sum.cache_info().misses == 2
+    assert mdef_chord(shifted, 3) == 2 + 2 * t + 2 * t ** 2
+    assert qchrom._chord_sum.cache_info().hits == 1
+    assert mdef_chord(crossing, 3) == reference_chord_sum(2, ((1, 2),),
+                                                          ((2,), (1,)), 3)
+
+
+def test_mdef_chord_memo_matches_reference_on_trefoil(monkeypatch):
+    g = load_fixture("trefoil.arc", parse_arc)
+    fold = qchrom._chord_sum
+    keys = []
+    monkeypatch.setattr(qchrom, "_chord_sum",
+                        lambda *key: keys.append(key) or fold(*key))
+    fold.cache_clear()
+    for f in enumerate_flows(g, 3):
+        for d, _ in chord_diagrams(g, f):
+            assert mdef_chord(d, 3) == reference_chord_sum(*keys[-1])
+    # distinct diagrams share intersection graphs and defect lists
+    assert fold.cache_info().misses == len(set(keys)) < len(keys)

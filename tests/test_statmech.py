@@ -1,5 +1,6 @@
 """Partition function identities with exact rational couplings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,23 @@ def test_lemma_w():
     for g in (TRI, PATH3, Multigraph(2, ((1, 2), (1, 2)))):
         lhs, rhs = lemma_w_eval(g)
         assert lhs == rhs
+
+
+def shuffled(vertex_count, edges, seed):
+    """The graph with its vertex labels permuted."""
+    labels = list(range(1, vertex_count + 1))
+    random.Random(seed).shuffle(labels)
+    return Multigraph(vertex_count, tuple((labels[u - 1], labels[v - 1])
+                                          for u, v in edges))
+
+
+def test_potts_closed_forms_on_long_paths_and_cycles():
+    # 3^300 states: only a sweep whose cost grows with the frontier, not
+    # with the vertex count, finishes these
+    k, v, n = 3, Fraction(1, 2), 300
+    path = shuffled(n, [(i, i + 1) for i in range(1, n)], 1)
+    cycle = shuffled(n, [(i, i % n + 1) for i in range(1, n + 1)], 2)
+    assert potts_direct(path, k, Couplings.uniform_v(n - 1, v)) == \
+        k * (k + v) ** (n - 1)
+    assert potts_direct(cycle, k, Couplings.uniform_v(n, v)) == \
+        (k + v) ** n + (k - 1) * v ** n

@@ -551,9 +551,14 @@ def ma2_flow_sum(g, f, n):
     diagrams: sum of mdef(diagram, n) / deg over chord_diagrams."""
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    total = LaurentPoly()
+    # The chord sums have integer coefficients: add them per deg and
+    # scale each group once.
+    by_deg = {}
     for diagram, deg in chord_diagrams(g, f):
-        total = total + mdef_chord(diagram, n) * Fraction(1, deg)
+        by_deg.setdefault(deg, []).append(mdef_chord(diagram, n))
+    total = LaurentPoly()
+    for deg, sums in by_deg.items():
+        total = total + sum(sums, LaurentPoly()) * Fraction(1, deg)
     return total
 
 

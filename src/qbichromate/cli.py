@@ -286,6 +286,9 @@ def _random_couplings(rng, edge_count):
 
 
 def _suite_qpotts(args, report):
+    if args.couplings and args.seed is not None:
+        # A couplings file draws nothing from the seed.
+        raise ParseError("--seed is not read by suite qpotts with --couplings")
     g = report.add_input("graph", _need(args, "graph"), parse_graph)
     k = args.k if args.k is not None else 3
     report.add("k", k)

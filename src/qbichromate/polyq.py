@@ -13,12 +13,22 @@ representation is kept canonical at all times:
 Canonical form makes structural equality coincide with mathematical
 equality, so polynomials can be compared with ``==`` and used as dict keys.
 
+The public constructor ``LaurentPoly(variables, terms)`` validates what it
+is given (key lengths, coefficient types) and sorts the variable names.
+Arithmetic on polynomials that are already canonical yields sorted names
+and keys of the right length, so sums, products and negations skip those
+checks: they build their results through one canonicalising step,
+``_prune``, which the constructor also uses.  It removes zero
+coefficients, turns integral Fractions into ints and drops the variables
+no term uses (t * t^-1 = 1).
+
 The module also provides the quantum integer ``qint`` and the Gaussian
 binomial ``qbinom``, both with an arbitrary monomial base, plus a check of
 the q-binomial theorem used by the self-test suite.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 def _exact(value):
@@ -28,6 +38,40 @@ def _exact(value):
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError("coefficient must be an int or Fraction, got %r" % (value,))
+
+
+def _prune(variables, terms):
+    """(variables, terms) without zero coefficients, with integral
+    Fractions as ints, and without the variables no term uses.
+
+    Every key of terms must be a tuple with one exponent per variable and
+    every coefficient an int or a Fraction; the order of variables is kept.
+    """
+    clean = {exps: coeff for exps, coeff in terms.items() if coeff}
+    if Fraction in map(type, clean.values()):
+        clean = {exps: coeff.numerator if coeff.denominator == 1 else coeff
+                 for exps, coeff in clean.items()}
+    if not clean:
+        return (), clean
+    if False in map(any, zip(*clean)):
+        keep = [i for i, column in enumerate(zip(*clean)) if any(column)]
+        variables = tuple(variables[i] for i in keep)
+        clean = {tuple(exps[i] for i in keep): c for exps, c in clean.items()}
+    return variables, clean
+
+
+def _result(variables, terms):
+    """The LaurentPoly of an arithmetic result over sorted variables.
+
+    Inputs that are already canonical give sorted names and keys of the
+    right length, so only _prune is needed, not the constructor's checks.
+    """
+    poly = object.__new__(LaurentPoly)
+    variables, terms = _prune(variables, terms)
+    _set_variables(poly, variables)
+    _set_terms(poly, terms)
+    _set_hash(poly, None)
+    return poly
 
 
 class LaurentPoly:
@@ -57,23 +101,16 @@ class LaurentPoly:
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple %r does not match variables %r"
                                  % (exps, variables))
-            coeff = _exact(coeff)
-            if coeff:
-                clean[exps] = coeff
-        # Drop variables that never appear with a nonzero exponent.
-        used = [any(exps[i] for exps in clean) for i in range(len(variables))]
-        if not all(used):
-            keep = [i for i, u in enumerate(used) if u]
-            variables = tuple(variables[i] for i in keep)
-            clean = {tuple(exps[i] for i in keep): c for exps, c in clean.items()}
+            clean[exps] = _exact(coeff)
+        variables, clean = _prune(variables, clean)
         # Sort variables by name and permute exponents to match.
         order = sorted(range(len(variables)), key=lambda i: variables[i])
         if order != list(range(len(variables))):
             variables = tuple(variables[i] for i in order)
             clean = {tuple(exps[i] for i in order): c for exps, c in clean.items()}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_variables(self, variables)
+        _set_terms(self, clean)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -117,6 +154,13 @@ class LaurentPoly:
         """Return (variables, self terms, other terms) over a merged variable set."""
         if self.variables == other.variables:
             return self.variables, self.terms, other.terms
+        # A constant's only key is (); it becomes the all-zero key.
+        if not other.variables:
+            zero = (0,) * len(self.variables)
+            return self.variables, self.terms, {zero: c for c in other.terms.values()}
+        if not self.variables:
+            zero = (0,) * len(other.variables)
+            return other.variables, {zero: c for c in self.terms.values()}, other.terms
         merged = tuple(sorted(set(self.variables) | set(other.variables)))
 
         def lift(poly):
@@ -144,15 +188,16 @@ class LaurentPoly:
             return NotImplemented
         variables, a, b = self._aligned(other)
         terms = dict(a)
+        get = terms.get
         for exps, coeff in b.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(variables, terms)
+            terms[exps] = get(exps, 0) + coeff
+        return _result(variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.variables,
-                           {exps: -coeff for exps, coeff in self.terms.items()})
+        return _result(self.variables,
+                       {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -172,11 +217,21 @@ class LaurentPoly:
             return NotImplemented
         variables, a, b = self._aligned(other)
         terms = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                terms[exps] = terms.get(exps, 0) + c1 * c2
-        return LaurentPoly(variables, terms)
+        get = terms.get
+        if len(variables) == 1:
+            # One variable: add the exponents as plain ints.
+            b = [(e2, c2) for (e2,), c2 in b.items()]
+            for (e1,), c1 in a.items():
+                for e2, c2 in b:
+                    e = (e1 + e2,)
+                    terms[e] = get(e, 0) + c1 * c2
+        else:
+            b = b.items()
+            for e1, c1 in a.items():
+                for e2, c2 in b:
+                    e = tuple(map(add, e1, e2))
+                    terms[e] = get(e, 0) + c1 * c2
+        return _result(variables, terms)
 
     __rmul__ = __mul__
 
@@ -189,8 +244,8 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative powers are only defined for monomials")
             ((exps, coeff),) = self.terms.items()
-            inv = LaurentPoly(self.variables,
-                              {tuple(-e for e in exps): Fraction(1) / coeff})
+            inv = _result(self.variables,
+                          {tuple(-e for e in exps): Fraction(1) / coeff})
             return inv ** (-power)
         out = LaurentPoly.constant(1)
         base = self
@@ -260,8 +315,7 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.variables, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, hash((self.variables, frozenset(self.terms.items()))))
         return self._hash
 
     # ---------------------------------------------------------------- printing
@@ -282,6 +336,12 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % str(self)
+
+
+# The slots' own setters, which LaurentPoly.__setattr__ does not block.
+_set_variables = LaurentPoly.variables.__set__
+_set_terms = LaurentPoly.terms.__set__
+_set_hash = LaurentPoly._hash.__set__
 
 
 def _as_base(base):

@@ -13,7 +13,10 @@ references generate every candidate and test it (the package searches
 and prunes); they share the package's ArcGraph and configurations.
 state_sums_reference is the package's former state kernel, a depth-first
 walk over all k^|V| states, kept as the reference for the frontier sweep
-that replaced it.
+that replaced it.  poly_add_reference and poly_mul_reference are the
+package's former LaurentPoly sum and product, which build every result
+through the public validating constructor; the package's arithmetic now
+skips those checks for results of canonical operands.
 """
 
 from fractions import Fraction
@@ -21,6 +24,47 @@ from itertools import combinations, product
 from math import lcm
 
 from qbichromate.arcflow import flow_configurations, red_copies
+from qbichromate.polyq import LaurentPoly
+
+
+def _poly_aligned(p1, p2):
+    """(variables, p1 terms, p2 terms) over the merged variable set; a
+    plain number is taken as a constant polynomial."""
+    p1, p2 = (p if isinstance(p, LaurentPoly) else LaurentPoly.constant(p)
+              for p in (p1, p2))
+    merged = tuple(sorted(set(p1.variables) | set(p2.variables)))
+
+    def lift(poly):
+        pos = {name: merged.index(name) for name in poly.variables}
+        out = {}
+        for exps, coeff in poly.terms.items():
+            full = [0] * len(merged)
+            for i, e in enumerate(exps):
+                full[pos[poly.variables[i]]] = e
+            out[tuple(full)] = coeff
+        return out
+
+    return merged, lift(p1), lift(p2)
+
+
+def poly_add_reference(p1, p2):
+    """p1 + p2, built through the validating LaurentPoly constructor."""
+    variables, a, b = _poly_aligned(p1, p2)
+    terms = dict(a)
+    for exps, coeff in b.items():
+        terms[exps] = terms.get(exps, 0) + coeff
+    return LaurentPoly(variables, terms)
+
+
+def poly_mul_reference(p1, p2):
+    """p1 * p2, built through the validating LaurentPoly constructor."""
+    variables, a, b = _poly_aligned(p1, p2)
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            terms[exps] = terms.get(exps, 0) + c1 * c2
+    return LaurentPoly(variables, terms)
 
 
 def chromatic_count(vertex_count, edges, n):

@@ -144,6 +144,16 @@ def test_suites_refuse_flags_they_do_not_read():
             % (flag, suite)
 
 
+def test_qpotts_suite_refuses_seed_with_couplings():
+    result = invoke(["identities", "--suite", "qpotts",
+                     "--graph", fixture_path("tri.g"),
+                     "--couplings", fixture_path("v.c"), "--seed", "3"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == \
+        "error: --seed is not read by suite qpotts with --couplings\n"
+
+
 def test_qpotts_suite_seed_defaults_to_zero(capsys):
     outputs = []
     for seed in ([], ["--seed", "0"]):

@@ -8,15 +8,34 @@ from hypothesis import strategies as st
 
 from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check,
                                qint)
+from oracles import poly_add_reference, poly_mul_reference
+
+# Constants, one variable (the product's own loop), and several variables
+# that overlap nowhere, so operands of different sets must be aligned.
+VARIABLE_SETS = ((), ("t",), ("a", "b"), ("q", "x", "y"))
+
+# ints, integral Fractions and non-integral Fractions
+COEFFS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction),
+                   st.fractions(-4, 4, max_denominator=4))
 
 
-def poly_strategy():
-    # ints, integral Fractions and non-integral Fractions
-    coeff = st.one_of(st.integers(-4, 4),
-                      st.fractions(-4, 4, max_denominator=4))
-    exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    terms = st.dictionaries(exps, coeff, max_size=4)
-    return terms.map(lambda t: LaurentPoly(("x", "y"), t))
+def _exponents(variables):
+    return st.tuples(*[st.integers(-3, 3)] * len(variables))
+
+
+def poly_strategy(variable_sets=VARIABLE_SETS):
+    def polys(variables):
+        terms = st.dictionaries(_exponents(variables), COEFFS, max_size=4)
+        return terms.map(lambda t: LaurentPoly(variables, t))
+    return st.sampled_from(variable_sets).flatmap(polys)
+
+
+def monomial_strategy():
+    def monomials(variables):
+        coeff = COEFFS.filter(bool)
+        return st.builds(lambda e, c: LaurentPoly(variables, {e: c}),
+                         _exponents(variables), coeff)
+    return st.sampled_from(VARIABLE_SETS).flatmap(monomials)
 
 
 def exact(p):
@@ -26,6 +45,23 @@ def exact(p):
         assert type(coeff) in (int, Fraction)
         assert (type(coeff) is int) == (coeff.denominator == 1)
     return p
+
+
+def canonical(p):
+    """p, after checking that rebuilding it through the validating
+    constructor changes nothing, hash included."""
+    rebuilt = LaurentPoly(p.variables, p.terms)
+    assert p.variables == rebuilt.variables
+    assert p.terms == rebuilt.terms
+    assert hash(p) == hash(rebuilt)
+    return exact(p)
+
+
+def reference_power(p, k):
+    out = LaurentPoly.constant(1)
+    for _ in range(k):
+        out = poly_mul_reference(out, p)
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -40,6 +76,45 @@ def test_ring_axioms(a, b, c):
     assert exact(a + LaurentPoly()) == a
     assert exact(a * LaurentPoly.constant(1)) == a
     assert exact(a - a) == LaurentPoly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_strategy(), st.one_of(poly_strategy(), COEFFS), st.integers(0, 3))
+def test_arithmetic_matches_constructor_reference(a, b, k):
+    assert canonical(a + b) == poly_add_reference(a, b)
+    assert canonical(b + a) == poly_add_reference(b, a)
+    assert canonical(a * b) == poly_mul_reference(a, b)
+    assert canonical(b * a) == poly_mul_reference(b, a)
+    assert canonical(-a) == poly_mul_reference(a, -1)
+    assert canonical(a - b) == poly_add_reference(a, poly_mul_reference(b, -1))
+    assert canonical(b - a) == poly_add_reference(b, poly_mul_reference(a, -1))
+    assert canonical(a ** k) == reference_power(a, k)
+    zero = canonical(a - a)
+    assert zero.variables == () and zero.terms == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_strategy(), poly_strategy(), st.integers(1, 3))
+def test_cancellations_stay_canonical(m, p, k):
+    ((exps, coeff),) = m.terms.items()
+    inverse = LaurentPoly(m.variables,
+                          {tuple(-e for e in exps): Fraction(1) / coeff})
+    assert canonical(m ** -k) == reference_power(inverse, k)
+    one = canonical(m * m ** -1)
+    assert one.variables == () and one.terms == {(): 1}
+    assert canonical(p * m * m ** -1) == p
+    assert canonical((p + m) - m) == p
+    assert canonical(p * coeff * (Fraction(1) / coeff)) == p
+
+
+def test_cancellation_examples():
+    t, x = LaurentPoly.variable("t"), LaurentPoly.variable("x")
+    one = canonical(t * t ** -1)
+    assert one.variables == () and type(one.terms[()]) is int
+    assert canonical((t + x) - x).variables == ("t",)
+    assert canonical((t * x + 1) - x * t).variables == ()
+    assert canonical(x * Fraction(1, 2) * 2).terms == {(1,): 1}
+    assert canonical(Fraction(3, 2) - (t + Fraction(1, 2)) + t) == 1
 
 
 def test_coefficient_types():

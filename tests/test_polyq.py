@@ -10,9 +10,10 @@ from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check,
                                qint)
 from oracles import poly_add_reference, poly_mul_reference
 
-# Constants, one variable (the product's own loop), and several variables
-# that overlap nowhere, so operands of different sets must be aligned.
-VARIABLE_SETS = ((), ("t",), ("a", "b"), ("q", "x", "y"))
+# Constants, one variable (the product's own loop) and several variables;
+# operands from different sets are aligned to merged names, which
+# interleave ("t" among "q", "x", "y") or share some ("t", "x").
+VARIABLE_SETS = ((), ("t",), ("a", "b"), ("q", "x", "y"), ("t", "x"))
 
 # ints, integral Fractions and non-integral Fractions
 COEFFS = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction),
@@ -23,11 +24,11 @@ def _exponents(variables):
     return st.tuples(*[st.integers(-3, 3)] * len(variables))
 
 
-def poly_strategy(variable_sets=VARIABLE_SETS):
+def poly_strategy():
     def polys(variables):
         terms = st.dictionaries(_exponents(variables), COEFFS, max_size=4)
         return terms.map(lambda t: LaurentPoly(variables, t))
-    return st.sampled_from(variable_sets).flatmap(polys)
+    return st.sampled_from(VARIABLE_SETS).flatmap(polys)
 
 
 def monomial_strategy():

@@ -555,10 +555,13 @@ def ma2_flow_sum(g, f, n):
     # scale each group once.
     by_deg = {}
     for diagram, deg in chord_diagrams(g, f):
-        by_deg.setdefault(deg, []).append(mdef_chord(diagram, n))
+        chord_sum = mdef_chord(diagram, n)
+        if deg in by_deg:
+            chord_sum = by_deg[deg] + chord_sum
+        by_deg[deg] = chord_sum
     total = LaurentPoly()
-    for deg, sums in by_deg.items():
-        total = total + sum(sums, LaurentPoly()) * Fraction(1, deg)
+    for deg, chord_sum in by_deg.items():
+        total = total + chord_sum * Fraction(1, deg)
     return total
 
 

@@ -353,7 +353,7 @@ INVOCATIONS = [
     ["identities", "--suite", "potts", "--graph", "tri.g",
      "--couplings", "v.c", "--k", "2"],
     ["identities", "--suite", "qpotts", "--graph", "tri.g",
-     "--k", "3", "--seed", "1"],
+     "--couplings", "v.c", "--k", "3"],
     ["identities", "--suite", "vdw", "--graph", "tri.g",
      "--couplings", "hyp.c"],
     ["identities", "--suite", "bracket", "--pd", "fig8.pd"],

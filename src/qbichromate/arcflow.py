@@ -11,10 +11,11 @@ are deleted, so blue edges are (v, v+1) for v = 1..r-2 and red edges are
 
 Edge weights in the variable t are t^(-sign(v)) on the blue edge leaving
 v and 1 - t^(-sign(u)) on the red edge leaving u.  At each vertex the
-entering edges are ordered, the blue edge first, then the red edges (by
-source by default, or as decorated).  Integer rot values on the reduced
-edges and a total rotation number rotK are input decorations that
-calibrate the normalization; they enter only through delta exponents.
+entering edges are ordered: by default the blue edge first, then the red
+edges by source; an order decoration may list them in any order, the
+blue edge included.  Integer rot values on the reduced edges and a total
+rotation number rotK are input decorations that calibrate the
+normalization; they enter only through delta exponents.
 
 A flow assigns nonnegative integers to the reduced edges, conserved at
 every vertex.  Three routes to the same n-colored invariant are
@@ -32,6 +33,9 @@ from .graphcore import ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly, qbinom
 from .qchrom import mdef_chord
 
+# The routes of colored_jones, in the order the CLI lists them.
+ROUTES = ("ma2", "main", "catmm")
+
 
 def _t_power(e):
     return LaurentPoly.from_powers("t", {e: 1})
@@ -46,13 +50,14 @@ class ArcGraph:
 
     signs[v-1] is the sign (+1 or -1) of the crossing ending arc v; over
     maps each vertex to the target of its red edge.  rot is a mapping
-    from reduced edge keys to integers, red_orders optionally overrides
-    the order of red edges entering a vertex, and rot_k is the total
-    rotation number.  Edge keys are ("b", v) for the blue edge v -> v+1
-    and ("r", u) for the red edge u -> over(u).
+    from reduced edge keys to integers, orders optionally overrides the
+    order of the edges entering a vertex (any permutation of them, the
+    blue edge included), and rot_k is the total rotation number.  Edge
+    keys are ("b", v) for the blue edge v -> v+1 and ("r", u) for the
+    red edge u -> over(u).
     """
 
-    def __init__(self, signs, over, rot=None, red_orders=None, rot_k=None):
+    def __init__(self, signs, over, rot=None, orders=None, rot_k=None):
         signs = tuple(int(s) for s in signs)
         if not signs:
             raise ValueError("need at least one crossing")
@@ -80,28 +85,23 @@ class ArcGraph:
                 raise ValueError("rot decoration on unknown edge %s %d"
                                  % key)
             self._rot[key] = int(value)
-        red_in = {w: [] for w in range(1, r)}
-        for e in reds:
-            red_in[self.target(e)].append(e)
-        if red_orders:
-            for w, order in dict(red_orders).items():
-                if not 1 <= w < r:
-                    raise ValueError("order vertex %d out of range 1..%d"
-                                     % (w, r - 1))
-                order = tuple((k, int(i)) for k, i in order)
-                if any(k != "r" for k, _ in order):
-                    raise ValueError("only red edges can be reordered; the "
-                                     "blue edge always enters first")
-                if sorted(order) != sorted(red_in.get(w, [])):
-                    raise ValueError(
-                        "entering order at vertex %d must list exactly its "
-                        "red edges" % w)
-                red_in[w] = list(order)
-        self._red_in = {w: tuple(edges) for w, edges in red_in.items()}
-        self._entering = {}
-        for w in range(1, r):
-            head = (("b", w - 1),) if ("b", w - 1) in self.edge_index else ()
-            self._entering[w] = head + self._red_in[w]
+        entering = {w: [] for w in range(1, r)}
+        for e in self.reduced_edges:
+            entering[self.target(e)].append(e)
+        for w, order in dict(orders or {}).items():
+            if not 1 <= w < r:
+                raise ValueError("order vertex %d out of range 1..%d"
+                                 % (w, r - 1))
+            order = [(k, int(i)) for k, i in order]
+            if sorted(order) != sorted(entering[w]):
+                raise ValueError("entering order at vertex %d must list "
+                                 "exactly its entering edges" % w)
+            entering[w] = order
+        self._entering = {w: tuple(edges) for w, edges in entering.items()}
+        # Indices of the edges entering ahead of each edge, for _ahead.
+        self._ahead_of = {e: tuple(self.edge_index[a] for a in edges[:i])
+                          for edges in self._entering.values()
+                          for i, e in enumerate(edges)}
 
     @property
     def r(self):
@@ -121,10 +121,11 @@ class ArcGraph:
         return ("r", v) if ("r", v) in self.edge_index else None
 
     def red_in(self, v):
-        return self._red_in[v]
+        return tuple(e for e in self._entering[v] if e[0] == "r")
 
     def entering(self, v):
-        """Edges entering v, the blue edge first, then ordered reds."""
+        """Edges entering v in entering order: by default the blue edge,
+        then the reds by source."""
         return self._entering[v]
 
     def rot(self, edge):
@@ -160,13 +161,14 @@ def parse_arc(text):
     """Parse the arc file format.
 
     Lines: "crossings r", "signs <+/- tokens>", "over <targets>", then
-    optional "rot b <i> <int>" / "rot r <i> <int>", "order <v> r i1 r
-    i2 ...", and "rotK <int>" lines.
+    optional "rot b <i> <int>" / "rot r <i> <int>", "order <v> b|r i1
+    b|r i2 ..." (any permutation of the edges entering v), and
+    "rotK <int>" lines.
     """
     r = None
     lines = {}
     rot = {}
-    red_orders = {}
+    orders = {}
     for lineno, line in _content_lines(text):
         word, *args = line.split()
         if word in ("crossings", "signs", "over", "rotK"):
@@ -204,15 +206,16 @@ def parse_arc(text):
         elif word == "order":
             (v,) = _numbers(args[:1], "expected 'order <vertex> r i1 r i2 ...'",
                             lineno, count=1)
-            rest = args[1:]
-            if len(rest) % 2 or any(tk != "r" for tk in rest[::2]):
-                raise ParseError("entering order lists red edges as 'r <i>'",
-                                 lineno)
-            edges = _numbers(rest[1::2], "edge numbers must be integers", lineno)
-            if v in red_orders:
+            kinds, edges = args[1::2], args[2::2]
+            if len(kinds) != len(edges) or any(k not in ("b", "r")
+                                               for k in kinds):
+                raise ParseError("entering order lists edges as 'b <i>' or "
+                                 "'r <i>'", lineno)
+            edges = _numbers(edges, "edge numbers must be integers", lineno)
+            if v in orders:
                 raise ParseError("duplicate order line for vertex %d" % v,
                                  lineno)
-            red_orders[v] = tuple(("r", i) for i in edges)
+            orders[v] = tuple(zip(kinds, edges))
         else:
             raise ParseError("unknown directive %r" % word, lineno)
     for word in ("crossings", "signs", "over"):
@@ -220,7 +223,7 @@ def parse_arc(text):
             raise ParseError("missing %s line" % word)
     try:
         return ArcGraph(lines["signs"], lines["over"], rot=rot,
-                        red_orders=red_orders, rot_k=lines.get("rotK"))
+                        orders=orders, rot_k=lines.get("rotK"))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -282,12 +285,7 @@ def flow_weight_beta(g, f):
 
 def _ahead(g, f, edge):
     """Flow on the edges entering edge's target ahead of edge."""
-    ahead = 0
-    for e in g.entering(g.target(edge)):
-        if e == edge:
-            break
-        ahead += g.flow_value(f, e)
-    return ahead
+    return sum(f[i] for i in g._ahead_of[edge])
 
 
 def _exc(g, f):
@@ -350,7 +348,8 @@ def _arrivals(g, f):
     """Red copies grouped by arrival vertex: {w: copies entering w}.
 
     Copies are (edge, index) pairs, one per unit of red flow; each group
-    follows the entering order of the edges at w, then the index.
+    follows the entering order at w, which lists every edge entering w
+    (a blue edge carries no copies), then the index.
     """
     return {w: tuple((e, idx) for e in g.red_in(w)
                      for idx in range(f[g.edge_index[e]]))
@@ -723,9 +722,9 @@ def colored_jones(g, n, route="ma2"):
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    if route not in ("main", "catmm", "ma2"):
-        raise ValueError("route must be 'main', 'catmm' or 'ma2', got %r"
-                         % route)
+    if route not in ROUTES:
+        raise ValueError("route must be one of %s, got %r"
+                         % (", ".join(ROUTES), route))
     prefactor = _t_power(_delta_kn(g, n))
     total = LaurentPoly()
     for f in enumerate_flows(g, n):

@@ -117,11 +117,9 @@ def _parser():
         outer_face=dict(type=_integer))
     add("colored-jones", arc=dict(required=True, metavar="FILE"),
         n=dict(type=_integer, required=True),
-        route=dict(choices=("ma2", "main", "catmm"), default="ma2"))
+        route=dict(choices=arcflow.ROUTES, default="ma2"))
     add("identities",
-        suite=dict(required=True,
-                   choices=("qbinom", "qchrom", "potts", "qpotts", "vdw",
-                            "bracket", "arcflow", "chordal")),
+        suite=dict(required=True, choices=tuple(_SUITES)),
         graph=dict(metavar="FILE"), couplings=dict(metavar="FILE"),
         pd=dict(metavar="FILE"), arc=dict(metavar="FILE"),
         structure=dict(metavar="FILE"), n=dict(type=_integer),

@@ -247,15 +247,16 @@ class LaurentPoly:
             inv = _result(self.variables,
                           {tuple(-e for e in exps): Fraction(1) / coeff})
             return inv ** (-power)
-        out = LaurentPoly.constant(1)
+        out = None
         base = self
         n = power
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # ---------------------------------------------------------------- substitution
 

@@ -29,6 +29,11 @@ def fig8():
     return load_fixture("fig8.arc", parse_arc)
 
 
+def fig8_red_first():
+    # fig8.arc with r3 entering vertex 2 ahead of the blue edge b1
+    return load_fixture("fig8_red_first.arc", parse_arc)
+
+
 # Vertex 1 is entered by two red edges, r2 and r3, and no blue edge.
 TWO_REDS = ("crossings 5\nsigns + + - + -\nover 4 1 1 2 3\n"
             + "".join("rot %s %d 0\n" % e for e in
@@ -80,15 +85,22 @@ def test_flow_counts_closed_forms():
         assert len(enumerate_flows(h, n)) == n + 1, n
 
 
+# Work cap for the drawn arcs: n^copies value tuples times configurations.
+BUDGET = 5000
+
+
+def pair_work(g, f, n):
+    return n ** len(red_copies(g, f)) * len(flow_configurations(g, f))
+
+
 def assert_searches_match(g, n, budget=None):
     """The flow, pair and catmm searches against generate-and-test, lists
-    compared in order.  With a budget, flows whose n^copies value tuples
-    times configurations exceed it skip the pair and catmm comparison."""
+    compared in order.  With a budget, flows whose pair_work exceeds it
+    skip the pair and catmm comparison."""
     flows = enumerate_flows(g, n)
     assert flows == flows_reference(g, n), n
     for f in flows:
-        tried = n ** len(red_copies(g, f)) * len(flow_configurations(g, f))
-        if budget is not None and tried > budget:
+        if budget is not None and pair_work(g, f, n) > budget:
             continue
         pairs = admissible_pairs_reference(g, f, n)
         assert admissible_pairs(g, f, n) == pairs, (n, f)
@@ -97,7 +109,7 @@ def assert_searches_match(g, n, budget=None):
 
 
 def test_searches_match_generate_and_test():
-    arcs = [trefoil(), fig8()] + [parse_arc(text) for text in
+    arcs = [trefoil(), fig8(), fig8_red_first()] + [parse_arc(text) for text in
                                   (TWO_REDS, REORDERED, THREE_INTO_3)]
     for g in arcs:
         for n in (1, 2, 3):
@@ -107,21 +119,29 @@ def test_searches_match_generate_and_test():
 @st.composite
 def arc_graphs(draw):
     """Arc data with 2..5 crossings and any over-arcs, self-loops and
-    several reds into one vertex included, each vertex's reds drawn in
-    any entering order."""
+    several reds into one vertex included, each vertex's entering edges,
+    the blue edge included, drawn in any order."""
     r = draw(st.integers(2, 5))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r))
     over = draw(st.lists(st.integers(1, r), min_size=r, max_size=r))
     plain = ArcGraph(signs, over)
-    orders = {w: draw(st.permutations(plain.red_in(w)))
-              for w in range(1, r) if len(plain.red_in(w)) > 1}
-    return ArcGraph(signs, over, red_orders=orders)
+    orders = {w: draw(st.permutations(plain.entering(w)))
+              for w in range(1, r) if len(plain.entering(w)) > 1}
+    return ArcGraph(signs, over, orders=orders)
 
 
 @settings(max_examples=100, deadline=None)
 @given(arc_graphs(), st.integers(1, 3))
 def test_searches_match_generate_and_test_on_drawn_arcs(g, n):
-    assert_searches_match(g, n, budget=5000)
+    assert_searches_match(g, n, budget=BUDGET)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arc_graphs(), st.integers(1, 2))
+def test_catmm_equals_ma2_per_flow_on_drawn_arcs(g, n):
+    for f in enumerate_flows(g, n):
+        if pair_work(g, f, n) <= BUDGET:
+            assert catmm_flow_sum(g, f, n) == ma2_flow_sum(g, f, n), (n, f)
 
 
 def test_flow_stats():
@@ -149,6 +169,12 @@ def test_red_entering_orders():
                                 (("r", 3), 0)) + tail
     assert red_copies(h, f) == ((("r", 3), 0), (("r", 2), 0),
                                 (("r", 2), 1)) + tail
+    # the blue edge may enter behind a red one
+    k = parse_arc(TWO_REDS + "order 2 r 4 b 1\n")
+    assert k.entering(2) == (("r", 4), ("b", 1))
+    assert k.red_in(2) == (("r", 4),)
+    assert (_ahead(k, f, ("b", 1)), _ahead(k, f, ("r", 4))) == (2, 0)
+    assert red_copies(k, f) == red_copies(g, f)
 
 
 def test_chord_diagrams_start_in_entering_order():
@@ -174,10 +200,16 @@ def test_two_reds_into_one_vertex_catmm_equals_ma2():
 
 def test_parse_order_errors():
     head = "crossings 5\nsigns + + - + -\nover 4 1 1 2 3\n"
-    for bad in ("order 2 b 1 r 4\n",      # the blue edge is always first
+    # any order of a vertex's entering edges, the blue one included
+    assert parse_arc(head + "order 2 b 1 r 4\n").entering(2) \
+        == (("b", 1), ("r", 4))
+    for bad in ("order 2 r 4\n",          # the blue edge b1 left out
                 "order 1 r 2\n",          # r3 left out
                 "order 1 r 2 r 3 r 4\n",  # r4 enters vertex 2
-                "order 1 r 2 r 2\n"):
+                "order 2 b 2 r 4\n",      # b2 enters vertex 3
+                "order 1 r 2 r 2\n",      # r2 repeated
+                "order 1 x 2 r 3\n",      # no edge kind x
+                "order 1 r 2 r\n"):       # a kind without its edge
         with pytest.raises(ParseError):
             parse_arc(head + bad)
     with pytest.raises(ParseError) as e:  # a duplicate order line
@@ -185,7 +217,7 @@ def test_parse_order_errors():
     assert "line 5" in str(e.value)
     with pytest.raises(ValueError):
         ArcGraph((1, 1, -1, 1, -1), (4, 1, 1, 2, 3),
-                 red_orders={2: (("b", 1), ("r", 4))})
+                 orders={2: (("r", 4),)})
 
 
 def test_parse_order_vertex_out_of_range():
@@ -273,6 +305,26 @@ def test_fig8_level_one_matches_habiro_sum():
 def test_fig8_matches_habiro_sum():
     assert _monomial_shift(colored_jones(fig8(), 2),
                            figure_eight_colored_jones(3)) is not None
+
+
+def test_fig8_red_first_matches_habiro_sum():
+    # with r3 entering vertex 2 ahead of b1, catmm and ma2 give Habiro's
+    # sum exactly
+    g = fig8_red_first()
+    for route, levels in (("catmm", range(1, 6)), ("ma2", range(1, 5))):
+        for n in levels:
+            assert _monomial_shift(colored_jones(g, n, route=route),
+                                   figure_eight_colored_jones(n + 1)) == 0, \
+                (route, n)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(c): main_flow_weight "
+                   "disagrees with catmm when a red edge enters ahead of "
+                   "the blue edge")
+def test_fig8_red_first_main_equals_catmm():
+    g = fig8_red_first()
+    assert colored_jones(g, 2, route="main") \
+        == colored_jones(g, 2, route="catmm")
 
 
 def test_per_flow_bridge():

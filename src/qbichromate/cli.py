@@ -7,7 +7,9 @@ checked identity, with both sides shown on failure.  Exit codes: 0 for
 success or all-pass, 1 when some identity fails, 2 on input errors, 3
 on an internal fault (any other exception, reported as one line).
 Stdout is byte-stable for identical invocations; wall time goes to
-stderr, and only when --timing is given.
+stderr, and only when --timing is given.  Each call builds the argument
+parser of the named subcommand only; help, no arguments or an unknown
+name get the parser of every subcommand.
 """
 
 import argparse
@@ -85,48 +87,6 @@ def _integer(token):
         return _numbers([token], "invalid int value: %r" % token, None)[0]
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parser():
-    top = argparse.ArgumentParser(prog="qbichromate")
-    subs = top.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, **flags):
-        p = subs.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.add_argument("--emit", choices=("text", "json"), default="text")
-        p.add_argument("--timing", action="store_true")
-        return p
-
-    graph = dict(required=True, metavar="FILE")
-    add("qchrom", graph=graph, n=dict(type=_integer, required=True))
-    add("bichromate", graph=graph)
-    add("tutte", graph=graph,
-        form=dict(choices=("tutte", "whitney-rank"), default="tutte"))
-    add("qbichromate", graph=graph, y=dict(type=_integer, required=True))
-    add("potts", graph=graph, k=dict(type=_integer, required=True),
-        couplings=dict(required=True, metavar="FILE"))
-    add("qpotts", graph=graph, k=dict(type=_integer, required=True),
-        couplings=dict(required=True, metavar="FILE"))
-    add("ising", graph=graph, couplings=dict(required=True, metavar="FILE"))
-    add("vdw", graph=graph, couplings=dict(required=True, metavar="FILE"))
-    add("jones", pd=dict(required=True, metavar="FILE"),
-        form=dict(choices=("t", "A"), default="t"))
-    add("median", pd=dict(required=True, metavar="FILE"),
-        outer_face=dict(type=_integer))
-    add("colored-jones", arc=dict(required=True, metavar="FILE"),
-        n=dict(type=_integer, required=True),
-        route=dict(choices=arcflow.ROUTES, default="ma2"))
-    add("identities",
-        suite=dict(required=True, choices=tuple(_SUITES)),
-        graph=dict(metavar="FILE"), couplings=dict(metavar="FILE"),
-        pd=dict(metavar="FILE"), arc=dict(metavar="FILE"),
-        structure=dict(metavar="FILE"), n=dict(type=_integer),
-        k=dict(type=_integer), z=dict(type=_integer),
-        seed=dict(type=_integer))
-    add("chordal-check", graph=graph)
-    return top
 
 
 def _need(args, flag):
@@ -367,21 +327,6 @@ def _suite_chordal(args, report):
             report.verdict("invariance, structure %d" % i, rhs, reference)
 
 
-_COMMANDS = {
-    "qchrom": _cmd_qchrom,
-    "bichromate": _cmd_bichromate,
-    "tutte": _cmd_tutte,
-    "qbichromate": _cmd_qbichromate,
-    "potts": _cmd_potts,
-    "qpotts": _cmd_qpotts,
-    "ising": _cmd_ising,
-    "vdw": _cmd_vdw,
-    "jones": _cmd_jones,
-    "median": _cmd_median,
-    "colored-jones": _cmd_colored_jones,
-    "chordal-check": _cmd_chordal_check,
-}
-
 # Each suite with the identities flags it reads.
 _SUITES = {
     "qbinom": (_suite_qbinom, ()),
@@ -396,28 +341,91 @@ _SUITES = {
 _SUITE_FLAGS = sorted(set().union(*(reads for _, reads in _SUITES.values())))
 
 
-def _refuse_unread_flags(args, reads):
-    """Raise ParseError for a given suite flag that the suite does not read."""
+def _cmd_identities(args, report):
+    """Run the suite, refusing first any suite flag it does not read."""
+    handler, reads = _SUITES[args.suite]
     for flag in _SUITE_FLAGS:
         if getattr(args, flag) is not None and flag not in reads:
             raise ParseError("--%s is not read by suite %s"
                              % (flag, args.suite))
+    handler(args, report)
+
+
+_FILE = dict(required=True, metavar="FILE")
+_INT = dict(type=_integer, required=True)
+
+# Each subcommand with its handler and its flags, in the order -h lists
+# them; every subcommand also takes --emit and --timing.
+_COMMANDS = {
+    "qchrom": (_cmd_qchrom, dict(graph=_FILE, n=_INT)),
+    "bichromate": (_cmd_bichromate, dict(graph=_FILE)),
+    "tutte": (_cmd_tutte, dict(
+        graph=_FILE,
+        form=dict(choices=("tutte", "whitney-rank"), default="tutte"))),
+    "qbichromate": (_cmd_qbichromate, dict(graph=_FILE, y=_INT)),
+    "potts": (_cmd_potts, dict(graph=_FILE, k=_INT, couplings=_FILE)),
+    "qpotts": (_cmd_qpotts, dict(graph=_FILE, k=_INT, couplings=_FILE)),
+    "ising": (_cmd_ising, dict(graph=_FILE, couplings=_FILE)),
+    "vdw": (_cmd_vdw, dict(graph=_FILE, couplings=_FILE)),
+    "jones": (_cmd_jones, dict(pd=_FILE,
+                               form=dict(choices=("t", "A"), default="t"))),
+    "median": (_cmd_median, dict(pd=_FILE, outer_face=dict(type=_integer))),
+    "colored-jones": (_cmd_colored_jones, dict(
+        arc=_FILE, n=_INT,
+        route=dict(choices=arcflow.ROUTES, default="ma2"))),
+    "identities": (_cmd_identities, dict(
+        suite=dict(required=True, choices=tuple(_SUITES)),
+        graph=dict(metavar="FILE"), couplings=dict(metavar="FILE"),
+        pd=dict(metavar="FILE"), arc=dict(metavar="FILE"),
+        structure=dict(metavar="FILE"), n=dict(type=_integer),
+        k=dict(type=_integer), z=dict(type=_integer),
+        seed=dict(type=_integer))),
+    "chordal-check": (_cmd_chordal_check, dict(graph=_FILE)),
+}
+
+
+def _parser(argv):
+    """The parser for argv: with only the subparser of argv[0] when that
+    names a subcommand, and with all of them otherwise (help, no
+    arguments, an unknown name), so errors and help list every name."""
+    top = argparse.ArgumentParser(prog="qbichromate")
+    names, metavar = _COMMANDS, None
+    if argv and argv[0] in _COMMANDS:
+        # The metavar keeps every name in the usage line that
+        # "unrecognized arguments" prints.  Only here: argparse names the
+        # positional by its metavar in "invalid choice" and "required"
+        # errors.
+        names, metavar = (argv[0],), "{%s}" % ",".join(_COMMANDS)
+    subs = top.add_subparsers(dest="subcommand", required=True,
+                              metavar=metavar)
+    for name in names:
+        p = subs.add_parser(name)
+        for flag, kwargs in _COMMANDS[name][1].items():
+            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
+        p.add_argument("--emit", choices=("text", "json"), default="text")
+        p.add_argument("--timing", action="store_true")
+    return top
 
 
 def run(argv):
-    """Parse argv, run the subcommand, and return (exit code, report)."""
-    args = _parser().parse_args(argv)
+    """Parse argv (sys.argv[1:] when None), run the subcommand, and return
+    (exit code, report).
+
+    argparse raises SystemExit instead of returning: code 0 after
+    printing help on stdout for -h/--help, code 2 after printing usage
+    and the error on stderr for a bad, missing or unknown flag or
+    subcommand.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv).parse_args(argv)
     started = time.monotonic()
-    if args.subcommand == "identities":
-        report = Report("identities --suite %s" % args.suite)
-        handler, reads = _SUITES[args.suite]
-    else:
-        report = Report(args.subcommand)
-        handler = _COMMANDS[args.subcommand]
+    command = args.subcommand
+    if command == "identities":
+        command += " --suite " + args.suite
+    report = Report(command)
     try:
-        if args.subcommand == "identities":
-            _refuse_unread_flags(args, reads)
-        handler(args, report)
+        _COMMANDS[args.subcommand][0](args, report)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2, report
@@ -435,8 +443,7 @@ def run(argv):
 
 
 def main(argv=None):
-    code, _ = run(sys.argv[1:] if argv is None else argv)
-    return code
+    return run(argv)[0]
 
 
 if __name__ == "__main__":

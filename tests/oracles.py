@@ -7,7 +7,8 @@ and sums over edge subsets), the defected coloring oracle tries every
 assignment in turn (the package sweeps a vertex frontier), and
 the bracket oracle re-parses PD text and walks loops through explicit port
 pairings (the package uses union-find), and the colored Jones oracles
-are published closed-form sums (the package sums over arc-graph flows),
+are published closed-form sums and Morton's torus-knot formula (the
+package sums over arc-graph flows),
 all with plain dict Laurent arithmetic in one variable.  The arc-graph
 references generate every candidate and test it (the package searches
 and prunes); they share the package's ArcGraph and configurations.
@@ -343,6 +344,44 @@ def figure_eight_colored_jones(N):
         for e, c in product_k.items():
             total[e] = total.get(e, 0) + c
     return {e: c for e, c in total.items() if c}
+
+
+def torus_2k_colored_jones(k, N):
+    """Morton's formula for the N-dimensional colored Jones function of
+    the (2, k) torus knot, k odd, as {q-exponent: coeff}:
+
+        J_N = q^(-k(N^2-1)/2) / (q^(N/2) - q^(-N/2))
+              sum_r (q^(2k r^2 + (k+2) r + 1/2) - q^(2k r^2 + (2-k) r - 1/2))
+
+    over r = -(N-1)/2, ..., (N-1)/2 in steps of one (H. Morton, "The
+    coloured Jones function and Alexander polynomial for torus knots",
+    1995).  It is computed in s = q^(1/2), with j = 2r, and the division
+    is exact.  With this sign of the framing it equals Le's sum at
+    k = 3."""
+    numerator = {}
+    for j in range(1 - N, N, 2):
+        for e, c in ((k * j * j + (k + 2) * j + 1, 1),
+                     (k * j * j + (2 - k) * j - 1, -1)):
+            numerator[e] = numerator.get(e, 0) + c
+    # Q (s^N - s^-N) = P, that is Q (s^(2N) - 1) = P s^N: take off the
+    # top term of the remainder until none is left.
+    rest = {e + N: c for e, c in numerator.items() if c}
+    low = min(rest)
+    quotient = {}
+    while rest:
+        top = max(rest)
+        c = rest.pop(top)
+        assert top - 2 * N >= low, "Morton's numerator is not divisible"
+        quotient[top - 2 * N] = c
+        rest[top - 2 * N] = rest.get(top - 2 * N, 0) + c
+        if not rest[top - 2 * N]:
+            del rest[top - 2 * N]
+    shift = -k * (N * N - 1)
+    out = {}
+    for e, c in quotient.items():
+        assert (e + shift) % 2 == 0, "odd power of q^(1/2)"
+        out[(e + shift) // 2] = c
+    return out
 
 
 def flows_reference(g, n):

@@ -16,7 +16,7 @@ from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
                      figure_eight_colored_jones, flows_reference,
-                     trefoil_colored_jones)
+                     torus_2k_colored_jones, trefoil_colored_jones)
 
 T = LaurentPoly.variable("t")
 
@@ -293,6 +293,20 @@ def test_trefoil_matches_le_sum():
     for n in (1, 2, 3):
         assert _monomial_shift(colored_jones(g, n),
                                trefoil_colored_jones(n + 1)) is not None
+
+
+def test_morton_formula_matches_le_sum_and_jones():
+    # two independent oracles: Morton's torus-knot formula is Le's sum on
+    # the trefoil T(2, 3), and at N = 2 it is the mirror of the Jones
+    # polynomial t^((k-1)/2) (1 + t^2 - t^3 + ... - t^k) of T(2, k)
+    for N in range(1, 7):
+        assert torus_2k_colored_jones(3, N) == trefoil_colored_jones(N), N
+    for k in (3, 5, 7, 9):
+        jones = {(k - 1) // 2: 1}
+        jones.update({(k - 1) // 2 + j: (-1) ** j for j in range(2, k + 1)})
+        assert torus_2k_colored_jones(k, 2) == {-e: c for e, c
+                                                in jones.items()}, k
+        assert torus_2k_colored_jones(k, 1) == {0: 1}, k
 
 
 def test_fig8_level_one_matches_habiro_sum():

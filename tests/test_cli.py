@@ -1,11 +1,13 @@
 """Command line behavior: reports, exit codes, emit formats."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
+from qbichromate import cli
 from qbichromate.cli import run
 from conftest import fixture_path
 
@@ -231,3 +233,93 @@ def test_colored_jones_routes_agree(capsys):
         outs.append([line for line in out.splitlines()
                      if line.startswith("result:")])
     assert outs[0] == outs[1] == outs[2]
+
+
+# One argv per subcommand for the parser tests, each with a --flag=value
+# and an abbreviated flag (--emit=json, --tim).
+PARSER_SAMPLES = {
+    "qchrom": ["--graph", "k2.g", "--n=2", "--tim"],
+    "bichromate": ["--gr", "k2.g", "--emit=json"],
+    "tutte": ["--graph=tri.g", "--fo", "whitney-rank"],
+    "qbichromate": ["--graph", "tri.g", "--y=3", "--tim"],
+    "potts": ["--graph", "tri.g", "--k=3", "--coup", "v.c"],
+    "qpotts": ["--gra", "tri.g", "--k", "2", "--couplings=v.c"],
+    "ising": ["--graph", "tri.g", "--coup", "hyp.c", "--emit=json"],
+    "vdw": ["--graph=tri.g", "--couplings", "hyp.c", "--tim"],
+    "jones": ["--pd=trefoil.pd", "--fo", "A"],
+    "median": ["--pd", "trefoil.pd", "--outer=0"],
+    "colored-jones": ["--arc", "fig8.arc", "--n=3", "--ro", "catmm"],
+    "identities": ["--suite=qpotts", "--gr", "tri.g", "--seed", "4"],
+    "chordal-check": ["--graph=c4.g", "--em", "json"],
+}
+
+
+def full_parser():
+    """The parser with every subcommand, as built for help or no arguments."""
+    return cli._parser([])
+
+
+def subparsers(top):
+    """{name: subparser} registered on the top-level parser."""
+    action, = (a for a in top._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def outcome(parser, argv, capsys):
+    """(stdout, stderr, exit code or None) of parser.parse_args(argv)."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_parser_samples_cover_every_subcommand():
+    assert list(PARSER_SAMPLES) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(PARSER_SAMPLES))
+def test_one_subparser_parses_like_all(name):
+    argv = [name] + PARSER_SAMPLES[name]
+    one = cli._parser(argv)
+    assert list(subparsers(one)) == [name]
+    assert vars(one.parse_args(argv)) == vars(full_parser().parse_args(argv))
+    assert subparsers(one)[name].format_help() \
+        == subparsers(full_parser())[name].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], [], ["bogus"], ["--", "potts"], ["potts", "-h"],
+    ["identities", "-h"], ["qbichromate"],
+    ["qchrom", "--graph", "k2.g", "--n", "2", "extra"],
+    ["colored-jones", "--arc", "fig8.arc", "--n", "1", "--route", "bogus"],
+    ["qchrom", "--graph", "k2.g", "--n", "1_0"],
+])
+def test_help_and_errors_match_the_full_parser(argv, capsys):
+    got = outcome(cli._parser(argv), argv, capsys)
+    assert got == outcome(full_parser(), argv, capsys)
+    assert got[2] in (0, 2)
+    if argv in ([], ["bogus"]):
+        # these errors name the positional by its dest, not a metavar
+        assert "subcommand" in got[1]
+
+
+def test_run_registers_one_subparser(monkeypatch, capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    code, _ = run(("jones", "--pd", fixture_path("trefoil.pd")))
+    assert code == 0
+    assert names == ["jones"]
+    with pytest.raises(SystemExit):
+        run(["-h"])
+    capsys.readouterr()
+    assert names[1:] == list(cli._COMMANDS)

@@ -7,9 +7,17 @@ checked identity, with both sides shown on failure.  Exit codes: 0 for
 success or all-pass, 1 when some identity fails, 2 on input errors, 3
 on an internal fault (any other exception, reported as one line).
 Stdout is byte-stable for identical invocations; wall time goes to
-stderr, and only when --timing is given.  Each call builds the argument
-parser of the named subcommand only; help, no arguments or an unknown
-name get the parser of every subcommand.
+stderr, and only when --timing is given.
+
+A plain command line -- a known subcommand, then each of its flags at
+most once, spelled out in full as -h lists it, each flag but --timing
+followed by a valid value that does not start with "-", every required
+flag given -- is read by _plain_args without building a parser.  Any
+other command line goes to argparse, which alone prints help and
+errors and handles abbreviations, --flag=value, "--" and negative
+numbers.  argparse builds the subparser of the named subcommand only;
+help, no arguments or an unknown name get the parser of every
+subcommand.
 """
 
 import argparse
@@ -355,7 +363,7 @@ _FILE = dict(required=True, metavar="FILE")
 _INT = dict(type=_integer, required=True)
 
 # Each subcommand with its handler and its flags, in the order -h lists
-# them; every subcommand also takes --emit and --timing.
+# them; every subcommand also takes the _COMMON flags after its own.
 _COMMANDS = {
     "qchrom": (_cmd_qchrom, dict(graph=_FILE, n=_INT)),
     "bichromate": (_cmd_bichromate, dict(graph=_FILE)),
@@ -382,6 +390,14 @@ _COMMANDS = {
         seed=dict(type=_integer))),
     "chordal-check": (_cmd_chordal_check, dict(graph=_FILE)),
 }
+_COMMON = dict(emit=dict(choices=("text", "json"), default="text"),
+               timing=dict(action="store_true", default=False))
+
+
+def _flags(name):
+    """{option string: (dest, add_argument keywords)} of subcommand name."""
+    return {"--" + dest.replace("_", "-"): (dest, spec)
+            for dest, spec in {**_COMMANDS[name][1], **_COMMON}.items()}
 
 
 def _parser(argv):
@@ -400,25 +416,58 @@ def _parser(argv):
                               metavar=metavar)
     for name in names:
         p = subs.add_parser(name)
-        for flag, kwargs in _COMMANDS[name][1].items():
-            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.add_argument("--emit", choices=("text", "json"), default="text")
-        p.add_argument("--timing", action="store_true")
+        for option, (_, spec) in _flags(name).items():
+            p.add_argument(option, **spec)
     return top
+
+
+def _plain_args(argv):
+    """The namespace _parser(argv).parse_args(argv) returns, for a plain
+    argv (see the module docstring); None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest, spec = flags.get(token, (None, None))
+        if dest is None or dest in values:
+            return None
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value fails like "-x"
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except argparse.ArgumentTypeError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    for dest, spec in flags.values():
+        if dest not in values:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+    return argparse.Namespace(subcommand=argv[0], **values)
 
 
 def run(argv):
     """Parse argv (sys.argv[1:] when None), run the subcommand, and return
     (exit code, report).
 
-    argparse raises SystemExit instead of returning: code 0 after
-    printing help on stdout for -h/--help, code 2 after printing usage
-    and the error on stderr for a bad, missing or unknown flag or
-    subcommand.
+    A plain argv (see the module docstring) is read without argparse;
+    any other goes through _parser(argv).  argparse raises SystemExit
+    instead of returning: code 0 after printing help on stdout for
+    -h/--help, code 2 after printing usage and the error on stderr for
+    a bad, missing or unknown flag or subcommand.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _parser(argv).parse_args(argv)
     started = time.monotonic()
     command = args.subcommand
     if command == "identities":

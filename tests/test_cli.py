@@ -1,11 +1,15 @@
 """Command line behavior: reports, exit codes, emit formats."""
 
 import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbichromate import cli
 from qbichromate.cli import run
@@ -316,10 +320,170 @@ def test_run_registers_one_subparser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    code, _ = run(("jones", "--pd", fixture_path("trefoil.pd")))
+    # An abbreviated flag is not plain, so argparse reads this argv.
+    code, _ = run(("jones", "--p", fixture_path("trefoil.pd")))
     assert code == 0
     assert names == ["jones"]
     with pytest.raises(SystemExit):
         run(["-h"])
     capsys.readouterr()
     assert names[1:] == list(cli._COMMANDS)
+
+
+def canonical(argv):
+    """argv written plain: every flag argparse sets on it, spelled out in
+    full with a separate value, file names as fixture paths."""
+    parsed = vars(cli._parser(argv).parse_args(argv))
+    out = [argv[0]]
+    for option, (dest, spec) in cli._flags(argv[0]).items():
+        value = parsed[dest]
+        if value == spec.get("default"):
+            continue
+        if value is True:
+            out.append(option)
+        elif spec.get("metavar") == "FILE":
+            out += [option, fixture_path(value)]
+        else:
+            out += [option, str(value)]
+    return out
+
+
+@pytest.mark.parametrize("name", list(PARSER_SAMPLES))
+def test_canonical_samples_run_without_a_parser(name, monkeypatch, capsys):
+    argv = canonical([name] + PARSER_SAMPLES[name])
+
+    def refuse(argv):
+        raise AssertionError("built a parser for %r" % (argv,))
+
+    monkeypatch.setattr(cli, "_parser", refuse)
+    code, _ = run(tuple(argv))
+    assert code == 0
+    assert name in capsys.readouterr().out
+
+
+def test_plain_run_skips_argparse_first_use_imports():
+    # argparse imports these on its first parse (terminal width, message
+    # lookup); a plain argv never parses, so they stay out.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "from qbichromate import cli\n"
+              "code, _ = cli.run(['chordal-check', '--graph', %r])\n"
+              "print(code, sorted({'shutil', 'locale'} & set(sys.modules)))\n"
+              % (src, fixture_path("tri.g")))
+    result = subprocess.run([sys.executable, "-S", "-E", "-c", script],
+                            capture_output=True, text=True)
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def argparse_vars(argv):
+    """vars() of what the argparse path returns for argv, which must
+    parse."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) \
+            as err:
+        try:
+            return vars(cli._parser(argv).parse_args(argv))
+        except SystemExit:
+            pass
+    raise AssertionError("argparse refused %r: %s" % (argv, err.getvalue()))
+
+
+OPTIONS = sorted({option for name in cli._COMMANDS
+                  for option in cli._flags(name)})
+CHOICES = sorted({choice for name in cli._COMMANDS
+                  for _, spec in cli._flags(name).values()
+                  for choice in spec.get("choices", ())})
+JUNK_VALUES = ["1_0", "-3", "-0", "-", "-x", "", "a=b", "\u0663", "bogus",
+               "--graph", "-h", " 3"] + CHOICES
+
+
+def value_for(spec):
+    """A value the flag takes."""
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is cli._integer:
+        return st.integers(0, 99).map(str)
+    return st.sampled_from(["k2.g", "tri.g", "a b", "x=y", ""])
+
+
+@st.composite
+def plain_argvs(draw, name, every_flag=True):
+    """name and its flags in full, each with a value it takes, in any
+    order: every flag, or the required ones and a drawn subset."""
+    pairs = []
+    for option, (_, spec) in cli._flags(name).items():
+        if not (every_flag or spec.get("required") or draw(st.booleans())):
+            continue
+        if spec.get("action") == "store_true":
+            pairs.append([option])
+        else:
+            pairs.append([option, draw(value_for(spec))])
+    return [name] + sum(draw(st.permutations(pairs)), [])
+
+
+@st.composite
+def noise_tokens(draw):
+    """A token from every flag table: a flag in full, abbreviated, with
+    =value or with _ for -, a value, or -h, --help, -- or -."""
+    option = draw(st.sampled_from(OPTIONS))
+    value = draw(st.sampled_from(JUNK_VALUES) | st.integers(0, 9).map(str))
+    return draw(st.sampled_from([
+        option, value, option + "=" + value,
+        option[:draw(st.integers(3, max(3, len(option) - 1)))],
+        "--" + option[2:].replace("-", "_"),
+        "-h", "--help", "--", "-"]))
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A plain argv with up to three edits: another or a junk name, an
+    inserted or dropped token, a junk value, or a repeated flag with a
+    fresh value."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = draw(plain_argvs(name, every_flag=False))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(
+            ["name", "insert", "drop", "value", "repeat"]))
+        i = draw(st.integers(1, max(1, len(argv) - 1)))
+        if edit == "name":
+            argv[0] = draw(st.sampled_from(list(cli._COMMANDS) + ["bogus"]))
+        elif edit == "insert":
+            argv.insert(i, draw(noise_tokens()))
+        elif edit == "drop" and len(argv) > 1:
+            del argv[i]
+        elif edit == "value" and len(argv) > 1:
+            argv[i] = draw(st.sampled_from(JUNK_VALUES))
+        elif edit == "repeat" and argv[0] in cli._COMMANDS:
+            option, (_, spec) = draw(st.sampled_from(
+                sorted(cli._flags(argv[0]).items())))
+            argv.append(option)
+            if spec.get("action") != "store_true":
+                argv.append(draw(value_for(spec)
+                                 | st.sampled_from(JUNK_VALUES)))
+    return argv
+
+
+@st.composite
+def token_argvs(draw):
+    """A subcommand or junk name, then tokens drawn from every flag table."""
+    name = draw(st.sampled_from(list(cli._COMMANDS) + ["bogus"]))
+    return [name] + draw(st.lists(noise_tokens(), max_size=8))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(mutated_argvs(), token_argvs()))
+def test_plain_args_match_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plain_args_accept_every_canonical_argv(name, data):
+    argv = data.draw(plain_argvs(name))
+    plain = cli._plain_args(argv)
+    assert plain is not None, argv
+    assert vars(plain) == argparse_vars(argv)

@@ -20,14 +20,13 @@ normalization; they enter only through delta exponents.
 A flow assigns nonnegative integers to the reduced edges, conserved at
 every vertex.  Three routes to the same n-colored invariant are
 implemented: a closed per-flow weight (main route), a sum over flow
-configurations with values (catmm route), and a sum over chord diagrams
-weighted by defect-corrected coloring sums (ma2 route).  The n-cabled
-digraph and its cycle families give a fourth description at n = 1.
+configurations with values (catmm route), and a sum of defect-corrected
+coloring sums over one chord layout per configuration (ma2 route).  At
+n = 1 the cable is the reduced graph itself, and its cycle families give
+a fourth description of the level-one invariant.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .graphcore import ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly, qbinom
@@ -470,97 +469,24 @@ def catmm_flow_sum(g, f, n):
     return LaurentPoly.from_powers("t", terms)
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    """Chords over a line of positions grouped per vertex.
-
-    groups[v-1] = (starts, ends) gives the layout: positions run through
-    vertex 1's starts, then its ends, then vertex 2's, and so on.
-    Chords are (start, end) position pairs, listed by start.
-    """
-
-    chords: tuple
-    groups: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for s, e in self.chords:
-            if s >= e:
-                raise ValueError("chord (%d, %d) must run forward" % (s, e))
-            seen.update((s, e))
-        if len(seen) != 2 * len(self.chords):
-            raise ValueError("chord endpoints must be distinct")
-        if list(self.chords) != sorted(self.chords):
-            raise ValueError("chords must be listed by starting position")
-
-    def group_of(self, position):
-        base = 0
-        for v, (starts, ends) in enumerate(self.groups, start=1):
-            base += starts + ends
-            if position < base:
-                return v
-        raise ValueError("position %d beyond the layout" % position)
-
-
-def chord_diagrams(g, f):
-    """Distinct diagrams of a flow with their multiplicities.
-
-    Every configuration lays its copies out as intervals: a copy starts
-    at its arrival vertex and ends where it is dropped (or at the last
-    vertex).  Start positions follow the fixed copy order; end positions
-    within a vertex are assigned in every possible order.  Returns
-    (diagram, deg) pairs where deg counts the distinct diagrams of that
-    configuration, so deg is what the assignment enumeration actually
-    produced, not a formula.
-    """
-    arrivals = _arrivals(g, f)
-    copies = red_copies(g, f)
-    results = []
-    for config, drop in flow_configurations(g, f):
-        ends_at = {v: [c for c in copies if drop[c] == v]
-                   for v in range(1, g.r)}
-        start_pos = {}
-        end_slots = {}
-        groups = []
-        position = 0
-        for v in range(1, g.r):
-            for c in arrivals[v]:
-                start_pos[c] = position
-                position += 1
-            end_slots[v] = list(range(position, position + len(ends_at[v])))
-            position += len(ends_at[v])
-            groups.append((len(arrivals[v]), len(ends_at[v])))
-        diagrams = set()
-        orderings = [permutations(ends_at[v]) for v in range(1, g.r)]
-        for combo in product(*orderings):
-            end_pos = {}
-            for v, perm in zip(range(1, g.r), combo):
-                for slot, c in zip(end_slots[v], perm):
-                    end_pos[c] = slot
-            chords = tuple(sorted((start_pos[c], end_pos[c]) for c in copies))
-            diagrams.add(chords)
-        deg = len(diagrams)
-        for chords in sorted(diagrams):
-            results.append((ChordDiagram(chords, tuple(groups)), deg))
-    return results
-
-
 def ma2_flow_sum(g, f, n):
-    """Average of defect-corrected coloring sums over the flow's
-    diagrams: sum of mdef(diagram, n) / deg over chord_diagrams."""
+    """Sum of defect-corrected coloring sums, one chord layout per
+    configuration: mdef_chord(chords, n) over flow_configurations.
+
+    A copy's chord starts at its arrival vertex, in copy order, and ends
+    at its drop vertex.  Points are (v, 0, k) for the k-th start at v and
+    (v, 1) for every end at v, so a vertex's starts come before its ends.
+    Ordering the ends inside one vertex changes neither the overlaps nor
+    the defect lists, so this one layout stands for them all.
+    """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    # The chord sums have integer coefficients: add them per deg and
-    # scale each group once.
-    by_deg = {}
-    for diagram, deg in chord_diagrams(g, f):
-        chord_sum = mdef_chord(diagram, n)
-        if deg in by_deg:
-            chord_sum = by_deg[deg] + chord_sum
-        by_deg[deg] = chord_sum
+    starts = {c: (w, 0, k) for w, group in _arrivals(g, f).items()
+              for k, c in enumerate(group)}
     total = LaurentPoly()
-    for deg, chord_sum in by_deg.items():
-        total = total + chord_sum * Fraction(1, deg)
+    for _, drop in flow_configurations(g, f):
+        chords = tuple((start, (drop[c], 1)) for c, start in starts.items())
+        total = total + mdef_chord(chords, n)
     return total
 
 
@@ -591,67 +517,30 @@ def z_nf(g, f, n):
     return out * _t_power(exponent)
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """Vertices plus (source, target, weight, label) edges."""
+def cycle_families(g):
+    """The vertex-disjoint unions of directed cycles of the reduced graph,
+    each a frozenset of reduced edge keys, the empty family included.
 
-    vertices: tuple
-    edges: tuple
-
-
-def cabled_graph(g, n):
-    """The n-stranded cable of the reduced graph.
-
-    Vertices (v, j) for j = 1..n; blue edges join (v, j) to (v+1, j)
-    with weight t^(-sign(v) n); each red edge u -> w fans out to all
-    strand pairs, entering strand j with weight t^(j-1) (1-t) from a
-    negative source and t^-(n-j) (1-t^-1) from a positive one.  Labels
-    name the underlying reduced edge; at n = 1 the weights are those of
-    the reduced graph itself.
+    This is the n = 1 cable, which is the reduced graph itself: the
+    search walks out-edges from each start vertex and never consults the
+    flow enumeration.
     """
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
-    vertices = tuple((v, j) for v in range(1, g.r) for j in range(1, n + 1))
-    edges = []
-    for e in g.reduced_edges:
-        kind, u = e
-        if kind == "b":
-            weight = _t_power(-g.sign(u) * n)
-            for j in range(1, n + 1):
-                edges.append(((u, j), (u + 1, j), weight, e))
-        else:
-            w = g.target(e)
-            for j in range(1, n + 1):
-                if g.sign(u) == 1:
-                    weight = _t_power(-(n - j)) * _one_minus_t_power(-1)
-                else:
-                    weight = _t_power(j - 1) * _one_minus_t_power(1)
-                for i in range(1, n + 1):
-                    edges.append(((u, i), (w, j), weight, e))
-    return WeightedDigraph(vertices, tuple(edges))
-
-
-def cycle_families(h):
-    """Edge-index sets whose components are vertex-disjoint directed
-    cycles, the empty family included."""
-    rank = {v: i for i, v in enumerate(sorted(h.vertices))}
-    out_edges = {v: [] for v in h.vertices}
-    for idx, edge in enumerate(h.edges):
-        out_edges[edge[0]].append(idx)
+    out_edges = {v: [e for e in (g.blue_out(v), g.red_out(v))
+                     if e is not None] for v in range(1, g.r)}
     cycles = []
 
     def explore(start, v, path_vertices, path_edges):
-        for idx in out_edges[v]:
-            w = h.edges[idx][1]
-            if rank[w] < rank[start]:
+        for e in out_edges[v]:
+            w = g.target(e)
+            if w < start:
                 continue
             if w == start:
-                cycles.append((frozenset(path_edges + [idx]),
+                cycles.append((frozenset(path_edges + [e]),
                                frozenset(path_vertices)))
             elif w not in path_vertices:
-                explore(start, w, path_vertices | {w}, path_edges + [idx])
+                explore(start, w, path_vertices | {w}, path_edges + [e])
 
-    for start in sorted(h.vertices):
+    for start in range(1, g.r):
         explore(start, start, {start}, [])
     families = []
 
@@ -667,27 +556,21 @@ def cycle_families(h):
     return families
 
 
-def frst_fiber_sum(g, f, n):
-    """Weight of the cabled cycle families projecting onto the flow.
+def frst_fiber_sum(g, f):
+    """Weight of the cycle families projecting onto the flow.
 
-    Summing each family's edge-weight product over every family of
-    cabled_graph(g, n) whose per-base-edge counts equal f.  The zero
-    flow's fiber is the empty family alone, weight 1; at n = 1 each 0/1
-    cycle flow lifts uniquely and the sum is flow_weight_beta.
+    Sums each family's product of edge weights over every cycle family
+    whose characteristic vector equals f.  The zero flow's fiber is the
+    empty family alone, weight 1; each 0/1 cycle flow lifts uniquely, so
+    the sum is flow_weight_beta, and any other flow has an empty fiber.
     """
-    if n < 1:
-        raise ValueError("need n >= 1, got %d" % n)
-    h = cabled_graph(g, n)
     total = LaurentPoly()
-    for family in cycle_families(h):
-        counts = [0] * len(g.reduced_edges)
-        for idx in family:
-            counts[g.edge_index[h.edges[idx][3]]] += 1
-        if tuple(counts) != tuple(f):
+    for family in cycle_families(g):
+        if tuple(int(e in family) for e in g.reduced_edges) != tuple(f):
             continue
         weight = LaurentPoly.constant(1)
-        for idx in family:
-            weight = weight * h.edges[idx][2]
+        for e in family:
+            weight = weight * g.beta(e)
         total = total + weight
     return total
 

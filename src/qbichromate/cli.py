@@ -310,7 +310,7 @@ def _suite_arcflow(args, report):
     if n == 1:
         for f in flows:
             report.verdict("cycle fiber f=%s" % (f,),
-                           arcflow.frst_fiber_sum(g, f, 1),
+                           arcflow.frst_fiber_sum(g, f),
                            arcflow.flow_weight_beta(g, f))
 
 

@@ -9,8 +9,8 @@ polynomials: the bichromate, the Whitney rank and Tutte polynomials, and
 the q-bichromate.
 
 It also hosts the defect-corrected coloring sum over chord-diagram
-intersection graphs (mdef_chord); the diagrams themselves are built in the
-arcflow module, which in turn imports this one.
+intersection graphs (mdef_chord); the arcflow module, which in turn imports
+this one, lays out one chord diagram per flow configuration.
 """
 
 from functools import cache
@@ -116,18 +116,19 @@ def q_bichromate(g, y):
     return out
 
 
-def mdef_chord(d, n):
+def mdef_chord(chords, n):
     """Defect-corrected coloring sum over a chord diagram's intersection graph.
 
-    Chords are intervals on a line of positions grouped by vertex; two
-    chords are adjacent when their intervals are not disjoint (they cross
-    or one nests inside the other).  A proper coloring assigns values
-    0..n-1 so adjacent chords differ.  Each chord c contributes
-    t^(v_c - def1 - def2), where
+    Chords are (start, end) pairs of sortable points with start < end,
+    listed by start; a point's first entry names its group (the vertex
+    it sits at).  Two chords are adjacent when their intervals are not
+    disjoint (they cross or one nests inside the other).  A proper
+    coloring assigns values 0..n-1 so adjacent chords differ.  Each
+    chord c contributes t^(v_c - def1 - def2), where
 
-      def1(c) counts chords strictly containing c's start position that
+      def1(c) counts chords strictly containing c's start point that
       carry a smaller value, and
-      def2(c) counts chords strictly containing c's end position, whose
+      def2(c) counts chords strictly containing c's end point, whose
       own end lies in a strictly later group, and that carry a smaller
       value.
 
@@ -136,8 +137,6 @@ def mdef_chord(d, n):
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    chords = d.chords
-    end_group = [d.group_of(e) for _, e in chords]
     edges = []
     defects = []
     for i, (si, ei) in enumerate(chords):
@@ -145,7 +144,7 @@ def mdef_chord(d, n):
                      if max(si, chords[j][0]) < min(ei, chords[j][1]))
         starts = [j + 1 for j, (sj, ej) in enumerate(chords) if sj < si < ej]
         ends = [j + 1 for j, (sj, ej) in enumerate(chords)
-                if sj < ei < ej and end_group[j] > end_group[i]]
+                if sj < ei < ej and ej[0] > ei[0]]
         defects.append(starts + ends)
     return _chord_sum(len(chords), tuple(edges),
                       tuple(tuple(listed) for listed in defects), n)
@@ -154,8 +153,8 @@ def mdef_chord(d, n):
 @cache
 def _chord_sum(chord_count, edges, defects, n):
     """The fold behind mdef_chord, kept per intersection graph, defect
-    lists and n: diagrams repeat a few of them many times (the trefoil's
-    154 diagrams at n = 5 have 6 between them)."""
+    lists and n: configurations repeat a few of them (fig8's 63 at n = 5
+    have 58), and the arcflow identities suite sums every flow twice."""
     sums = Multigraph(chord_count, edges).state_sums(
         range(n), ((0, 1),) * len(edges), defects)
     return LaurentPoly.from_powers("t", sums)

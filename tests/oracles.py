@@ -17,11 +17,14 @@ walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  poly_add_reference and poly_mul_reference are the
 package's former LaurentPoly sum and product, which build every result
 through the public validating constructor; the package's arithmetic now
-skips those checks for results of canonical operands.
+skips those checks for results of canonical operands.  chord_diagrams
+is the package's former ma2 layout, which tried every order of the ends
+at each vertex and weighted each distinct diagram by 1/deg; the package
+now lays out one diagram per configuration.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 from qbichromate.arcflow import flow_configurations, red_copies
@@ -446,3 +449,81 @@ def catmm_terms_reference(g, f, pairs):
             exponent += value - def1 - def2
         terms[exponent] = terms.get(exponent, 0) + 1
     return terms
+
+
+def chord_diagrams(g, f):
+    """Distinct diagrams of a flow with their multiplicities.
+
+    Every configuration lays its copies out as intervals: a copy starts
+    at its arrival vertex and ends where it is dropped (or at the last
+    vertex).  Positions run through vertex 1's starts, then its ends,
+    then vertex 2's, and so on.  Start positions follow the fixed copy
+    order; end positions within a vertex are assigned in every possible
+    order.  Returns (chords, groups, deg) triples: chords are (start,
+    end) position pairs listed by start, groups[v-1] = (starts, ends)
+    counts vertex v's positions, and deg counts the distinct diagrams of
+    that configuration, as the assignment enumeration produced them.
+    """
+    copies = red_copies(g, f)
+    arrivals = {v: [c for c in copies if g.target(c[0]) == v]
+                for v in range(1, g.r)}
+    results = []
+    for config, drop in flow_configurations(g, f):
+        ends_at = {v: [c for c in copies if drop[c] == v]
+                   for v in range(1, g.r)}
+        start_pos = {}
+        end_slots = {}
+        groups = []
+        position = 0
+        for v in range(1, g.r):
+            for c in arrivals[v]:
+                start_pos[c] = position
+                position += 1
+            end_slots[v] = list(range(position, position + len(ends_at[v])))
+            position += len(ends_at[v])
+            groups.append((len(arrivals[v]), len(ends_at[v])))
+        diagrams = set()
+        orderings = [permutations(ends_at[v]) for v in range(1, g.r)]
+        for combo in product(*orderings):
+            end_pos = {}
+            for v, perm in zip(range(1, g.r), combo):
+                for slot, c in zip(end_slots[v], perm):
+                    end_pos[c] = slot
+            diagrams.add(tuple(sorted((start_pos[c], end_pos[c])
+                                      for c in copies)))
+        for chords in sorted(diagrams):
+            results.append((chords, tuple(groups), len(diagrams)))
+    return results
+
+
+def chord_key(chords, groups):
+    """(chord count, intersection edges, defect lists) of a positional
+    diagram: chords are adjacent when their intervals meet; chord i's
+    defects are the chords strictly containing its start, then those
+    strictly containing its end whose own end lies in a later group."""
+    group_of = [v for v, (starts, ends) in enumerate(groups, start=1)
+                for _ in range(starts + ends)]
+    edges = []
+    defects = []
+    for i, (si, ei) in enumerate(chords):
+        edges.extend((i + 1, j + 1) for j in range(i + 1, len(chords))
+                     if max(si, chords[j][0]) < min(ei, chords[j][1]))
+        defects.append(
+            tuple(j + 1 for j, (sj, ej) in enumerate(chords) if sj < si < ej)
+            + tuple(j + 1 for j, (sj, ej) in enumerate(chords)
+                    if sj < ei < ej and group_of[ej] > group_of[ei]))
+    return len(chords), tuple(edges), tuple(defects)
+
+
+def ma2_terms_reference(g, f, n):
+    """{exponent: coefficient} of the ma2 flow sum: the defected value
+    sum of every diagram of chord_diagrams, weighted by 1/deg."""
+    folds = {}
+    terms = {}
+    for chords, groups, deg in chord_diagrams(g, f):
+        key = chord_key(chords, groups)
+        if key not in folds:
+            folds[key] = defected_sums_reference(key[0], key[1], n, key[2])
+        for exponent, count in folds[key].items():
+            terms[exponent] = terms.get(exponent, 0) + Fraction(count, deg)
+    return {e: c for e, c in terms.items() if c}

@@ -213,7 +213,7 @@ def test_cycle_fibers_at_level_one():
     for name in ("trefoil.arc", "fig8.arc"):
         g = load_fixture(name, parse_arc)
         for f in enumerate_flows(g, 1):
-            fiber = frst_fiber_sum(g, f, 1)
+            fiber = frst_fiber_sum(g, f)
             assert fiber == main_flow_weight(g, f, 1), (name, f)
             assert fiber == flow_weight_beta(g, f), (name, f)
 

@@ -5,17 +5,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbichromate import arcflow
 from qbichromate.arcflow import (ArcGraph, _ahead, admissible_pairs, arcjones,
-                                 cabled_graph, catmm_flow_sum, chord_diagrams,
-                                 colored_jones, cycle_families, delta_flow,
-                                 enumerate_flows, flow_configurations,
-                                 ma2_flow_sum, main_flow_weight, parse_arc,
-                                 red_copies, z_nf)
+                                 catmm_flow_sum, colored_jones, cycle_families,
+                                 delta_flow, enumerate_flows,
+                                 flow_configurations, flow_weight_beta,
+                                 frst_fiber_sum, ma2_flow_sum,
+                                 main_flow_weight, parse_arc, red_copies, z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
-                     figure_eight_colored_jones, flows_reference,
+                     chord_diagrams, figure_eight_colored_jones,
+                     flows_reference, ma2_terms_reference,
                      torus_2k_colored_jones, trefoil_colored_jones)
 
 T = LaurentPoly.variable("t")
@@ -185,9 +187,64 @@ def test_chord_diagrams_start_in_entering_order():
     groups = ((2, 0), (0, 1), (0, 1), (0, 0))
     for text, chords in ((TWO_REDS, [nested, crossing]),
                          (REORDERED, [crossing, nested])):
-        out = chord_diagrams(parse_arc(text), f)
-        assert [(d.chords, d.groups, deg) for d, deg in out] \
-            == [(c, groups, 1) for c in chords]
+        g = parse_arc(text)
+        assert chord_diagrams(g, f) == [(c, groups, 1) for c in chords]
+        for n in (2, 3):
+            assert ma2_flow_sum(g, f, n) == LaurentPoly.from_powers(
+                "t", ma2_terms_reference(g, f, n)), n
+
+
+def assert_ma2_matches_end_orders(g, n, budget=None):
+    """ma2_flow_sum against the every-end-order average, per flow.  With
+    a budget, flows whose pair_work or end-order count exceeds it are
+    skipped."""
+    for f in enumerate_flows(g, n):
+        if budget is not None and (pair_work(g, f, n) > budget
+                                   or end_order_work(g, f) > budget):
+            continue
+        assert ma2_flow_sum(g, f, n) == LaurentPoly.from_powers(
+            "t", ma2_terms_reference(g, f, n)), (n, f)
+
+
+def end_order_work(g, f):
+    """End orders the reference tries: per configuration, the product
+    over vertices of (copies dropped there)!."""
+    total = 0
+    for _, drop in flow_configurations(g, f):
+        ends = list(drop.values())
+        total += math.prod(math.factorial(ends.count(v)) for v in set(ends))
+    return total
+
+
+def test_ma2_matches_every_end_order():
+    arcs = [trefoil(), fig8(), fig8_red_first()] + [parse_arc(text) for text in
+                                  (TWO_REDS, REORDERED, THREE_INTO_3)]
+    for g in arcs:
+        for n in (1, 2, 3):
+            assert_ma2_matches_end_orders(g, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arc_graphs(), st.integers(1, 3))
+def test_ma2_matches_every_end_order_on_drawn_arcs(g, n):
+    assert_ma2_matches_end_orders(g, n, budget=BUDGET)
+
+
+def test_ma2_folds_one_layout_per_configuration(monkeypatch):
+    g = trefoil()
+    n = 3
+    calls = []
+    fold = arcflow.mdef_chord
+    monkeypatch.setattr(arcflow, "mdef_chord",
+                        lambda chords, m: calls.append(chords)
+                        or fold(chords, m))
+    colored_jones(g, n, route="ma2")
+    assert len(calls) == sum(len(flow_configurations(g, f))
+                             for f in enumerate_flows(g, n)) == 4
+    # a chord runs from (arrival, 0, k), the k-th copy arriving there, to
+    # (drop, 1); on the flow (2, 2) both r2 copies arrive at vertex 1 and
+    # ride b1 to the last vertex
+    assert (((1, 0, 0), (2, 1)), ((1, 0, 1), (2, 1))) in calls
 
 
 def test_two_reds_into_one_vertex_catmm_equals_ma2():
@@ -354,27 +411,33 @@ def test_per_flow_bridge():
 
 
 def test_cabled_graph_shape():
+    # the cable at level one is the reduced graph itself: the trefoil's
+    # cycle families are the empty one and the 2-cycle b1 r2, which lifts
+    # the flow (1, 1) with its beta weight
     g = trefoil()
-    h = cabled_graph(g, 2)
-    assert h.vertices == ((1, 1), (1, 2), (2, 1), (2, 2))
-    # every edge joins two listed vertices and carries a weight and label
-    for u, v, weight, label in h.edges:
-        assert u in h.vertices and v in h.vertices
-        assert isinstance(weight, LaurentPoly)
-    assert len(cycle_families(h)) == 5
+    assert cycle_families(g) == [frozenset(),
+                                 frozenset({("b", 1), ("r", 2)})]
+    assert frst_fiber_sum(g, (1, 1)) == flow_weight_beta(g, (1, 1)) \
+        == T ** -1 * (1 - T ** -1)
+    assert frst_fiber_sum(g, (0, 0)) == 1
+    # a flow that is no 0/1 cycle union has an empty fiber
+    assert frst_fiber_sum(g, (2, 2)) == LaurentPoly()
 
 
 def test_cycle_families_are_disjoint():
-    # a family is a set of edge indices forming vertex-disjoint cycles, so
-    # inside one family every touched vertex has in- and out-degree one
-    g = fig8()
-    h = cabled_graph(g, 2)
-    fams = cycle_families(h)
-    assert frozenset() in fams
-    assert len(set(fams)) == len(fams)
-    for fam in fams:
-        sources = [h.edges[i][0] for i in fam]
-        targets = [h.edges[i][1] for i in fam]
-        assert len(set(sources)) == len(sources)
-        assert len(set(targets)) == len(targets)
-        assert set(sources) == set(targets)
+    # a family is a set of reduced edges forming vertex-disjoint cycles,
+    # so inside one family every touched vertex has in- and out-degree
+    # one; the families are the level-one flows, found without the flow
+    # search
+    for g in (fig8(), parse_arc(TWO_REDS), parse_arc(THREE_INTO_3)):
+        fams = cycle_families(g)
+        assert frozenset() in fams
+        assert len(set(fams)) == len(fams)
+        for fam in fams:
+            sources = [e[1] for e in fam]
+            targets = [g.target(e) for e in fam]
+            assert len(set(sources)) == len(sources)
+            assert len(set(targets)) == len(targets)
+            assert set(sources) == set(targets)
+        assert sorted(tuple(int(e in fam) for e in g.reduced_edges)
+                      for fam in fams) == flows_reference(g, 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qbichromate import qchrom
-from qbichromate.arcflow import chord_diagrams, enumerate_flows, parse_arc
+from qbichromate.arcflow import enumerate_flows, ma2_flow_sum, parse_arc
 from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly, qbinom, qint
 from qbichromate.qchrom import (bichromate, mdef_chord, mq_complete, mq_direct,
@@ -115,36 +115,37 @@ def test_q_bichromate_empty_subset_term():
     assert q_bichromate(g, 3) == qint(3) * qint(3)
 
 
-class _Diagram:
-    def __init__(self, chords, groups):
-        self.chords = chords
-        self._groups = groups
-
-    def group_of(self, position):
-        return self._groups[position]
+# Chords are (start, end) point pairs whose first entry is the vertex;
+# these are the layouts ma2_flow_sum builds: (v, 0, k) for the k-th start
+# at v, before (v, 1) for every end at v.
+CROSSING = (((1, 0, 0), (2, 1)), ((1, 0, 1), (3, 1)))
 
 
 def test_mdef_chord_crossing_pair():
-    # chords [0,2] and [1,3] overlap, so their values must differ; each
-    # ordering of the two values loses one defect, leaving weight zero
-    d = _Diagram(((0, 2), (1, 3)), (1, 2, 1, 2))
+    # the chords overlap, so their values must differ; each ordering of
+    # the two values loses one defect, leaving weight zero
     t = LaurentPoly.variable("t")
-    assert mdef_chord(d, 1) == LaurentPoly()
-    assert mdef_chord(d, 2) == LaurentPoly.constant(2)
-    assert mdef_chord(d, 3) == 2 + 2 * t + 2 * t ** 2
+    assert mdef_chord(CROSSING, 1) == LaurentPoly()
+    assert mdef_chord(CROSSING, 2) == LaurentPoly.constant(2)
+    assert mdef_chord(CROSSING, 3) == 2 + 2 * t + 2 * t ** 2
 
 
 def test_mdef_chord_nested_pair():
-    # nested chords [0,3] and [1,2]: only the start of the inner chord is
-    # encircled, so the two orderings get different weights
-    d = _Diagram(((0, 3), (1, 2)), (1, 2, 2, 1))
+    # both chords end at vertex 2 and the outer one contains the inner
+    # start: only that start is encircled, so the two orderings get
+    # different weights
+    d = (((1, 0, 0), (2, 1)), ((1, 0, 1), (2, 1)))
     t = LaurentPoly.variable("t")
     assert mdef_chord(d, 2) == 1 + t
     # the number of terms counts the ordered value pairs
     assert sum(mdef_chord(d, 3).terms.values()) == Fraction(6)
+    # ends at distinct points of one group: the outer end comes later,
+    # but in the same group, so it is still no defect of the inner end
+    spread = (((1, 0), (1, 3)), ((1, 1), (1, 2)))
+    assert mdef_chord(spread, 3) == mdef_chord(d, 3)
     # the outer chord encircles both ends of the inner one and ends in a
     # later group, so it is a defect of the inner chord twice
-    d = _Diagram(((0, 3), (1, 2)), (1, 1, 1, 2))
+    d = (((1, 0, 0), (2, 1)), ((1, 0, 1), (1, 1)))
     assert mdef_chord(d, 2) == t ** -1 + t
     assert mdef_chord(d, 3) == t ** -1 + 1 + 2 * t + t ** 2 + t ** 3
 
@@ -161,16 +162,15 @@ def test_mdef_chord_memo_serves_equal_graphs_per_n():
     # the bench tracer wraps public functions, so mdef_chord must stay one
     assert inspect.isfunction(qchrom.mdef_chord)
     t = LaurentPoly.variable("t")
-    crossing = _Diagram(((0, 2), (1, 3)), (1, 2, 1, 2))
     # another layout with the same intersection graph and defect lists
-    shifted = _Diagram(((0, 3), (2, 5)), (1, 1, 1, 1, 1, 2))
+    shifted = (((2, 0, 0), (3, 1)), ((2, 0, 1), (4, 1)))
     qchrom._chord_sum.cache_clear()
-    assert mdef_chord(crossing, 2) == 2
-    assert mdef_chord(crossing, 3) == 2 + 2 * t + 2 * t ** 2
+    assert mdef_chord(CROSSING, 2) == 2
+    assert mdef_chord(CROSSING, 3) == 2 + 2 * t + 2 * t ** 2
     assert qchrom._chord_sum.cache_info().misses == 2
     assert mdef_chord(shifted, 3) == 2 + 2 * t + 2 * t ** 2
     assert qchrom._chord_sum.cache_info().hits == 1
-    assert mdef_chord(crossing, 3) == reference_chord_sum(2, ((1, 2),),
+    assert mdef_chord(CROSSING, 3) == reference_chord_sum(2, ((1, 2),),
                                                           ((2,), (1,)), 3)
 
 
@@ -181,8 +181,15 @@ def test_mdef_chord_memo_matches_reference_on_trefoil(monkeypatch):
     monkeypatch.setattr(qchrom, "_chord_sum",
                         lambda *key: keys.append(key) or fold(*key))
     fold.cache_clear()
+    diagram_keys = set()
     for f in enumerate_flows(g, 3):
-        for d, _ in chord_diagrams(g, f):
-            assert mdef_chord(d, 3) == reference_chord_sum(*keys[-1])
-    # distinct diagrams share intersection graphs and defect lists
+        ma2_flow_sum(g, f, 3)
+        ma2_flow_sum(g, f, 3)
+        diagram_keys.update(oracles.chord_key(chords, groups) + (3,) for
+                            chords, groups, _ in oracles.chord_diagrams(g, f))
+    for key in keys:
+        assert fold(*key) == reference_chord_sum(*key)
+    # the one layout per configuration has the key every end order of
+    # that configuration has, and a repeated sum is served from the memo
+    assert set(keys) == diagram_keys
     assert fold.cache_info().misses == len(set(keys)) < len(keys)

@@ -393,79 +393,63 @@ def flow_configurations(g, f):
             for config, _, dropped in partial]
 
 
-def admissible_pairs(g, f, n):
-    """Configuration/drop/value triples passing the equal-value drop test.
+def catmm_flow_sum(g, f, n):
+    """Defect-weighted value sum over configurations with values.
 
-    Values live in 0..n-1, one per red copy.  For two copies with equal
-    values arriving at i <= j, the earlier one must be dropped before j;
-    equal values arriving at the same vertex are never admissible.
+    Values live in 0..n-1, one per red copy, and each copy contributes
+    t^(value - def1 - def2): def1 counts smaller-valued copies it meets
+    on arrival (riding in on the blue edge, or arriving earlier at the
+    same vertex), def2 counts smaller-valued copies still riding when it
+    is dropped.  Two copies may share a value only if the one arriving
+    first is dropped before the other arrives.
 
-    Copies are listed by arrival, so copy a < b clashes with b exactly
-    when drop(a) >= arrival(b), which covers equal arrivals too.  Each
-    configuration lists every copy's earlier clashes once; values are
-    then assigned copy by copy, each avoiding the values of its clashes.
-    The triples come configuration by configuration, in the order of
-    flow_configurations, and within one configuration in lexicographic
-    order of the value tuples.
+    Copies are listed by arrival, so copy b meets on arrival exactly its
+    clash list riding[b], the earlier copies a with drop(a) >= arrival(b).
+    Their values are pairwise distinct and b's avoids them, so value -
+    def1 is the rank of b's value among the values they leave free.  A
+    def2 pair is charged when its later copy b takes its value: against b
+    for each smaller-valued earlier copy dropped later than b, and
+    against a for each earlier copy a dropped sooner than b (but not
+    before b arrives) whose value is larger.  All three lists depend
+    only on the drop map, so each configuration is one walk that carries
+    the exponent down to its leaves.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     copies = red_copies(g, f)
     arrival = [g.target(e) for e, _ in copies]
     values = [0] * len(copies)
-    pairs = []
-    for config, drop in flow_configurations(g, f):
-        dropped = [drop[c] for c in copies]
-        clash = [[a for a in range(b) if dropped[a] >= arrival[b]]
-                 for b in range(len(copies))]
-
-        def assign(b):
-            if b == len(copies):
-                pairs.append((config, drop, tuple(values)))
-                return
-            taken = {values[a] for a in clash[b]}
-            for value in range(n):
-                if value not in taken:
-                    values[b] = value
-                    assign(b + 1)
-
-        assign(0)
-    return pairs
-
-
-def catmm_flow_sum(g, f, n):
-    """Defect-weighted value sum over admissible pairs.
-
-    Each copy contributes t^(value - def1 - def2): def1 counts
-    smaller-valued copies it meets on arrival (riding in on the blue
-    edge, or arriving earlier at the same vertex), def2 counts
-    smaller-valued copies still riding when it is dropped.  Which copies
-    a copy meets depends only on the configuration, so each
-    configuration lists them once, as copy indices.
-    """
-    copies = red_copies(g, f)
-    position = {c: i for i, c in enumerate(copies)}
     terms = {}
-    rows = config_now = None
-    # admissible_pairs lists each configuration's triples together.
-    for config, drop, values in admissible_pairs(g, f, n):
-        if config != config_now:
-            config_now = config
-            rows = []
-            for i, c in enumerate(copies):
-                w = g.target(c[0])
-                met = list(config[w - 2]) if w >= 2 else []
-                met += [c2 for c2 in copies[:i] if g.target(c2[0]) == w]
-                if drop[c] <= g.r - 2:
-                    met += config[drop[c] - 1]
-                rows.append((i, tuple(position[c2] for c2 in met)))
-        exponent = sum(values)
-        for i, met in rows:
-            value = values[i]
-            for j in met:
-                if values[j] < value:
-                    exponent -= 1
-        terms[exponent] = terms.get(exponent, 0) + 1
+    for _, drop in flow_configurations(g, f):
+        dropped = [drop[c] for c in copies]
+        riding = [[a for a in range(b) if dropped[a] >= arrival[b]]
+                  for b in range(len(copies))]
+        later = [[a for a in riding[b] if dropped[a] > dropped[b]]
+                 for b in range(len(copies))]
+        sooner = [[a for a in riding[b] if dropped[a] < dropped[b]]
+                  for b in range(len(copies))]
+
+        def assign(b, exponent):
+            if b == len(copies):
+                terms[exponent] = terms.get(exponent, 0) + 1
+                return
+            taken = {values[a] for a in riding[b]}
+            rank = 0
+            for value in range(n):
+                if value in taken:
+                    continue
+                charged = exponent + rank
+                for a in later[b]:
+                    if values[a] < value:
+                        charged -= 1
+                for a in sooner[b]:
+                    if values[a] > value:
+                        charged -= 1
+                values[b] = value
+                assign(b + 1, charged)
+                rank += 1
+
+        assign(0, 0)
     return LaurentPoly.from_powers("t", terms)
 
 

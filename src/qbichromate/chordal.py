@@ -26,7 +26,6 @@ polynomials in q:
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -229,22 +228,18 @@ def tree_structures(parents, a_sets, b_sizes):
 
     Top-down, each non-root node w takes every b_w-element subset of its
     parent's bag.  Instances whose sizes admit no choice at some node
-    yield an empty list with a warning; malformed instances raise
+    have no structures, so the list is empty; malformed instances raise
     ValueError.
     """
     root, topdown, a_sets, b_sizes = _instance(parents, a_sets, b_sizes)
     parents = tuple(int(p) for p in parents)
     n = len(parents)
+    # An infeasible node empties the list; stop before building any level.
     for w in topdown:
         if w == root:
             continue
         p = parents[w - 1]
         if b_sizes[w - 1] > len(a_sets[p - 1]) + b_sizes[p - 1]:
-            warnings.warn(
-                "no structures: node %d needs %d inherited elements but its "
-                "parent bag only has %d"
-                % (w, b_sizes[w - 1], len(a_sets[p - 1]) + b_sizes[p - 1]),
-                stacklevel=2)
             return []
     # Level by level, so earlier nodes in topdown order vary slowest.
     partial = [{root: frozenset()}]

@@ -9,7 +9,6 @@ import json
 import random
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 
 from qbichromate.arcflow import (arcjones, catmm_flow_sum, colored_jones,
@@ -282,23 +281,19 @@ def grid_instances(max_nodes, amax, bmax, max_ground=None):
 
 def test_structure_count_matches_enumeration():
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for parents, a_sets, b_sizes in grid_instances(4, 3, 2):
-            ss = list(tree_structures(parents, a_sets, b_sizes))
-            assert structure_count(parents, a_sets, b_sizes) == len(ss)
-            checked += 1
+    for parents, a_sets, b_sizes in grid_instances(4, 3, 2):
+        ss = list(tree_structures(parents, a_sets, b_sizes))
+        assert structure_count(parents, a_sets, b_sizes) == len(ss)
+        checked += 1
     assert checked == 13638
 
 
 def str_grid():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for parents, a_sets, b_sizes in grid_instances(3, 3, 2, max_ground=5):
-            yield parents, a_sets, b_sizes, (1, 2, 3)
-        for parents, a_sets, b_sizes in grid_instances(4, 2, 2, max_ground=5):
-            if len(parents) == 4:
-                yield parents, a_sets, b_sizes, (2,)
+    for parents, a_sets, b_sizes in grid_instances(3, 3, 2, max_ground=5):
+        yield parents, a_sets, b_sizes, (1, 2, 3)
+    for parents, a_sets, b_sizes in grid_instances(4, 2, 2, max_ground=5):
+        if len(parents) == 4:
+            yield parents, a_sets, b_sizes, (2,)
     chain = load_fixture("chain.s", parse_structure)
     yield chain + ((4,),)
     yield (0, 1), (frozenset({1, 2}), frozenset({3})), (0, 1), (4,)
@@ -306,28 +301,24 @@ def str_grid():
 
 def test_defected_color_sum_per_structure():
     pairs = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for parents, a_sets, b_sizes, zs in str_grid():
-            for s in tree_structures(parents, a_sets, b_sizes):
-                for z in zs:
-                    lhs, rhs = str2_pair(s, z)
-                    assert lhs == rhs, (parents, a_sets, b_sizes, z)
-                    pairs += 1
+    for parents, a_sets, b_sizes, zs in str_grid():
+        for s in tree_structures(parents, a_sets, b_sizes):
+            for z in zs:
+                lhs, rhs = str2_pair(s, z)
+                assert lhs == rhs, (parents, a_sets, b_sizes, z)
+                pairs += 1
     assert pairs > 900
 
 
 def test_defected_color_sum_aggregate_and_invariance():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for parents, a_sets, b_sizes, zs in str_grid():
-            ss = list(tree_structures(parents, a_sets, b_sizes))
-            for z in zs:
-                lhs, rhs = str20_pair(parents, a_sets, b_sizes, z)
-                assert lhs == rhs, (parents, a_sets, b_sizes, z)
-                # the per-structure sum does not depend on the structure
-                values = {str2_pair(s, z)[0] for s in ss}
-                assert len(values) <= 1, (parents, a_sets, b_sizes, z)
+    for parents, a_sets, b_sizes, zs in str_grid():
+        ss = list(tree_structures(parents, a_sets, b_sizes))
+        for z in zs:
+            lhs, rhs = str20_pair(parents, a_sets, b_sizes, z)
+            assert lhs == rhs, (parents, a_sets, b_sizes, z)
+            # the per-structure sum does not depend on the structure
+            values = {str2_pair(s, z)[0] for s in ss}
+            assert len(values) <= 1, (parents, a_sets, b_sizes, z)
 
 
 # --------------------------------------------------------------- criterion 10

@@ -214,6 +214,19 @@ def test_internal_fault_exits_3(tmp_path):
     assert result.stdout == ""
 
 
+def test_infeasible_chordal_structure_is_quiet(tmp_path):
+    # node 2 needs five inherited elements from a one-element bag, so
+    # the instance has no structures: both counts are 0, nothing warns
+    structure = tmp_path / "none.s"
+    structure.write_text("tree 0 1\nA 1 1\nA 2 2\nb 2 5\n")
+    result = invoke(["identities", "--suite", "chordal",
+                     "--structure", str(structure)])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "PASS structure count\n" in result.stdout
+    assert result.stdout.endswith("checked: 2 failed: 0\n")
+
+
 def test_deep_chordal_structure(tmp_path):
     # a 1500-node chain: neither the structure enumeration nor the
     # coloring walk may recurse once per node

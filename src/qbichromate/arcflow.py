@@ -343,54 +343,45 @@ def main_flow_weight(g, f, n):
     return out
 
 
-def _arrivals(g, f):
-    """Red copies grouped by arrival vertex: {w: copies entering w}.
-
-    Copies are (edge, index) pairs, one per unit of red flow; each group
-    follows the entering order at w, which lists every edge entering w
-    (a blue edge carries no copies), then the index.
-    """
-    return {w: tuple((e, idx) for e in g.red_in(w)
-                     for idx in range(f[g.edge_index[e]]))
-            for w in range(1, g.r)}
-
-
 def red_copies(g, f):
     """Individual units of red flow, ordered by arrival.
 
-    Copies are (edge, index) pairs listed by target vertex, then by the
-    entering order of their edge there, then by index.
+    Copies are (edge, index) pairs, one per unit of red flow, listed by
+    target vertex, then by the entering order of their edge there (which
+    lists every edge entering the vertex; a blue edge carries no
+    copies), then by index.
     """
-    return tuple(c for group in _arrivals(g, f).values() for c in group)
+    return tuple((e, idx) for w in range(1, g.r) for e in g.red_in(w)
+                 for idx in range(f[g.edge_index[e]]))
 
 
 def flow_configurations(g, f):
-    """All carried-set sequences of a flow, each with its drop map.
+    """The configurations of a flow as drop tuples aligned with
+    red_copies(g, f).
 
     A configuration picks, for each blue edge i -> i+1, which f(blue)
-    red copies ride it: C_i is a subset of C_{i-1} plus the copies
-    arriving at i.  A copy's drop is the smallest l >= its arrival with
-    the copy absent from C_l, or r-1 when it is carried through the
-    whole sequence (or arrives at the last vertex, where there is
-    nothing to ride).  Returns (config, drop) pairs, drop mapping every
-    copy to its drop; the zero flow has exactly one, all-empty,
-    configuration.
+    red copies ride it: the riders of edge i are some of those of edge
+    i-1 plus the copies arriving at i.  A copy's drop is the smallest
+    l >= its arrival with the copy not riding edge l, or r-1 when it is
+    carried through the whole sequence (or arrives at the last vertex,
+    where there is nothing to ride).  A copy rides blue edge i exactly
+    when arrival <= i < drop, so the drops determine the configuration.
+    The zero flow has exactly one configuration, the empty tuple.
     """
-    arrivals = _arrivals(g, f)
-    partial = [((), frozenset(), ())]
+    arrival = [g.target(e) for e, _ in red_copies(g, f)]
+    partial = [((), (g.r - 1,) * len(arrival))]
     for i in range(1, g.r - 1):
         size = g.flow_value(f, ("b", i))
+        arriving = tuple(k for k, w in enumerate(arrival) if w == i)
         grown = []
-        for config, last, dropped in partial:
-            pool = sorted(last | set(arrivals[i]))
-            for choice in combinations(pool, size):
-                chosen = frozenset(choice)
-                left = tuple((c, i) for c in pool if c not in chosen)
-                grown.append((config + (chosen,), chosen, dropped + left))
+        for riding, drop in partial:
+            pool = riding + arriving
+            for chosen in combinations(pool, size):
+                left = set(pool).difference(chosen)
+                grown.append((chosen, tuple(i if k in left else d
+                                            for k, d in enumerate(drop))))
         partial = grown
-    carried = dict.fromkeys(red_copies(g, f), g.r - 1)
-    return [(config, {**carried, **dict(dropped)})
-            for config, _, dropped in partial]
+    return [drop for _, drop in partial]
 
 
 def catmm_flow_sum(g, f, n):
@@ -411,8 +402,8 @@ def catmm_flow_sum(g, f, n):
     for each smaller-valued earlier copy dropped later than b, and
     against a for each earlier copy a dropped sooner than b (but not
     before b arrives) whose value is larger.  All three lists depend
-    only on the drop map, so each configuration is one walk that carries
-    the exponent down to its leaves.
+    only on the drop tuple, so each configuration is one walk that
+    carries the exponent down to its leaves.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -420,13 +411,12 @@ def catmm_flow_sum(g, f, n):
     arrival = [g.target(e) for e, _ in copies]
     values = [0] * len(copies)
     terms = {}
-    for _, drop in flow_configurations(g, f):
-        dropped = [drop[c] for c in copies]
-        riding = [[a for a in range(b) if dropped[a] >= arrival[b]]
+    for drop in flow_configurations(g, f):
+        riding = [[a for a in range(b) if drop[a] >= arrival[b]]
                   for b in range(len(copies))]
-        later = [[a for a in riding[b] if dropped[a] > dropped[b]]
+        later = [[a for a in riding[b] if drop[a] > drop[b]]
                  for b in range(len(copies))]
-        sooner = [[a for a in riding[b] if dropped[a] < dropped[b]]
+        sooner = [[a for a in riding[b] if drop[a] < drop[b]]
                   for b in range(len(copies))]
 
         def assign(b, exponent):
@@ -457,19 +447,20 @@ def ma2_flow_sum(g, f, n):
     """Sum of defect-corrected coloring sums, one chord layout per
     configuration: mdef_chord(chords, n) over flow_configurations.
 
-    A copy's chord starts at its arrival vertex, in copy order, and ends
-    at its drop vertex.  Points are (v, 0, k) for the k-th start at v and
-    (v, 1) for every end at v, so a vertex's starts come before its ends.
+    A copy's chord starts at its arrival vertex and ends at its drop
+    vertex.  Points are (v, 0, k) for the k-th copy arriving at v in copy
+    order, built once per flow, and (v, 1) for every end at v, read off
+    each drop tuple, so a vertex's starts come before its ends.
     Ordering the ends inside one vertex changes neither the overlaps nor
     the defect lists, so this one layout stands for them all.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    starts = {c: (w, 0, k) for w, group in _arrivals(g, f).items()
-              for k, c in enumerate(group)}
+    arrival = [g.target(e) for e, _ in red_copies(g, f)]
+    starts = [(w, 0, k - arrival.index(w)) for k, w in enumerate(arrival)]
     total = LaurentPoly()
-    for _, drop in flow_configurations(g, f):
-        chords = tuple((start, (drop[c], 1)) for c, start in starts.items())
+    for drop in flow_configurations(g, f):
+        chords = tuple((start, (end, 1)) for start, end in zip(starts, drop))
         total = total + mdef_chord(chords, n)
     return total
 

@@ -15,9 +15,7 @@ followed by a valid value that does not start with "-", every required
 flag given -- is read by _plain_args without building a parser.  Any
 other command line goes to argparse, which alone prints help and
 errors and handles abbreviations, --flag=value, "--" and negative
-numbers.  argparse builds the subparser of the named subcommand only;
-help, no arguments or an unknown name get the parser of every
-subcommand.
+numbers; its one parser registers every subcommand.
 """
 
 import argparse
@@ -400,21 +398,11 @@ def _flags(name):
             for dest, spec in {**_COMMANDS[name][1], **_COMMON}.items()}
 
 
-def _parser(argv):
-    """The parser for argv: with only the subparser of argv[0] when that
-    names a subcommand, and with all of them otherwise (help, no
-    arguments, an unknown name), so errors and help list every name."""
+def _parser():
+    """The argparse parser with a subparser for every subcommand."""
     top = argparse.ArgumentParser(prog="qbichromate")
-    names, metavar = _COMMANDS, None
-    if argv and argv[0] in _COMMANDS:
-        # The metavar keeps every name in the usage line that
-        # "unrecognized arguments" prints.  Only here: argparse names the
-        # positional by its metavar in "invalid choice" and "required"
-        # errors.
-        names, metavar = (argv[0],), "{%s}" % ",".join(_COMMANDS)
-    subs = top.add_subparsers(dest="subcommand", required=True,
-                              metavar=metavar)
-    for name in names:
+    subs = top.add_subparsers(dest="subcommand", required=True)
+    for name in _COMMANDS:
         p = subs.add_parser(name)
         for option, (_, spec) in _flags(name).items():
             p.add_argument(option, **spec)
@@ -422,7 +410,7 @@ def _parser(argv):
 
 
 def _plain_args(argv):
-    """The namespace _parser(argv).parse_args(argv) returns, for a plain
+    """The namespace _parser().parse_args(argv) returns, for a plain
     argv (see the module docstring); None for any other argv."""
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -460,14 +448,14 @@ def run(argv):
     (exit code, report).
 
     A plain argv (see the module docstring) is read without argparse;
-    any other goes through _parser(argv).  argparse raises SystemExit
+    any other goes through _parser().  argparse raises SystemExit
     instead of returning: code 0 after printing help on stdout for
     -h/--help, code 2 after printing usage and the error on stderr for
     a bad, missing or unknown flag or subcommand.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or _parser(argv).parse_args(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
     started = time.monotonic()
     command = args.subcommand
     if command == "identities":

@@ -11,7 +11,8 @@ are published closed-form sums and Morton's torus-knot formula (the
 package sums over arc-graph flows),
 all with plain dict Laurent arithmetic in one variable.  The arc-graph
 references generate every candidate and test it (the package searches
-and prunes); they share the package's ArcGraph and configurations.
+and prunes): flows_reference every edge tuple, configurations_reference
+every drop map; they share the package's ArcGraph and copy order.
 state_sums_reference is the package's former state kernel, a depth-first
 walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  poly_add_reference and poly_mul_reference are the
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
-from qbichromate.arcflow import flow_configurations, red_copies
+from qbichromate.arcflow import red_copies
 from qbichromate.polyq import LaurentPoly
 
 
@@ -400,13 +401,36 @@ def flows_reference(g, n):
     return flows
 
 
+def configurations_reference(g, f):
+    """(drop, config) pairs of a flow, one per configuration.
+
+    drop maps each red copy (edge, index) to a vertex from its arrival
+    to r-1; config[i-1] is the frozenset of copies riding blue edge i,
+    those with arrival <= i < drop.  Every drop map in the product of
+    the copies' ranges, copies sorted by edge key, is tried in turn and
+    kept when each blue edge i carries exactly f(b_i) copies.
+    """
+    copies = [(e, idx) for e in sorted(g.reduced_edges) if e[0] == "r"
+              for idx in range(f[g.edge_index[e]])]
+    arrival = [g.target(e) for e, _ in copies]
+    out = []
+    for drops in product(*(range(w, g.r) for w in arrival)):
+        config = tuple(frozenset(c for c, w, d in zip(copies, arrival, drops)
+                                 if w <= i < d)
+                       for i in range(1, g.r - 1))
+        if all(len(riders) == f[g.edge_index[("b", i)]]
+               for i, riders in enumerate(config, start=1)):
+            out.append((dict(zip(copies, drops)), config))
+    return out
+
+
 def admissible_pairs_reference(g, f, n):
     """(config, drop, values) triples passing the equal-value drop test,
     by testing all n^copies value tuples of every configuration."""
     copies = red_copies(g, f)
     arrival = {c: g.target(c[0]) for c in copies}
     pairs = []
-    for config, drop in flow_configurations(g, f):
+    for drop, config in configurations_reference(g, f):
         for values in product(range(n), repeat=len(copies)):
             ok = True
             for a, b in combinations(range(len(copies)), 2):
@@ -468,7 +492,7 @@ def chord_diagrams(g, f):
     arrivals = {v: [c for c in copies if g.target(c[0]) == v]
                 for v in range(1, g.r)}
     results = []
-    for config, drop in flow_configurations(g, f):
+    for drop, _ in configurations_reference(g, f):
         ends_at = {v: [c for c in copies if drop[c] == v]
                    for v in range(1, g.r)}
         start_pos = {}

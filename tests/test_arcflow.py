@@ -16,7 +16,8 @@ from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
-                     chord_diagrams, figure_eight_colored_jones,
+                     chord_diagrams, configurations_reference,
+                     figure_eight_colored_jones,
                      flows_reference, ma2_terms_reference,
                      torus_2k_colored_jones, trefoil_colored_jones)
 
@@ -192,12 +193,12 @@ def test_red_entering_orders():
 
 def test_chord_diagrams_start_in_entering_order():
     # one copy each of r2 and r3 starts at vertex 1; the configurations
-    # drop r3 then r2 at vertex 2, and the other copy at vertex 3
+    # drop r2 then r3 at vertex 2, and the other copy at vertex 3
     f = (2, 1, 0, 0, 1, 1, 0)
     nested, crossing = ((0, 3), (1, 2)), ((0, 2), (1, 3))
     groups = ((2, 0), (0, 1), (0, 1), (0, 0))
-    for text, chords in ((TWO_REDS, [nested, crossing]),
-                         (REORDERED, [crossing, nested])):
+    for text, chords in ((TWO_REDS, [crossing, nested]),
+                         (REORDERED, [nested, crossing])):
         g = parse_arc(text)
         assert chord_diagrams(g, f) == [(c, groups, 1) for c in chords]
         for n in (2, 3):
@@ -221,9 +222,8 @@ def end_order_work(g, f):
     """End orders the reference tries: per configuration, the product
     over vertices of (copies dropped there)!."""
     total = 0
-    for _, drop in flow_configurations(g, f):
-        ends = list(drop.values())
-        total += math.prod(math.factorial(ends.count(v)) for v in set(ends))
+    for drop in flow_configurations(g, f):
+        total += math.prod(math.factorial(drop.count(v)) for v in set(drop))
     return total
 
 
@@ -312,15 +312,44 @@ def test_flow_configurations_count_and_drops():
                                         value[("b", i)])
                 configs = flow_configurations(g, f)
                 assert len(configs) == expect, (f, n)
-                assert len({config for config, _ in configs}) == expect
-                copies = {(e, idx) for e in red for idx in range(value[e])}
-                for config, drop in configs:
-                    assert set(drop) == copies
-                    for (e, idx), l in drop.items():
-                        scan = g.over[e[1] - 1]
-                        while scan < g.r - 1 and (e, idx) in config[scan - 1]:
-                            scan += 1
-                        assert l == scan, (f, config, e, idx)
+                assert len(set(configs)) == expect
+                arrival = [g.target(e) for e, _ in red_copies(g, f)]
+                for drop in configs:
+                    assert len(drop) == len(arrival)
+                    assert all(w <= d <= g.r - 1
+                               for w, d in zip(arrival, drop)), (f, drop)
+                    for i in range(1, g.r - 1):
+                        riders = sum(1 for w, d in zip(arrival, drop)
+                                     if w <= i < d)
+                        assert riders == value[("b", i)], (f, drop, i)
+
+
+def assert_configurations_match(g, n, budget=None):
+    """flow_configurations against every drop map of the reference, the
+    map read in red_copies order.  With a budget, flows whose drop-map
+    product exceeds it are skipped."""
+    for f in enumerate_flows(g, n):
+        copies = red_copies(g, f)
+        if budget is not None and math.prod(
+                g.r - g.target(e) for e, _ in copies) > budget:
+            continue
+        expect = {tuple(drop[c] for c in copies)
+                  for drop, _ in configurations_reference(g, f)}
+        assert set(flow_configurations(g, f)) == expect, (n, f)
+
+
+def test_flow_configurations_match_reference():
+    arcs = [trefoil(), fig8(), fig8_red_first()] + [parse_arc(text) for text in
+                                  (TWO_REDS, REORDERED, THREE_INTO_3)]
+    for g in arcs:
+        for n in (1, 2, 3):
+            assert_configurations_match(g, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arc_graphs(), st.integers(1, 3))
+def test_flow_configurations_match_reference_on_drawn_arcs(g, n):
+    assert_configurations_match(g, n, budget=BUDGET)
 
 
 def test_missing_rot_raises():

@@ -1,6 +1,5 @@
 """Command line behavior: reports, exit codes, emit formats."""
 
-import argparse
 import io
 import json
 import subprocess
@@ -271,22 +270,10 @@ PARSER_SAMPLES = {
 }
 
 
-def full_parser():
-    """The parser with every subcommand, as built for help or no arguments."""
-    return cli._parser([])
-
-
-def subparsers(top):
-    """{name: subparser} registered on the top-level parser."""
-    action, = (a for a in top._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
-def outcome(parser, argv, capsys):
-    """(stdout, stderr, exit code or None) of parser.parse_args(argv)."""
+def outcome(call, capsys):
+    """(stdout, stderr, exit code or None) of call()."""
     try:
-        parser.parse_args(argv)
+        call()
         code = None
     except SystemExit as exc:
         code = exc.code
@@ -298,16 +285,6 @@ def test_parser_samples_cover_every_subcommand():
     assert list(PARSER_SAMPLES) == list(cli._COMMANDS)
 
 
-@pytest.mark.parametrize("name", list(PARSER_SAMPLES))
-def test_one_subparser_parses_like_all(name):
-    argv = [name] + PARSER_SAMPLES[name]
-    one = cli._parser(argv)
-    assert list(subparsers(one)) == [name]
-    assert vars(one.parse_args(argv)) == vars(full_parser().parse_args(argv))
-    assert subparsers(one)[name].format_help() \
-        == subparsers(full_parser())[name].format_help()
-
-
 @pytest.mark.parametrize("argv", [
     ["-h"], ["--help"], [], ["bogus"], ["--", "potts"], ["potts", "-h"],
     ["identities", "-h"], ["qbichromate"],
@@ -316,37 +293,18 @@ def test_one_subparser_parses_like_all(name):
     ["qchrom", "--graph", "k2.g", "--n", "1_0"],
 ])
 def test_help_and_errors_match_the_full_parser(argv, capsys):
-    got = outcome(cli._parser(argv), argv, capsys)
-    assert got == outcome(full_parser(), argv, capsys)
+    got = outcome(lambda: run(argv), capsys)
+    assert got == outcome(lambda: cli._parser().parse_args(argv), capsys)
     assert got[2] in (0, 2)
     if argv in ([], ["bogus"]):
         # these errors name the positional by its dest, not a metavar
         assert "subcommand" in got[1]
 
 
-def test_run_registers_one_subparser(monkeypatch, capsys):
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    # An abbreviated flag is not plain, so argparse reads this argv.
-    code, _ = run(("jones", "--p", fixture_path("trefoil.pd")))
-    assert code == 0
-    assert names == ["jones"]
-    with pytest.raises(SystemExit):
-        run(["-h"])
-    capsys.readouterr()
-    assert names[1:] == list(cli._COMMANDS)
-
-
 def canonical(argv):
     """argv written plain: every flag argparse sets on it, spelled out in
     full with a separate value, file names as fixture paths."""
-    parsed = vars(cli._parser(argv).parse_args(argv))
+    parsed = vars(cli._parser().parse_args(argv))
     out = [argv[0]]
     for option, (dest, spec) in cli._flags(argv[0]).items():
         value = parsed[dest]
@@ -365,7 +323,7 @@ def canonical(argv):
 def test_canonical_samples_run_without_a_parser(name, monkeypatch, capsys):
     argv = canonical([name] + PARSER_SAMPLES[name])
 
-    def refuse(argv):
+    def refuse():
         raise AssertionError("built a parser for %r" % (argv,))
 
     monkeypatch.setattr(cli, "_parser", refuse)
@@ -396,7 +354,7 @@ def argparse_vars(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) \
             as err:
         try:
-            return vars(cli._parser(argv).parse_args(argv))
+            return vars(cli._parser().parse_args(argv))
         except SystemExit:
             pass
     raise AssertionError("argparse refused %r: %s" % (argv, err.getvalue()))

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private module-level function is referenced elsewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,44 @@ def test_package_modules_use_every_import():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def unreferenced_helpers(sources):
+    """(module, name) of each module-level function whose name starts
+    with a single "_" that no code in sources names outside its own def,
+    as a plain name or an attribute; sources maps module names to text."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    helpers = [(module, node) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    refs = [(id(node), node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for module, helper in helpers:
+        inside = {id(node) for node in ast.walk(helper)}
+        if not any(name == helper.name and key not in inside
+                   for key, name in refs):
+            unused.append((module, helper.name))
+    return sorted(unused)
+
+
+def test_unreferenced_helpers_are_found():
+    sources = {
+        "a": ("def _called():\n    pass\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "def _by_attribute():\n    pass\n\n"
+              "def __dunder__():\n    pass\n\n"
+              "class K:\n    def _method(self):\n        pass\n\n"
+              "x = _called()\n"),
+        "b": "from . import a\n\ny = a._by_attribute()\n",
+    }
+    assert unreferenced_helpers(sources) == [("a", "_recursive")]
+
+
+def test_package_references_every_private_helper():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_helpers(sources) == []

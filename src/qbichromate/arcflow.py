@@ -234,11 +234,11 @@ def enumerate_flows(g, n):
     always included; at n = 1 the nonzero flows are exactly the
     characteristic vectors of vertex-disjoint directed cycle unions.
 
-    The search sets vertices 1..r-1 in turn: level v draws the values of
-    v's out-edges (blue and red) together, skips a draw whose total
-    exceeds n, and checks the conservation of every vertex whose
-    entering and leaving edges are all set by then.  The flows come back
-    in lexicographic order of their tuples.
+    The search sets vertices 1..r-1 in turn: level v tries the values of
+    v's out-edges (blue and red) together, only those with total at most
+    n, and checks the conservation of every vertex whose entering and
+    leaving edges are all set by then.  The flows come back in
+    lexicographic order of their tuples.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -252,6 +252,10 @@ def enumerate_flows(g, n):
         entering = g.entering(w)
         level = max([w] + [e[1] for e in entering])
         checks[level].append((tuple(index[e] for e in entering), out[w]))
+    # The values a vertex with k out-edges may take, drawn once per call.
+    draws = {k: [values for values in product(range(n + 1), repeat=k)
+                 if sum(values) <= n]
+             for k in {len(edges) for edges in out}}
     f = [0] * len(g.reduced_edges)
     flows = []
 
@@ -259,9 +263,7 @@ def enumerate_flows(g, n):
         if v == g.r:
             flows.append(tuple(f))
             return
-        for values in product(range(n + 1), repeat=len(out[v])):
-            if sum(values) > n:
-                continue
+        for values in draws[len(out[v])]:
             for i, value in zip(out[v], values):
                 f[i] = value
             if all(sum(f[i] for i in into) == sum(f[i] for i in leaving)

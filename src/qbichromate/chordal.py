@@ -26,10 +26,10 @@ polynomials in q:
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .graphcore import Multigraph, ParseError, _content_lines, _numbers
+from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
+                        _Record)
 from .polyq import LaurentPoly, qint
 
 
@@ -130,17 +130,17 @@ def _shortest_path(adj, a, b, blocked):
     return None
 
 
-@dataclass(frozen=True)
-class TreeStructure:
+class TreeStructure(_Record):
     """One choice of inherited sets on a rooted tree.
 
     parents[w-1] is the parent of node w (0 marks the root); a_sets and
     b_sets hold frozensets per node.  Ground elements are 1..k.
     """
 
-    parents: tuple
-    a_sets: tuple
-    b_sets: tuple
+    __slots__ = ("parents", "a_sets", "b_sets")
+
+    def __init__(self, parents, a_sets, b_sets):
+        _Record.__init__(self, parents, a_sets, b_sets)
 
     @property
     def node_count(self):

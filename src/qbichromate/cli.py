@@ -16,15 +16,19 @@ flag given -- is read by _plain_args without building a parser.  Any
 other command line goes to argparse, which alone prints help and
 errors and handles abbreviations, --flag=value, "--" and negative
 numbers; its one parser registers every subcommand.
+
+A plain call imports the package's own modules and, from the standard
+library, only those they name at the top: collections, fractions,
+functools, hashlib, itertools, math, operator, sys, time and types.
+argparse loads only when _parser() or its _integer type runs, json only
+for --emit json, and random only for the seeded qpotts suite.
 """
 
-import argparse
 import hashlib
-import json
-import random
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import arcflow, chordal, knotdiag, qchrom, statmech
 from .graphcore import ParseError, _numbers, parse_graph
@@ -75,6 +79,8 @@ class Report:
             out.write("checked: %d failed: %d\n" % (total, bad))
 
     def emit_json(self, out):
+        import json
+
         payload = {
             "command": self.command,
             "fields": [{"name": n, "value": v} for n, v in self.fields],
@@ -89,6 +95,8 @@ class Report:
 
 def _integer(token):
     """argparse type for integer options: the token rule of the input files."""
+    import argparse
+
     try:
         return _numbers([token], "invalid int value: %r" % token, None)[0]
     except ParseError as exc:
@@ -260,6 +268,8 @@ def _suite_qpotts(args, report):
         trials = [("file", report.add_input("couplings", args.couplings,
                                             statmech.parse_couplings))]
     else:
+        import random
+
         seed = 0 if args.seed is None else args.seed
         rng = random.Random(seed)
         report.add("seed", seed)
@@ -400,6 +410,8 @@ def _flags(name):
 
 def _parser():
     """The argparse parser with a subparser for every subcommand."""
+    import argparse
+
     top = argparse.ArgumentParser(prog="qbichromate")
     subs = top.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
@@ -410,8 +422,8 @@ def _parser():
 
 
 def _plain_args(argv):
-    """The namespace _parser().parse_args(argv) returns, for a plain
-    argv (see the module docstring); None for any other argv."""
+    """A namespace with the values _parser().parse_args(argv) sets, for
+    a plain argv (see the module docstring); None for any other argv."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags = _flags(argv[0])
@@ -427,10 +439,10 @@ def _plain_args(argv):
         value = next(tokens, "-")  # a missing value fails like "-x"
         if value.startswith("-"):
             return None
-        if "type" in spec:
+        if "type" in spec:  # _integer's token rule, without argparse
             try:
-                value = spec["type"](value)
-            except argparse.ArgumentTypeError:
+                (value,) = _numbers([value], None, None)
+            except ParseError:
                 return None
         if "choices" in spec and value not in spec["choices"]:
             return None
@@ -440,7 +452,7 @@ def _plain_args(argv):
             if spec.get("required"):
                 return None
             values[dest] = spec.get("default")
-    return argparse.Namespace(subcommand=argv[0], **values)
+    return SimpleNamespace(subcommand=argv[0], **values)
 
 
 def run(argv):

@@ -20,7 +20,6 @@ Text format, one declaration per line (blank lines and '#' comments skipped):
     4 4
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,18 +34,59 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    vertex_count: int
-    edges: tuple
+class _Record:
+    """Base of the package's immutable records.
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    A subclass names its fields in __slots__ and sets them, in that
+    order, through _Record.__init__.  Records are equal when their types
+    and fields are, hash as their field tuple and refuse assignment.
+    Plain slots classes keep the import of the package free of
+    dataclasses, which loads inspect (and with it ast and dis) and
+    compiles code for each class.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._fields())))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Multigraph(_Record):
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count, edges):
+        if vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
-        for u, v in self.edges:
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
+        for u, v in edges:
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise ValueError("edge (%d, %d) out of range 1..%d"
-                                 % (u, v, self.vertex_count))
+                                 % (u, v, vertex_count))
+        _Record.__init__(self, vertex_count, edges)
 
     @property
     def edge_count(self):

@@ -20,23 +20,22 @@ color class becomes white.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .graphcore import Multigraph, ParseError, _content_lines, _numbers
+from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
+                        _Record)
 from .polyq import LaurentPoly
 from .qchrom import bichromate
 
 
-@dataclass(frozen=True)
-class Crossing:
-    sign: int
-    slots: tuple
+class Crossing(_Record):
+    __slots__ = ("sign", "slots")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign, slots):
+        if sign not in (1, -1):
             raise ValueError("crossing sign must be +1 or -1")
-        if len(self.slots) != 4:
+        if len(slots) != 4:
             raise ValueError("a crossing has exactly four slots")
+        _Record.__init__(self, sign, slots)
 
     @property
     def over_in(self):
@@ -47,9 +46,11 @@ class Crossing:
         return 3 if self.sign == 1 else 1
 
 
-@dataclass(frozen=True)
-class KnotPD:
-    crossings: tuple
+class KnotPD(_Record):
+    __slots__ = ("crossings",)
+
+    def __init__(self, crossings):
+        _Record.__init__(self, crossings)
 
     @property
     def r(self):
@@ -130,11 +131,11 @@ def _validate(k):
     _Embedding(k)
 
 
-@dataclass(frozen=True)
-class Face:
-    id: int
-    corners: tuple
-    arcs: tuple
+class Face(_Record):
+    __slots__ = ("id", "corners", "arcs")
+
+    def __init__(self, id, corners, arcs):
+        _Record.__init__(self, id, corners, arcs)
 
 
 class _Embedding:
@@ -220,8 +221,7 @@ def faces(k):
     return _Embedding(k).faces
 
 
-@dataclass(frozen=True)
-class MedianGraph:
+class MedianGraph(_Record):
     """Graph on the black faces, one edge per crossing.
 
     b[i] is the sign of crossing i; eta[i] is +1 when the A-smoothing at
@@ -229,11 +229,10 @@ class MedianGraph:
     B-smoothing does.  black_faces[j] is the face id of graph vertex j+1.
     """
 
-    graph: Multigraph
-    b: tuple
-    eta: tuple
-    black_faces: tuple
-    outer_face: int
+    __slots__ = ("graph", "b", "eta", "black_faces", "outer_face")
+
+    def __init__(self, graph, b, eta, black_faces, outer_face):
+        _Record.__init__(self, graph, b, eta, black_faces, outer_face)
 
 
 def median_graph(k, outer_face):

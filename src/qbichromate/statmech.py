@@ -11,36 +11,34 @@ k-state model the spin values run over 0..k-1 (see qpotts_pair); for the
 Ising model they run over -1, +1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphcore import ParseError, _content_lines, _numbers
+from .graphcore import ParseError, _content_lines, _numbers, _Record
 from .polyq import LaurentPoly
 from .qchrom import _component_qints
 
 
-@dataclass(frozen=True)
-class Couplings:
+class Couplings(_Record):
     """Per-edge couplings, either kind "v" (one rational per edge) or
     kind "ch" (a (cosh, sinh) rational pair per edge)."""
 
-    kind: str
-    values: tuple
+    __slots__ = ("kind", "values")
 
-    def __post_init__(self):
-        if self.kind == "v":
-            for v in self.values:
+    def __init__(self, kind, values):
+        if kind == "v":
+            for v in values:
                 if not isinstance(v, Fraction):
                     raise ValueError("v couplings must be Fractions")
-        elif self.kind == "ch":
-            for c, h in self.values:
+        elif kind == "ch":
+            for c, h in values:
                 if not (isinstance(c, Fraction) and isinstance(h, Fraction)):
                     raise ValueError("ch couplings must be Fraction pairs")
                 if c * c - h * h != 1 or c <= 0:
                     raise ValueError("invalid hyperbolic pair (%s, %s): "
                                      "need c^2 - h^2 = 1 and c > 0" % (c, h))
         else:
-            raise ValueError("coupling kind must be 'v' or 'ch', got %r" % self.kind)
+            raise ValueError("coupling kind must be 'v' or 'ch', got %r" % kind)
+        _Record.__init__(self, kind, values)
 
     @classmethod
     def uniform_v(cls, edge_count, v):

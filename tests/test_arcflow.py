@@ -1,6 +1,7 @@
 """Arc-graph flows and the cabled colored invariant."""
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,28 @@ def test_flow_counts_closed_forms():
     for n in range(1, 31):
         assert len(enumerate_flows(g, n)) == math.comb(n + 2, 2), n
         assert len(enumerate_flows(h, n)) == n + 1, n
+
+
+def test_flow_search_draws_only_bounded_values(monkeypatch):
+    # The search draws each out-edge count's value tuples once per call,
+    # keeping totals up to n, and every level tries only those: fig8 has
+    # vertices with 0, 1 and 2 out-edges (1 + 13 + 169 draws at n = 12,
+    # where drawing (n+1)^2 pairs at every visit took 3,393), the
+    # trefoil vertices with 0 and 1.
+    drawn = []
+
+    def counting_product(*iterables, repeat=1):
+        for values in product(*iterables, repeat=repeat):
+            drawn.append(values)
+            yield values
+
+    for g, n, kept, draws in ((fig8(), 12, 91, 183), (trefoil(), 16, 17, 18)):
+        expected = flows_reference(g, n)
+        monkeypatch.setattr(arcflow, "product", counting_product)
+        drawn.clear()
+        assert enumerate_flows(g, n) == expected
+        monkeypatch.undo()
+        assert (len(expected), len(drawn)) == (kept, draws)
 
 
 # Work cap for the drawn arcs: n^copies value tuples times configurations.

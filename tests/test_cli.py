@@ -332,20 +332,61 @@ def test_canonical_samples_run_without_a_parser(name, monkeypatch, capsys):
     assert name in capsys.readouterr().out
 
 
-def test_plain_run_skips_argparse_first_use_imports():
-    # argparse imports these on its first parse (terminal width, message
-    # lookup); a plain argv never parses, so they stay out.
+# Modules a plain call never needs: dataclasses (and the inspect it
+# loads), argparse and what argparse loads on its first parse (terminal
+# width, message lookup), json and random.
+LAZY = ("dataclasses", "inspect", "argparse", "json", "random", "shutil",
+        "locale")
+
+
+def fresh_main(argv):
+    """cli.main(argv) in a fresh python -S -E: (exit code, stdout, the
+    LAZY modules loaded); the run must write nothing to stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     script = ("import sys\n"
               "sys.path.insert(0, %r)\n"
               "from qbichromate import cli\n"
-              "code, _ = cli.run(['chordal-check', '--graph', %r])\n"
-              "print(code, sorted({'shutil', 'locale'} & set(sys.modules)))\n"
-              % (src, fixture_path("tri.g")))
+              "try:\n"
+              "    code = cli.main(%r)\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, sorted(set(%r) & set(sys.modules)),"
+              " file=sys.stderr)\n" % (src, argv, LAZY))
     result = subprocess.run([sys.executable, "-S", "-E", "-c", script],
                             capture_output=True, text=True)
-    assert result.stderr == ""
-    assert result.stdout.splitlines()[-1] == "0 []"
+    code, loaded = result.stderr.split(" ", 1)
+    return int(code), result.stdout, loaded.strip()
+
+
+def assert_fresh_run_matches(argv, loaded, capsys):
+    """A fresh run of argv exits 0, prints what run(argv) prints here and
+    loads exactly the named LAZY modules."""
+    try:
+        code = run(argv)[0]
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
+    assert fresh_main(argv) == (code, capsys.readouterr().out, str(loaded))
+
+
+def test_plain_run_skips_argparse_first_use_imports(capsys):
+    assert_fresh_run_matches(["chordal-check", "--graph", fixture_path("tri.g")],
+                             [], capsys)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["chordal-check", "--graph", fixture_path("tri.g"), "--emit", "json"],
+     ["json"]),
+    (["identities", "--suite", "qpotts", "--graph", fixture_path("tri.g"),
+      "--seed", "3"], ["random"]),
+    (["chordal-check", "--graph=" + fixture_path("tri.g")],
+     ["argparse", "locale", "shutil"]),
+    (["--help"], ["argparse", "locale", "shutil"]),
+])
+def test_other_paths_load_what_they_use(argv, loaded, capsys, monkeypatch):
+    # Help wraps to the terminal width; both runs read it from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_fresh_run_matches(argv, loaded, capsys)
 
 
 def argparse_vars(argv):

@@ -533,23 +533,23 @@ def cycle_families(g):
     return families
 
 
-def frst_fiber_sum(g, f):
-    """Weight of the cycle families projecting onto the flow.
+def cycle_fibers(g):
+    """Weight of the cycle families over each level-one flow, as
+    {characteristic vector: summed product of edge weights}.
 
-    Sums each family's product of edge weights over every cycle family
-    whose characteristic vector equals f.  The zero flow's fiber is the
-    empty family alone, weight 1; each 0/1 cycle flow lifts uniquely, so
-    the sum is flow_weight_beta, and any other flow has an empty fiber.
+    Each family is walked once.  The empty family gives the zero flow
+    weight 1, and each 0/1 cycle flow lifts to exactly one family, so
+    every value is flow_weight_beta of its key; a flow that is not a
+    key has an empty fiber.
     """
-    total = LaurentPoly()
+    fibers = {}
     for family in cycle_families(g):
-        if tuple(int(e in family) for e in g.reduced_edges) != tuple(f):
-            continue
+        f = tuple([int(e in family) for e in g.reduced_edges])
         weight = LaurentPoly.constant(1)
         for e in family:
             weight = weight * g.beta(e)
-        total = total + weight
-    return total
+        fibers[f] = fibers.get(f, LaurentPoly()) + weight
+    return fibers
 
 
 def _delta_kn(g, n):
@@ -561,15 +561,6 @@ def _delta_kn(g, n):
             "signs and rotK give the half-integer normalization exponent "
             "%d/2" % numerator)
     return numerator // 2
-
-
-def arcjones(g):
-    """The n = 1 invariant: t^delta(K,1) times the sum over cycle flows
-    of t^delta(f) beta(f)."""
-    total = LaurentPoly()
-    for f in enumerate_flows(g, 1):
-        total = total + _t_power(delta_flow(g, f)) * flow_weight_beta(g, f)
-    return _t_power(_delta_kn(g, 1)) * total
 
 
 def colored_jones(g, n, route="ma2"):

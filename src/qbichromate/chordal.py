@@ -20,9 +20,9 @@ polynomials in q:
   counts the bag elements below x in x's owning bag.  The left side
   depends only on the prescribed sizes, not on which structure was
   chosen; the plain (non-defected) color sum has no such invariance.
-- str20_pair: the q-chromatic polynomials of all structures of an
-  instance, summed with a fixed rational-in-q weight, equal the number
-  of structures times the same q-integer product.
+- str20_pair: the defected coloring sums (the left side of str2_pair)
+  of all structures of an instance, added up, equal the number of
+  structures times the same q-integer product.
 """
 
 import math

@@ -262,10 +262,9 @@ class Multigraph(_Record):
             stay = unplaced_neighbours[v] > 0
             if stay:
                 front.append(v)
-            # A state is its spins on the frontier followed by its exponent.
-            # When the frontier empties, as it does at the last vertex, the
-            # states fold straight into a histogram of exponents.
-            fold = not front
+            # A state is its spins on the frontier followed by its exponent;
+            # once the frontier empties, as at the last vertex, it is
+            # the exponent alone.
             new = {}
             for state, x in states.items():
                 e = state[-1]
@@ -283,10 +282,9 @@ class Multigraph(_Record):
                             exponent -= below
                         elif t > s:
                             exponent -= above
-                    key = (exponent if fold else base + (s, exponent) if stay
-                           else base + (exponent,))
+                    key = base + (s, exponent) if stay else base + (exponent,)
                     new[key] = new.get(key, 0) + w
-            states = {(e,): x for e, x in new.items()} if fold else new
+            states = new
             if not states:
                 return {}
         sums = {e: x * loops for (e,), x in states.items() if x}

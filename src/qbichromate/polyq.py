@@ -378,7 +378,9 @@ def qint(n, base="q"):
     return out
 
 
-_QBINOM_CACHE = {}
+# Rows 0, 1, ... of the Gaussian Pascal triangle per base, extended on
+# demand, so each entry is computed once per process.
+_QBINOM_ROWS = {}
 
 
 def qbinom(m, n, base="q"):
@@ -396,20 +398,19 @@ def qbinom(m, n, base="q"):
     if n > m:
         raise ValueError("qbinom needs n <= m, got m=%d n=%d" % (m, n))
     base = _as_base(base)
-    key = (m, n, base)
-    if key in _QBINOM_CACHE:
-        return _QBINOM_CACHE[key]
-    row = [LaurentPoly.constant(1)]
-    for k in range(1, m + 1):
-        new = [LaurentPoly.constant(1)]
-        for i in range(1, k):
-            new.append(base ** i * row[i] + row[i - 1])
-        new.append(LaurentPoly.constant(1))
-        for i, value in enumerate(new):
-            _QBINOM_CACHE[(k, i, base)] = value
-        row = new
-    _QBINOM_CACHE.setdefault(key, row[n] if m else LaurentPoly.constant(1))
-    return _QBINOM_CACHE[key]
+    rows = _QBINOM_ROWS.get(base)
+    if rows is None:
+        rows = _QBINOM_ROWS[base] = [[LaurentPoly.constant(1)]]
+    while len(rows) <= m:
+        row = rows[-1]
+        new = [row[0]]
+        power = row[0]
+        for i in range(1, len(row)):
+            power = power * base
+            new.append(power * row[i] + row[i - 1])
+        new.append(row[0])
+        rows.append(new)
+    return rows[m][n]
 
 
 def qbinomial_theorem_check(n):

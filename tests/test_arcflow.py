@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbichromate import arcflow
-from qbichromate.arcflow import (ArcGraph, _ahead, arcjones, catmm_flow_sum,
-                                 colored_jones, cycle_families,
+from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
+                                 colored_jones, cycle_families, cycle_fibers,
                                  delta_flow, enumerate_flows,
                                  flow_configurations, flow_weight_beta,
-                                 frst_fiber_sum, ma2_flow_sum,
-                                 main_flow_weight, parse_arc, red_copies, z_nf)
+                                 ma2_flow_sum, main_flow_weight, parse_arc,
+                                 red_copies, z_nf)
 from qbichromate.graphcore import ParseError
 from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
@@ -154,6 +154,17 @@ def arc_graphs(draw):
     orders = {w: draw(st.permutations(plain.entering(w)))
               for w in range(1, r) if len(plain.entering(w)) > 1}
     return ArcGraph(signs, over, orders=orders)
+
+
+@st.composite
+def decorated_arc_graphs(draw):
+    """Drawn arc data with a rot value on every reduced edge and a rotK
+    of the parity that makes the level-one normalization integral."""
+    g = draw(arc_graphs())
+    rot = {e: draw(st.integers(-2, 2)) for e in g.reduced_edges}
+    rot_k = 2 * draw(st.integers(-3, 3)) + sum(g.signs) % 2
+    orders = {w: g.entering(w) for w in range(1, g.r)}
+    return ArcGraph(g.signs, g.over, rot=rot, orders=orders, rot_k=rot_k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -386,13 +397,28 @@ def test_colored_jones_n1():
     expect = T ** -1 + T ** -3 - T ** -4
     for route in ("main", "catmm", "ma2"):
         assert colored_jones(g, 1, route=route) == expect
-    assert arcjones(g) == expect
     g8 = fig8()
     expect8 = 1 + T ** -2 - T ** -1 + T ** 2 - T
     for route in ("main", "catmm", "ma2"):
         assert colored_jones(g8, 1, route=route) == expect8
     with pytest.raises(ValueError):
         colored_jones(g, 1, route="bogus")
+
+
+@settings(max_examples=100, deadline=None)
+@given(decorated_arc_graphs())
+def test_level_one_is_the_cycle_flow_sum_on_drawn_arcs(g):
+    # t^delta(K,1) times the sum over level-one flows f of t^delta(f)
+    # beta(f), delta(K,1) = (sign sum + rotK) / 2; every route gives it,
+    # and the cycle families lift exactly these flows with these weights
+    flows = enumerate_flows(g, 1)
+    total = LaurentPoly()
+    for f in flows:
+        total = total + T ** delta_flow(g, f) * flow_weight_beta(g, f)
+    expect = T ** ((sum(g.signs) + g.rot_k) // 2) * total
+    for route in ROUTES:
+        assert colored_jones(g, 1, route=route) == expect, route
+    assert cycle_fibers(g) == {f: flow_weight_beta(g, f) for f in flows}
 
 
 def _monomial_shift(p, oracle):
@@ -480,11 +506,8 @@ def test_cabled_graph_shape():
     g = trefoil()
     assert cycle_families(g) == [frozenset(),
                                  frozenset({("b", 1), ("r", 2)})]
-    assert frst_fiber_sum(g, (1, 1)) == flow_weight_beta(g, (1, 1)) \
-        == T ** -1 * (1 - T ** -1)
-    assert frst_fiber_sum(g, (0, 0)) == 1
-    # a flow that is no 0/1 cycle union has an empty fiber
-    assert frst_fiber_sum(g, (2, 2)) == LaurentPoly()
+    assert cycle_fibers(g) == {(0, 0): 1, (1, 1): T ** -1 * (1 - T ** -1)}
+    assert flow_weight_beta(g, (1, 1)) == T ** -1 * (1 - T ** -1)
 
 
 def test_cycle_families_are_disjoint():
@@ -504,3 +527,5 @@ def test_cycle_families_are_disjoint():
             assert set(sources) == set(targets)
         assert sorted(tuple(int(e in fam) for e in g.reduced_edges)
                       for fam in fams) == flows_reference(g, 1)
+        assert cycle_fibers(g) == {f: flow_weight_beta(g, f)
+                                   for f in enumerate_flows(g, 1)}

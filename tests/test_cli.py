@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbichromate import cli
+from qbichromate import chordal, cli
 from qbichromate.cli import run
+from qbichromate.polyq import LaurentPoly
 from conftest import fixture_path
 
 
@@ -237,6 +238,27 @@ def test_deep_chordal_structure(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "internal error" not in result.stderr
     assert result.stdout.endswith("checked: 3 failed: 0\n")
+
+
+def test_chordal_invariance_compares_left_sides(monkeypatch, capsys):
+    # the right side depends only on the sizes, so only a left side that
+    # changes with the structure can fail the invariance verdicts
+    pair = chordal.str2_pair
+    q = LaurentPoly.variable("q")
+
+    def shifted(s, z):
+        lhs, rhs = pair(s, z)
+        return lhs * q ** min(s.b_sets[1]), rhs
+
+    code, _ = run(["identities", "--suite", "chordal",
+                   "--structure", fixture_path("chain.s")])
+    passing = capsys.readouterr().out
+    assert code == 0 and "PASS invariance, structure 3\n" in passing
+    monkeypatch.setattr(chordal, "str2_pair", shifted)
+    code, _ = run(["identities", "--suite", "chordal",
+                   "--structure", fixture_path("chain.s")])
+    assert code == 1
+    assert "FAIL invariance, structure" in capsys.readouterr().out
 
 
 def test_colored_jones_routes_agree(capsys):

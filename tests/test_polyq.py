@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbichromate import polyq
 from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check,
                                qint)
 from oracles import poly_add_reference, poly_mul_reference
@@ -206,20 +207,40 @@ def test_qbinom_values():
     assert qbinom(6, 3).substitute("q", one) == LaurentPoly.constant(20)
 
 
-def test_qbinom_pascal():
-    q = LaurentPoly.variable("q")
-    for m in range(1, 9):
-        for j in range(m + 1):
-            lhs = qbinom(m, j)
-            rhs = qbinom(m - 1, j - 1) if j else LaurentPoly()
-            if j < m:
-                rhs = rhs + q ** j * qbinom(m - 1, j)
-            assert lhs == rhs
-            # the mirrored recursion
-            rhs2 = qbinom(m - 1, j) if j < m else LaurentPoly()
-            if j:
-                rhs2 = rhs2 + q ** (m - j) * qbinom(m - 1, j - 1)
-            assert lhs == rhs2
+def test_qbinom_pascal(monkeypatch):
+    # Rows are built on demand and kept per base; whether the triangle
+    # grows all at once (descending m) or row by row (ascending m), each
+    # entry costs one addition and the values agree.
+    t = LaurentPoly.variable("t")
+    additions = []
+    add = LaurentPoly.__add__
+    monkeypatch.setattr(LaurentPoly, "__add__",
+                        lambda a, b: additions.append(1) or add(a, b))
+    tables = {}
+    for base in ("q", t ** -1, t ** 2):
+        for order in (range(12, -1, -1), range(13)):
+            monkeypatch.setattr(polyq, "_QBINOM_ROWS", {})
+            additions.clear()
+            table = {(m, j): qbinom(m, j, base)
+                     for m in order for j in range(m + 1)}
+            assert len(additions) == sum(range(12)), (base, order)
+            assert tables.setdefault(base, table) == table, base
+    monkeypatch.undo()
+    for base, table in tables.items():
+        q = LaurentPoly.variable(base) if isinstance(base, str) else base
+        for m in range(1, 13):
+            for j in range(m + 1):
+                lhs = table[m, j]
+                assert lhs == table[m, m - j]
+                rhs = table[m - 1, j - 1] if j else LaurentPoly()
+                if j < m:
+                    rhs = rhs + q ** j * table[m - 1, j]
+                assert lhs == rhs
+                # the mirrored recursion
+                rhs2 = table[m - 1, j] if j < m else LaurentPoly()
+                if j:
+                    rhs2 = rhs2 + q ** (m - j) * table[m - 1, j - 1]
+                assert lhs == rhs2
 
 
 def test_qbinomial_theorem():

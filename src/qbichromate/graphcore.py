@@ -6,10 +6,14 @@ the histogram of Multigraph.subset_statistics, and every agree/differ
 state sum that of Multigraph.state_sums; a defected coloring sum is a
 state sum over the proper colorings with defect lists, and without
 defects it is the q-chromatic sum.  subset_statistics walks all 2^|E|
-edge subsets; state_sums sweeps the vertices one at a time and keeps
-only the spins of a frontier, so its cost grows with the frontier's
-width, not with |V|.  The per-subset queries take an edge subset as a
-bitmask where bit i selects edges[i].
+edge subsets depth-first, in integers: Fraction weights are split into
+numerator and denominator, and each histogram value is divided once at
+the end.  A fold reads only part of each key, so it sums the histogram
+per that part with group_sums and computes one factor per group.
+state_sums sweeps the vertices one at a time and keeps only the spins
+of a frontier, so its cost grows with the frontier's width, not with
+|V|; it too runs in integers, with its own scaling.  The per-subset
+queries take an edge subset as a bitmask where bit i selects edges[i].
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -21,7 +25,7 @@ Text format, one declaration per line (blank lines and '#' comments skipped):
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 class ParseError(ValueError):
@@ -98,8 +102,28 @@ class Multigraph(_Record):
 
         A subset weighs the product of weights[i] over its edges (ints,
         Fractions or monomial LaurentPolys), or 1 when weights is None.
+        Every key that some subset reaches is kept, even when its weights
+        cancel to zero.  The values are ints for int weights, Fractions
+        when any weight is a Fraction, and LaurentPolys for LaurentPoly
+        weights (the empty subset's key aside, which holds the int 1).
+
         The walk is depth-first, edge by edge, with a union-find that
-        rolls back on backtrack (union by size, no path compression).
+        rolls back on backtrack (union by size, no path compression).  It
+        runs in integers: a Fraction weight p/q is the pair (p, q), and a
+        chosen edge multiplies the running weight by p, a left-out one by
+        q.  Each sum then carries the product of all the q's, and is
+        divided by it once at the end.  The walk recurses once per edge
+        on purpose: a graph with more edges than Python's recursion limit
+        allows fails with a RecursionError, whose 2^m subsets no caller
+        could wait for anyway.
+
+        >>> path = Multigraph(3, ((1, 2), (2, 3)))
+        >>> stats = path.subset_statistics([Fraction(1, 2), Fraction(-1, 2)])
+        >>> for key in sorted(stats):
+        ...     print(key, stats[key])
+        ((1, 1, 1), 0, 0) 1
+        ((1, 2), 1, 2) 0
+        ((3,), 2, 2) -1/4
         """
         edges = self.edges
         m = len(edges)
@@ -107,9 +131,14 @@ class Multigraph(_Record):
             weights = (1,) * m
         elif len(weights) != m:
             raise ValueError("got %d weights for %d edges" % (len(weights), m))
-        vertices = range(1, self.vertex_count + 1)
+        # the factor when edge i is chosen, and when it is left out
+        fractional = [isinstance(w, Fraction) for w in weights]
+        take = [w.numerator if f else w for w, f in zip(weights, fractional)]
+        leave = [w.denominator if f else 1 for w, f in zip(weights, fractional)]
         parent = list(range(self.vertex_count + 1))
         size = [1] * (self.vertex_count + 1)
+        # the sizes of the roots, in no order
+        sizes = [1] * self.vertex_count
         odd = [0] * (self.vertex_count + 1)
         histogram = {}
 
@@ -120,11 +149,12 @@ class Multigraph(_Record):
 
         def walk(i, chosen, odd_count, weight):
             if i == m:
-                sizes = tuple(sorted(size[v] for v in vertices if parent[v] == v))
-                key = (sizes, chosen, odd_count)
-                histogram[key] = histogram.get(key, 0) + weight
+                key = (tuple(sorted(sizes)), chosen, odd_count)
+                old = histogram.get(key)
+                histogram[key] = weight if old is None else old + weight
                 return
-            walk(i + 1, chosen, odd_count, weight)
+            q = leave[i]
+            walk(i + 1, chosen, odd_count, weight if q == 1 else weight * q)
             u, v = edges[i]
             # A loop flips its vertex twice, so its parity is unchanged.
             odd[u] ^= 1
@@ -135,17 +165,27 @@ class Multigraph(_Record):
             if ru != rv:
                 if size[ru] < size[rv]:
                     ru, rv = rv, ru
+                a, b = size[ru], size[rv]
                 parent[rv] = ru
-                size[ru] += size[rv]
-            walk(i + 1, chosen + 1, odd_count, weight * weights[i])
+                size[ru] = a + b
+                sizes.remove(a)
+                sizes.remove(b)
+                sizes.append(a + b)
+            walk(i + 1, chosen + 1, odd_count, weight * take[i])
             if ru != rv:
-                size[ru] -= size[rv]
+                sizes.remove(a + b)
+                sizes.append(a)
+                sizes.append(b)
+                size[ru] = a
                 parent[rv] = rv
             odd[u] ^= 1
             odd[v] ^= 1
 
         walk(0, 0, 0, 1)
-        return histogram
+        if True not in fractional:
+            return histogram
+        inverse = Fraction(1, prod(leave))
+        return {key: x * inverse for key, x in histogram.items()}
 
     def state_sums(self, spins, weights, defects=None):
         """Histogram of all states s: V -> spins, as {sum of s(v) minus the
@@ -338,6 +378,24 @@ class Multigraph(_Record):
         lines = ["vertices %d" % self.vertex_count]
         lines.extend("%d %d" % (u, v) for u, v in self.edges)
         return "\n".join(lines) + "\n"
+
+
+def group_sums(pairs):
+    """{group: the sum of its values} over (group, value) pairs.
+
+    A group's first value is stored as it is, not added to 0.  Each
+    subset fold reads only part of a subset_statistics key, so it sums
+    the histogram per that part here and then computes one factor per
+    group instead of one per key.
+
+    >>> group_sums([("a", 1), ("b", 2), ("a", 3)])
+    {'a': 4, 'b': 2}
+    """
+    sums = {}
+    for group, value in pairs:
+        old = sums.get(group)
+        sums[group] = value if old is None else old + value
+    return sums
 
 
 def _content_lines(text):

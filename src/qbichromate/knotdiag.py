@@ -22,7 +22,7 @@ color class becomes white.
 from collections import Counter
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
-                        _Record)
+                        _Record, group_sums)
 from .polyq import LaurentPoly
 from .qchrom import bichromate
 
@@ -397,10 +397,12 @@ def jones_via_bichromate(k, outer_face, route="kk"):
     sign = -1 if w % 2 else 1
     prefactor = sign * a ** (-3 * w) * a ** (-sum(m.eta))
     if route == "kk":
-        total = LaurentPoly()
         weights = [a ** (2 * e) for e in m.eta]
-        for (sizes, chosen, _), weight in m.graph.subset_statistics(weights).items():
-            exponent = 2 * len(sizes) + chosen - nv - 1
+        groups = group_sums((2 * len(sizes) + chosen - nv - 1, weight)
+                            for (sizes, chosen, _), weight
+                            in m.graph.subset_statistics(weights).items())
+        total = LaurentPoly()
+        for exponent, weight in groups.items():
             if exponent < 0:
                 raise AssertionError("negative loop exponent %d" % exponent)
             total = total + d ** exponent * weight

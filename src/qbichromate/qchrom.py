@@ -14,9 +14,9 @@ this one, lays out one chord diagram per flow configuration.
 """
 
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
-from .graphcore import Multigraph
+from .graphcore import Multigraph, group_sums
 from .polyq import LaurentPoly, qbinom, qint
 
 
@@ -36,19 +36,29 @@ def mq_subset(g, n):
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
+    groups = group_sums((sizes, -count if chosen & 1 else count)
+                        for (sizes, chosen, _), count
+                        in g.subset_statistics().items())
     out = LaurentPoly()
-    for (sizes, chosen, _), count in g.subset_statistics().items():
-        out = out + (-1) ** chosen * count * _component_qints(sizes, n)
+    for sizes, count in groups.items():
+        out = out + count * _component_qints(sizes, n)
     return out
 
 
 def _component_qints(sizes, n):
     """Product over component sizes s of the quantum integer of n in base q^s."""
-    q = LaurentPoly.variable("q")
-    out = LaurentPoly.constant(1)
-    for s in sizes:
-        out = out * qint(n, q ** s)
+    if not sizes:
+        return LaurentPoly.constant(1)
+    out = _component_qint(sizes[0], n)
+    for s in sizes[1:]:
+        out = out * _component_qint(s, n)
     return out
+
+
+@cache
+def _component_qint(s, n):
+    """The quantum integer of n in base q^s, built once per s and n."""
+    return qint(n, LaurentPoly.variable("q") ** s)
 
 
 def mq_complete(k, n):
@@ -67,11 +77,14 @@ def mq_complete(k, n):
 
 def bichromate(g):
     """The subset-expansion polynomial sum over A of a^c(A) * b^|A|."""
-    terms = {}
-    for (sizes, chosen, _), count in g.subset_statistics().items():
-        key = (len(sizes), chosen)
-        terms[key] = terms.get(key, 0) + count
-    return LaurentPoly(("a", "b"), terms)
+    return LaurentPoly(("a", "b"), _count_chosen(g))
+
+
+def _count_chosen(g):
+    """{(c(A), |A|): number of edge subsets A}."""
+    return group_sums(((len(sizes), chosen), count)
+                      for (sizes, chosen, _), count
+                      in g.subset_statistics().items())
 
 
 def tutte(g, form="tutte"):
@@ -84,20 +97,23 @@ def tutte(g, form="tutte"):
     """
     if form not in ("tutte", "whitney-rank"):
         raise ValueError("form must be 'tutte' or 'whitney-rank', got %r" % form)
-    stats = g.subset_statistics()
-    c_full = next(len(s) for s, chosen, _ in stats if chosen == g.edge_count)
-    rank_full = g.vertex_count - c_full
-    if form == "tutte":
-        first = LaurentPoly.variable("x") - 1
-        second = LaurentPoly.variable("y") - 1
-    else:
-        first = LaurentPoly.variable("u")
-        second = LaurentPoly.variable("v")
-    out = LaurentPoly()
-    for (sizes, chosen, _), count in stats.items():
-        rank = g.vertex_count - len(sizes)
-        out = out + count * first ** (rank_full - rank) * second ** (chosen - rank)
-    return out
+    counts = _count_chosen(g)
+    nv = g.vertex_count
+    c_full = next(c for c, chosen in counts if chosen == g.edge_count)
+    # (r(E) - r(A), |A| - r(A)): the pair is one-to-one with (c(A), |A|)
+    ranks = {(c - c_full, chosen - nv + c): count
+             for (c, chosen), count in counts.items()}
+    if form == "whitney-rank":
+        return LaurentPoly(("u", "v"), ranks)
+    # (x-1)^a (y-1)^b expanded by the binomial theorem, in integers
+    terms = {}
+    for (a, b), count in ranks.items():
+        for i in range(a + 1):
+            xi = count * comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                yj = comb(b, j) * (-1) ** (b - j)
+                terms[i, j] = terms.get((i, j), 0) + xi * yj
+    return LaurentPoly(("x", "y"), terms)
 
 
 def q_bichromate(g, y):
@@ -109,10 +125,16 @@ def q_bichromate(g, y):
     """
     if y < 1:
         raise ValueError("need y >= 1, got %d" % y)
-    x = LaurentPoly.variable("x")
+    groups = group_sums(((sizes, chosen), count)
+                        for (sizes, chosen, _), count
+                        in g.subset_statistics().items())
+    # {sizes: {|A|: count}}, so each product of quantum integers is one factor
+    by_sizes = {}
+    for (sizes, chosen), count in groups.items():
+        by_sizes.setdefault(sizes, {})[chosen] = count
     out = LaurentPoly()
-    for (sizes, chosen, _), count in g.subset_statistics().items():
-        out = out + count * x ** chosen * _component_qints(sizes, y)
+    for sizes, powers in by_sizes.items():
+        out = out + LaurentPoly.from_powers("x", powers) * _component_qints(sizes, y)
     return out
 
 

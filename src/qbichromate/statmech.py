@@ -12,8 +12,10 @@ Ising model they run over -1, +1.
 """
 
 from fractions import Fraction
+from math import prod
 
-from .graphcore import ParseError, _content_lines, _numbers, _Record
+from .graphcore import (ParseError, _content_lines, _numbers, _Record,
+                        group_sums)
 from .polyq import LaurentPoly
 from .qchrom import _component_qints
 
@@ -110,9 +112,11 @@ def potts_fk(g, k, w):
         raise ValueError("need k >= 1")
     _require_kind(w, "v", "potts_fk")
     w.check_edge_count(g)
+    counts = group_sums((len(sizes), weight) for (sizes, _, _), weight
+                        in g.subset_statistics(w.values).items())
     total = Fraction(0)
-    for (sizes, _, _), weight in g.subset_statistics(w.values).items():
-        total += Fraction(k) ** len(sizes) * weight
+    for c, weight in counts.items():
+        total += k ** c * weight
     return total
 
 
@@ -139,8 +143,10 @@ def qpotts_pair(g, k, w):
 
 def _qpotts_subset_form(g, k, vs):
     """The subset form of qpotts_pair, with edge weights vs."""
+    groups = group_sums((sizes, weight) for (sizes, _, _), weight
+                        in g.subset_statistics(vs).items())
     out = LaurentPoly()
-    for (sizes, _, _), weight in g.subset_statistics(vs).items():
+    for sizes, weight in groups.items():
         out = out + weight * _component_qints(sizes, k)
     return out
 
@@ -192,13 +198,13 @@ def vdw_pair(g, w):
     q = LaurentPoly.variable("q")
     minus = q - q ** -1
     plus = q + q ** -1
-    expansion = LaurentPoly()
     ratios = [h / c for c, h in w.values]
-    for (_, _, odd), weight in g.subset_statistics(ratios).items():
+    groups = group_sums((odd, weight) for (_, _, odd), weight
+                        in g.subset_statistics(ratios).items())
+    expansion = LaurentPoly()
+    for odd, weight in groups.items():
         expansion = expansion + weight * minus ** odd * plus ** (g.vertex_count - odd)
-    for c, h in w.values:
-        expansion = expansion * c
-    return direct, expansion
+    return direct, expansion * prod(c for c, _ in w.values)
 
 
 def lemma_w_eval(g):

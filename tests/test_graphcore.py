@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbichromate.graphcore import Multigraph, ParseError, parse_graph
+from qbichromate.graphcore import Multigraph, ParseError, group_sums, parse_graph
+from qbichromate.polyq import LaurentPoly
 from qbichromate.qchrom import mq_direct
 from qbichromate.statmech import Couplings, potts_direct
 from conftest import load_fixture
@@ -69,16 +70,42 @@ def reference_statistics(g, weights=None):
     return histogram
 
 
+def subset_weight_sets(m):
+    """Weight lists for m edges, each with the value type its histogram
+    must have: int weights (zeros among them), Fractions (negative, with
+    several denominators, zero, and one of denominator 1, mixed with
+    ints) and the bracket route's monomial LaurentPolys."""
+    a = LaurentPoly.variable("A")
+    return [
+        ([(-1) ** i * (i % 4) for i in range(m)], int),
+        ([Fraction((-1) ** i * (i + 2), 2 * i + 3) for i in range(m)], Fraction),
+        ([(Fraction(0), Fraction(-6, 3), 5, Fraction(-7, 4))[i % 4]
+          for i in range(m)], Fraction),
+        ([a ** (2 if i % 3 else -2) for i in range(m)], LaurentPoly),
+    ]
+
+
 def test_subset_statistics_match_per_mask_reference(catalog):
     graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
     assert any(g.has_loop() for g in graphs)
     assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
     for g in graphs:
-        assert g.subset_statistics() == reference_statistics(g), g
-        weights = [Fraction((-1) ** i * (i + 2), 2 * i + 3)
-                   for i in range(g.edge_count)]
-        assert g.subset_statistics(weights) == \
-            reference_statistics(g, weights), g
+        stats = g.subset_statistics()
+        assert stats == reference_statistics(g), g
+        assert all(type(x) is int for x in stats.values())
+        for weights, kind in subset_weight_sets(g.edge_count):
+            stats = g.subset_statistics(weights)
+            # dict equality: the same keys, those whose weights cancel to
+            # zero included, each with an equal value
+            assert stats == reference_statistics(g, weights), (g, weights)
+            if g.edge_count and kind is not LaurentPoly:
+                assert all(type(x) is kind for x in stats.values()), weights
+    # the zero-valued keys are really there
+    pair = Multigraph(2, ((1, 2), (1, 2)))
+    assert pair.subset_statistics([Fraction(1, 2), Fraction(-1, 2)]) == \
+        {((1, 1), 0, 0): 1, ((2,), 1, 2): 0, ((2,), 2, 0): Fraction(-1, 4)}
+    assert pair.subset_statistics([0, 5]) == \
+        {((1, 1), 0, 0): 1, ((2,), 1, 2): 5, ((2,), 2, 0): 0}
 
 
 def test_subset_statistics_small_cases():
@@ -94,6 +121,15 @@ def test_subset_statistics_small_cases():
                                               ((2,), 2, 2): 15}
     with pytest.raises(ValueError):
         loop.subset_statistics([1])
+
+
+def test_group_sums():
+    assert group_sums([]) == {}
+    # a group's first value is kept as it is: no 0 + value
+    first = LaurentPoly.variable("A")
+    sums = group_sums([(1, first), (2, 3), (1, first), (2, Fraction(-3))])
+    assert sums == {1: 2 * first, 2: 0}
+    assert group_sums([(0, first)])[0] is first
 
 
 def reference_state_sums(g, spins, weights, defects=None):

@@ -1,0 +1,79 @@
+"""Every fold of the subset histogram against a side that does not read it.
+
+Each subset-side function sums Multigraph.subset_statistics per the part
+of the key it reads; a fold that groups by the wrong part, or drops a
+key's sign or size, changes its value on some drawn multigraph.  The
+other sides are state sums (statmech, mq_direct), deletion-contraction
+(oracles.tutte_poly) and, for q_bichromate, the bichromate at q = 1 and
+the colouring sum at x = -1.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from qbichromate.graphcore import Multigraph
+from qbichromate.polyq import LaurentPoly
+from qbichromate.qchrom import (bichromate, mq_direct, mq_subset, q_bichromate,
+                                tutte)
+from qbichromate.statmech import (Couplings, ising_pair, potts_direct, potts_fk,
+                                  qpotts_pair, vdw_pair)
+
+# v couplings: zero, negatives (v = -1 zeroes the agree weight) and
+# several denominators
+V = st.one_of(st.sampled_from([Fraction(0), Fraction(-1)]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=6))
+# (cosh J, sinh J) = ((1 + t^2) / (1 - t^2), 2t / (1 - t^2)), |t| < 1
+T = st.fractions(min_value=Fraction(-5, 6), max_value=Fraction(5, 6),
+                 max_denominator=6)
+
+
+@st.composite
+def multigraphs(draw):
+    """At most 7 vertices and 10 edges, loops and parallel edges allowed."""
+    n = draw(st.integers(0, 7))
+    ends = st.integers(1, n) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=8 if n else 0))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    return Multigraph(n, tuple(edges))
+
+
+@st.composite
+def fold_inputs(draw):
+    g = draw(multigraphs())
+    m = g.edge_count
+    v = Couplings("v", tuple(draw(st.lists(V, min_size=m, max_size=m))))
+    ts = draw(st.lists(T, min_size=m, max_size=m))
+    ch = Couplings("ch", tuple(((1 + t * t) / (1 - t * t), 2 * t / (1 - t * t))
+                               for t in ts))
+    return g, v, ch, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_inputs())
+def test_subset_folds_match_their_other_sides(drawn):
+    g, v, ch, k = drawn
+    assert potts_fk(g, k, v) == potts_direct(g, k, v)
+    subset_form, state_form = qpotts_pair(g, k, v)
+    assert subset_form == state_form
+    direct, via_potts = ising_pair(g, ch)
+    assert direct == via_potts
+    direct, expansion = vdw_pair(g, ch)
+    assert direct == expansion
+    assert mq_subset(g, k) == mq_direct(g, k)
+
+    poly = tutte(g)
+    got = {}
+    for exps, coeff in poly.terms.items():
+        powers = dict(zip(poly.variables, exps))
+        got[powers.get("x", 0), powers.get("y", 0)] = coeff
+    assert got == oracles.tutte_poly(g.edges)
+
+    deformed = q_bichromate(g, k)
+    at_q_one = deformed.substitute("q", 1).substitute(
+        "x", LaurentPoly.variable("b"))
+    assert at_q_one == bichromate(g).substitute("a", k)
+    # x = -1 is mq_subset's sign, which keeps the component sizes
+    assert deformed.substitute("x", -1) == mq_direct(g, k)

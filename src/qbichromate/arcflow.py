@@ -29,7 +29,7 @@ a fourth description of the level-one invariant.
 from itertools import combinations, product
 
 from .graphcore import ParseError, _content_lines, _numbers
-from .polyq import LaurentPoly, qbinom
+from .polyq import LaurentPoly
 from .qchrom import mdef_chord
 
 # The routes of colored_jones, in the order the CLI lists them.
@@ -234,28 +234,49 @@ def enumerate_flows(g, n):
     always included; at n = 1 the nonzero flows are exactly the
     characteristic vectors of vertex-disjoint directed cycle unions.
 
-    The search sets vertices 1..r-1 in turn: level v tries the values of
-    v's out-edges (blue and red) together, only those with total at most
-    n, and checks the conservation of every vertex whose entering and
-    leaving edges are all set by then.  The flows come back in
+    The search sets vertices 1..r-1 in turn: level v tries values for
+    v's out-edges (blue and red) together, drawn once per call with
+    total at most n and bucketed by total.  When every edge entering v
+    comes from an earlier level, v's in-flow is already set, so the
+    level tries only the bucket of that total, and nothing when it
+    exceeds n.  Any other vertex is checked for conservation at the
+    level that sets the last of its edges.  The flows come back in
     lexicographic order of their tuples.
+
+    >>> g = parse_arc("crossings 3\\nsigns + + +\\nover 3 1 2\\n")
+    >>> g.reduced_edges
+    (('b', 1), ('r', 2))
+    >>> enumerate_flows(g, 2)
+    [(0, 0), (1, 1), (2, 2)]
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     index = g.edge_index
     out = [()] + [tuple(index[e] for e in (g.blue_out(v), g.red_out(v))
                         if e is not None) for v in range(1, g.r)]
-    # Vertex w is checked at the level that sets the last of its edges;
-    # an edge key (kind, v) is set at level v, its source.
+    # known[v] lists the edges entering v when they all come from
+    # earlier levels; any other vertex w is checked at the level that
+    # sets the last of its edges, an edge key (kind, u) being set at
+    # level u, its source.
+    known = [None] * g.r
     checks = [[] for _ in range(g.r)]
     for w in range(1, g.r):
         entering = g.entering(w)
-        level = max([w] + [e[1] for e in entering])
-        checks[level].append((tuple(index[e] for e in entering), out[w]))
-    # The values a vertex with k out-edges may take, drawn once per call.
-    draws = {k: [values for values in product(range(n + 1), repeat=k)
-                 if sum(values) <= n]
-             for k in {len(edges) for edges in out}}
+        into = tuple(index[e] for e in entering)
+        if all(e[1] < w for e in entering):
+            known[w] = into
+        else:
+            checks[max(e[1] for e in entering)].append((into, out[w]))
+    # The values a vertex with k out-edges may take, drawn once per call,
+    # in one list and bucketed by total.
+    draws = {}
+    buckets = {}
+    for k in {len(edges) for edges in out}:
+        draws[k] = [values for values in product(range(n + 1), repeat=k)
+                    if sum(values) <= n]
+        buckets[k] = [[] for _ in range(n + 1)]
+        for values in draws[k]:
+            buckets[k][sum(values)].append(values)
     f = [0] * len(g.reduced_edges)
     flows = []
 
@@ -263,7 +284,14 @@ def enumerate_flows(g, n):
         if v == g.r:
             flows.append(tuple(f))
             return
-        for values in draws[len(out[v])]:
+        if known[v] is None:
+            tries = draws[len(out[v])]
+        else:
+            total = sum(f[i] for i in known[v])
+            if total > n:
+                return
+            tries = buckets[len(out[v])][total]
+        for values in tries:
             for i, value in zip(out[v], values):
                 f[i] = value
             if all(sum(f[i] for i in into) == sum(f[i] for i in leaving)
@@ -305,44 +333,92 @@ def delta_flow(g, f):
     return _exc(g, f) - rot_total
 
 
-def mult_t(g, f):
-    """Product over vertices of the quantum binomial (f(v) choose blue
-    out-flow) in base t^(-sign(v))."""
-    out = LaurentPoly.constant(1)
+# Rows of the Gaussian Pascal triangle as {exponent: int} dicts, one
+# triangle per base t^b (b = 1 or -1), extended on demand, so each entry
+# is computed once per process.  Callers must not change the dicts.
+_GAUSSIAN_ROWS = {}
+
+
+def _gaussian(m, k, b):
+    """The Gaussian binomial [m choose k] in base t^b as {exponent: int},
+    by the Pascal recursion [m+1 choose i] = t^(b i) [m choose i] +
+    [m choose i-1]."""
+    rows = _GAUSSIAN_ROWS.setdefault(b, [[{0: 1}]])
+    while len(rows) <= m:
+        row = rows[-1]
+        new = [row[0]]
+        for i in range(1, len(row)):
+            entry = dict(row[i - 1])
+            for e, c in row[i].items():
+                e += b * i
+                entry[e] = entry.get(e, 0) + c
+            new.append(entry)
+        new.append(row[0])
+        rows.append(new)
+    return rows[m][k]
+
+
+def _main_terms(g, f, n):
+    """main_flow_weight(g, f, n) as (shift, {exponent: int}), the weight
+    being t^shift times the dict's polynomial.
+
+    The blue exponents go into the shift, the Gaussian binomials are
+    multiplied as dicts, and each red unit factor 1 - t^d is one
+    shift-and-subtract pass over the dict.
+    """
+    shift = 0
+    terms = {0: 1}
     for v in range(1, g.r):
-        total = g.vertex_flow(f, v)
+        b = -g.sign(v)
         carried = g.flow_value(f, g.blue_out(v))
-        base = _t_power(-g.sign(v))
-        out = out * qbinom(total, carried, base)
-    return out
+        total = carried + g.flow_value(f, g.red_out(v))
+        shift += b * n * carried
+        if 0 < carried < total:
+            product_terms = {}
+            get = product_terms.get
+            for e2, c2 in _gaussian(total, carried, b).items():
+                for e1, c1 in terms.items():
+                    e = e1 + e2
+                    product_terms[e] = get(e, 0) + c1 * c2
+            terms = product_terms
+    for e in g.reduced_edges:
+        kind, u = e
+        value = f[g.edge_index[e]]
+        if kind != "r" or value == 0:
+            continue
+        b = -g.sign(u)
+        ahead = _ahead(g, f, e)
+        for j in range(value):
+            d = b * (n - j - ahead)
+            if d == 0:
+                # the factor 1 - t^0 zeroes the weight
+                return shift, {}
+            shifted = dict(terms)
+            get = shifted.get
+            for exponent, c in terms.items():
+                exponent += d
+                shifted[exponent] = get(exponent, 0) - c
+            terms = shifted
+    return shift, {e: c for e, c in terms.items() if c}
 
 
 def main_flow_weight(g, f, n):
     """Closed per-flow weight of the main route, without the t^delta(f)
     normalization (returned separately by delta_flow).
 
-    mult_t times t^(-sign(v) n f(blue out)) over vertices, times, for
-    every unit j = 0..f(e)-1 of every red edge e entering w, the factor
-    1 - t^(-sign(source)(n - j - s)) where s sums the flow on edges
-    entering w before e.  Zero whenever some vertex carries more than n.
+    The product over vertices of the Gaussian binomial (f(v) choose blue
+    out-flow) in base t^(-sign(v)), times t^(-sign(v) n f(blue out)),
+    times, for every unit j = 0..f(e)-1 of every red edge e entering w,
+    the factor 1 - t^(-sign(source)(n - j - s)) where s sums the flow on
+    edges entering w before e.  Zero whenever some vertex carries more
+    than n.  Computed in integer exponent dicts by _main_terms and made
+    a LaurentPoly once.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    blue_exponent = 0
-    for v in range(1, g.r):
-        blue_exponent -= g.sign(v) * n * g.flow_value(f, g.blue_out(v))
-    out = mult_t(g, f) * _t_power(blue_exponent)
-    for e in g.reduced_edges:
-        kind, u = e
-        if kind != "r":
-            continue
-        value = f[g.edge_index[e]]
-        if value == 0:
-            continue
-        ahead = _ahead(g, f, e)
-        for j in range(value):
-            out = out * _one_minus_t_power(-g.sign(u) * (n - j - ahead))
-    return out
+    shift, terms = _main_terms(g, f, n)
+    return LaurentPoly.from_powers("t", {e + shift: c
+                                         for e, c in terms.items()})
 
 
 def red_copies(g, f):
@@ -568,7 +644,8 @@ def colored_jones(g, n, route="ma2"):
 
     t^delta(K,n) times the flow total, where delta(K,n) is half of
     n^2 (sign sum) + n rotK.  Routes: "main" sums t^delta(f) times
-    main_flow_weight; "catmm" sums z_nf times catmm_flow_sum; "ma2"
+    main_flow_weight, all flows in one integer exponent dict made a
+    LaurentPoly once; "catmm" sums z_nf times catmm_flow_sum; "ma2"
     sums z_nf times ma2_flow_sum.  All three agree.
     """
     if n < 1:
@@ -577,11 +654,20 @@ def colored_jones(g, n, route="ma2"):
         raise ValueError("route must be one of %s, got %r"
                          % (", ".join(ROUTES), route))
     prefactor = _t_power(_delta_kn(g, n))
+    flows = enumerate_flows(g, n)
+    if route == "main":
+        terms = {}
+        get = terms.get
+        for f in flows:
+            shift, weight = _main_terms(g, f, n)
+            shift += delta_flow(g, f)
+            for e, c in weight.items():
+                e += shift
+                terms[e] = get(e, 0) + c
+        return prefactor * LaurentPoly.from_powers("t", terms)
     total = LaurentPoly()
-    for f in enumerate_flows(g, n):
-        if route == "main":
-            term = _t_power(delta_flow(g, f)) * main_flow_weight(g, f, n)
-        elif route == "catmm":
+    for f in flows:
+        if route == "catmm":
             term = z_nf(g, f, n) * catmm_flow_sum(g, f, n)
         else:
             term = z_nf(g, f, n) * ma2_flow_sum(g, f, n)

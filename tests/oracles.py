@@ -21,7 +21,10 @@ through the public validating constructor; the package's arithmetic now
 skips those checks for results of canonical operands.  chord_diagrams
 is the package's former ma2 layout, which tried every order of the ends
 at each vertex and weighted each distinct diagram by 1/deg; the package
-now lays out one diagram per configuration.
+now lays out one diagram per configuration.  main_flow_weight_reference
+is the package's former main-route weight, one LaurentPoly product per
+Gaussian binomial and per red unit factor; the package now works in
+integer exponent dicts and makes one LaurentPoly per weight.
 """
 
 from fractions import Fraction
@@ -29,7 +32,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 
 from qbichromate.arcflow import red_copies
-from qbichromate.polyq import LaurentPoly
+from qbichromate.polyq import LaurentPoly, qbinom
 
 
 def _poly_aligned(p1, p2):
@@ -399,6 +402,59 @@ def flows_reference(g, n):
             continue
         flows.append(f)
     return flows
+
+
+def _t_power(e):
+    return LaurentPoly.from_powers("t", {e: 1})
+
+
+def _one_minus_t_power(e):
+    return LaurentPoly.constant(1) - _t_power(e)
+
+
+def _ahead(g, f, edge):
+    """Flow on the edges entering edge's target ahead of edge, read off
+    the entering order."""
+    entering = g.entering(g.target(edge))
+    return sum(f[g.edge_index[a]] for a in entering[:entering.index(edge)])
+
+
+def mult_t(g, f):
+    """Product over vertices of the quantum binomial (f(v) choose blue
+    out-flow) in base t^(-sign(v))."""
+    out = LaurentPoly.constant(1)
+    for v in range(1, g.r):
+        total = g.vertex_flow(f, v)
+        carried = g.flow_value(f, g.blue_out(v))
+        base = _t_power(-g.sign(v))
+        out = out * qbinom(total, carried, base)
+    return out
+
+
+def main_flow_weight_reference(g, f, n):
+    """Closed per-flow weight of the main route, without the t^delta(f)
+    normalization, as a product of LaurentPoly factors.
+
+    mult_t times t^(-sign(v) n f(blue out)) over vertices, times, for
+    every unit j = 0..f(e)-1 of every red edge e entering w, the factor
+    1 - t^(-sign(source)(n - j - s)) where s sums the flow on edges
+    entering w before e.
+    """
+    blue_exponent = 0
+    for v in range(1, g.r):
+        blue_exponent -= g.sign(v) * n * g.flow_value(f, g.blue_out(v))
+    out = mult_t(g, f) * _t_power(blue_exponent)
+    for e in g.reduced_edges:
+        kind, u = e
+        if kind != "r":
+            continue
+        value = f[g.edge_index[e]]
+        if value == 0:
+            continue
+        ahead = _ahead(g, f, e)
+        for j in range(value):
+            out = out * _one_minus_t_power(-g.sign(u) * (n - j - ahead))
+    return out
 
 
 def configurations_reference(g, f):

@@ -14,12 +14,13 @@ from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
                                  ma2_flow_sum, main_flow_weight, parse_arc,
                                  red_copies, z_nf)
 from qbichromate.graphcore import ParseError
-from qbichromate.polyq import LaurentPoly
+from qbichromate.polyq import LaurentPoly, qbinom
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
                      chord_diagrams, configurations_reference,
                      figure_eight_colored_jones,
                      flows_reference, ma2_terms_reference,
+                     main_flow_weight_reference,
                      torus_2k_colored_jones, trefoil_colored_jones)
 
 T = LaurentPoly.variable("t")
@@ -111,6 +112,26 @@ def test_flow_search_draws_only_bounded_values(monkeypatch):
         assert (len(expected), len(drawn)) == (kept, draws)
 
 
+def test_flow_search_tries_only_the_in_flow_bucket(monkeypatch):
+    # every value tuple a level tries is written into the flow through one
+    # zip; a vertex entered only from earlier levels tries just the values
+    # adding up to its in-flow (fig8's vertex 3, TWO_REDS' vertices 3 and
+    # 4), where checking every bounded tuple tried 2,379 and 100,620
+    tried = []
+
+    def counting_zip(*iterables):
+        tried.append(iterables[-1])
+        return zip(*iterables)
+
+    for g, n, kept, tries in ((fig8(), 12, 91, 1287),
+                              (parse_arc(TWO_REDS), 8, 825, 10320)):
+        monkeypatch.setattr(arcflow, "zip", counting_zip, raising=False)
+        tried.clear()
+        flows = enumerate_flows(g, n)
+        monkeypatch.undo()
+        assert (len(flows), len(tried)) == (kept, tries)
+
+
 # Work cap for the drawn arcs: n^copies value tuples times configurations.
 BUDGET = 5000
 
@@ -190,6 +211,68 @@ def test_catmm_equals_ma2_per_flow_in_any_entering_order(data):
             assert sums == ma2_flow_sum(g, f, n), (n, f)
             assert catmm_flow_sum(h, f, n) == sums, (n, f)
             assert ma2_flow_sum(h, f, n) == sums, (n, f)
+
+
+def assert_main_weights_match(g, n):
+    for f in enumerate_flows(g, n):
+        assert main_flow_weight(g, f, n) \
+            == main_flow_weight_reference(g, f, n), (n, f)
+
+
+def test_main_flow_weight_matches_reference():
+    arcs = [trefoil(), fig8(), fig8_red_first()] + [parse_arc(text) for text in
+                                  (TWO_REDS, REORDERED, THREE_INTO_3)]
+    for g in arcs:
+        for n in range(1, 6):
+            assert_main_weights_match(g, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arc_graphs(), st.integers(1, 3))
+def test_main_flow_weight_matches_reference_on_drawn_arcs(g, n):
+    assert_main_weights_match(g, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(decorated_arc_graphs(), st.integers(1, 3))
+def test_main_route_is_the_reference_sum_on_drawn_arcs(g, n):
+    # t^delta(K,n) times the sum of t^delta(f) times the product-form
+    # weight; the drawn rotK makes delta(K,n) integral at every n
+    total = LaurentPoly()
+    for f in enumerate_flows(g, n):
+        total = total + T ** delta_flow(g, f) \
+            * main_flow_weight_reference(g, f, n)
+    delta = (n * n * sum(g.signs) + n * g.rot_k) // 2
+    assert colored_jones(g, n, route="main") == T ** delta * total
+
+
+def test_main_route_multiplies_once(monkeypatch):
+    # the main route sums its flows in one integer exponent dict, so
+    # fig8 makes one LaurentPoly product, the t^delta(K,n) prefactor,
+    # for its 28 flows at n = 6 and its 91 at n = 12
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counting_mul(p1, p2):
+        calls.append(1)
+        return multiply(p1, p2)
+
+    g = fig8()
+    for n, flows in ((6, 28), (12, 91)):
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        calls.clear()
+        colored_jones(g, n, route="main")
+        monkeypatch.undo()
+        assert (len(enumerate_flows(g, n)), len(calls)) == (flows, 1)
+
+
+def test_gaussian_triangle_matches_qbinom():
+    for b, base in ((1, "t"), (-1, T ** -1)):
+        for m in range(21):
+            for k in range(m + 1):
+                assert LaurentPoly.from_powers(
+                    "t", arcflow._gaussian(m, k, b)) == qbinom(m, k, base), \
+                    (b, m, k)
 
 
 def test_flow_stats():

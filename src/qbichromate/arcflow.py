@@ -29,7 +29,7 @@ a fourth description of the level-one invariant.
 from itertools import combinations, product
 
 from .graphcore import ParseError, _content_lines, _numbers
-from .polyq import LaurentPoly
+from .polyq import LaurentPoly, qbinom
 from .qchrom import mdef_chord
 
 # The routes of colored_jones, in the order the CLI lists them.
@@ -333,38 +333,18 @@ def delta_flow(g, f):
     return _exc(g, f) - rot_total
 
 
-# Rows of the Gaussian Pascal triangle as {exponent: int} dicts, one
-# triangle per base t^b (b = 1 or -1), extended on demand, so each entry
-# is computed once per process.  Callers must not change the dicts.
-_GAUSSIAN_ROWS = {}
-
-
-def _gaussian(m, k, b):
-    """The Gaussian binomial [m choose k] in base t^b as {exponent: int},
-    by the Pascal recursion [m+1 choose i] = t^(b i) [m choose i] +
-    [m choose i-1]."""
-    rows = _GAUSSIAN_ROWS.setdefault(b, [[{0: 1}]])
-    while len(rows) <= m:
-        row = rows[-1]
-        new = [row[0]]
-        for i in range(1, len(row)):
-            entry = dict(row[i - 1])
-            for e, c in row[i].items():
-                e += b * i
-                entry[e] = entry.get(e, 0) + c
-            new.append(entry)
-        new.append(row[0])
-        rows.append(new)
-    return rows[m][k]
+# The base t^b of main_flow_weight's Gaussian binomials, by b.
+_T_BASES = {1: _t_power(1), -1: _t_power(-1)}
 
 
 def _main_terms(g, f, n):
     """main_flow_weight(g, f, n) as (shift, {exponent: int}), the weight
     being t^shift times the dict's polynomial.
 
-    The blue exponents go into the shift, the Gaussian binomials are
-    multiplied as dicts, and each red unit factor 1 - t^d is one
-    shift-and-subtract pass over the dict.
+    The blue exponents go into the shift, the terms of the Gaussian
+    binomials (qbinom, each built once per process) are multiplied in as
+    dicts, and each red unit factor 1 - t^d is one shift-and-subtract
+    pass over the dict.
     """
     shift = 0
     terms = {0: 1}
@@ -376,7 +356,9 @@ def _main_terms(g, f, n):
         if 0 < carried < total:
             product_terms = {}
             get = product_terms.get
-            for e2, c2 in _gaussian(total, carried, b).items():
+            # not constant, so its exponent keys are 1-tuples
+            gaussian = qbinom(total, carried, _T_BASES[b])
+            for (e2,), c2 in gaussian.terms.items():
                 for e1, c1 in terms.items():
                     e = e1 + e2
                     product_terms[e] = get(e, 0) + c1 * c2

@@ -378,17 +378,21 @@ def qint(n, base="q"):
     return out
 
 
-# Rows 0, 1, ... of the Gaussian Pascal triangle per base, extended on
-# demand, so each entry is computed once per process.
-_QBINOM_ROWS = {}
+# Rows 0, 1, ... of the Gaussian Pascal triangle as {power of the base:
+# int} dicts, extended on demand, and the polynomial of each entry asked
+# for, per base, so each entry is computed once per process and the
+# triangle is shared by every base.
+_QBINOM_ROWS = [[{0: 1}]]
+_QBINOM_POLYS = {}
 
 
 def qbinom(m, n, base="q"):
     """The Gaussian binomial coefficient [m choose n] in the given base.
 
-    Computed by the Pascal recursion
-        [k+1 choose i] = base^i [k choose i] + [k choose i-1],
-    which never divides, so it works verbatim for any monomial base.
+    Computed as a polynomial in an abstract base x by the Pascal recursion
+        [k+1 choose i] = x^i [k choose i] + [k choose i-1],
+    which never divides, in integer dicts; x is then replaced by the
+    base, which may be any monomial.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -398,19 +402,30 @@ def qbinom(m, n, base="q"):
     if n > m:
         raise ValueError("qbinom needs n <= m, got m=%d n=%d" % (m, n))
     base = _as_base(base)
-    rows = _QBINOM_ROWS.get(base)
-    if rows is None:
-        rows = _QBINOM_ROWS[base] = [[LaurentPoly.constant(1)]]
-    while len(rows) <= m:
-        row = rows[-1]
-        new = [row[0]]
-        power = row[0]
-        for i in range(1, len(row)):
-            power = power * base
-            new.append(power * row[i] + row[i - 1])
-        new.append(row[0])
-        rows.append(new)
-    return rows[m][n]
+    polys = _QBINOM_POLYS.setdefault(base, {})
+    poly = polys.get((m, n))
+    if poly is None:
+        rows = _QBINOM_ROWS
+        while len(rows) <= m:
+            row = rows[-1]
+            new = [row[0]]
+            for i in range(1, len(row)):
+                entry = dict(row[i - 1])
+                for k, c in row[i].items():
+                    k += i
+                    entry[k] = entry.get(k, 0) + c
+                new.append(entry)
+            new.append(row[0])
+            rows.append(new)
+        ((exps, _),) = base.terms.items()
+        terms = {}
+        for k, c in rows[m][n].items():
+            # distinct powers of the base are distinct monomials unless
+            # the base is 1
+            key = tuple(map(k.__mul__, exps))
+            terms[key] = terms.get(key, 0) + c
+        poly = polys[m, n] = _result(base.variables, terms)
+    return poly
 
 
 def qbinomial_theorem_check(n):

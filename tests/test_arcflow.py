@@ -14,7 +14,7 @@ from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
                                  ma2_flow_sum, main_flow_weight, parse_arc,
                                  red_copies, z_nf)
 from qbichromate.graphcore import ParseError
-from qbichromate.polyq import LaurentPoly, qbinom
+from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
                      chord_diagrams, configurations_reference,
@@ -264,15 +264,6 @@ def test_main_route_multiplies_once(monkeypatch):
         colored_jones(g, n, route="main")
         monkeypatch.undo()
         assert (len(enumerate_flows(g, n)), len(calls)) == (flows, 1)
-
-
-def test_gaussian_triangle_matches_qbinom():
-    for b, base in ((1, "t"), (-1, T ** -1)):
-        for m in range(21):
-            for k in range(m + 1):
-                assert LaurentPoly.from_powers(
-                    "t", arcflow._gaussian(m, k, b)) == qbinom(m, k, base), \
-                    (b, m, k)
 
 
 def test_flow_stats():

@@ -208,27 +208,34 @@ def test_qbinom_values():
 
 
 def test_qbinom_pascal(monkeypatch):
-    # Rows are built on demand and kept per base; whether the triangle
-    # grows all at once (descending m) or row by row (ascending m), each
-    # entry costs one addition and the values agree.
+    # One triangle of integer dicts is built on demand and shared by every
+    # base, so no LaurentPoly arithmetic runs; whether it grows all at once
+    # (descending m) or row by row (ascending m), it ends with one row per
+    # m, each entry's polynomial is built once per base, and the values
+    # agree.
     t = LaurentPoly.variable("t")
-    additions = []
-    add = LaurentPoly.__add__
-    monkeypatch.setattr(LaurentPoly, "__add__",
-                        lambda a, b: additions.append(1) or add(a, b))
+    bases = ("q", t ** -1, t ** 2)
+    arithmetic = []
+    for name in ("__add__", "__mul__"):
+        op = getattr(LaurentPoly, name)
+        monkeypatch.setattr(LaurentPoly, name, lambda a, b, op=op:
+                            arithmetic.append(1) or op(a, b))
     tables = {}
-    for base in ("q", t ** -1, t ** 2):
-        for order in (range(12, -1, -1), range(13)):
-            monkeypatch.setattr(polyq, "_QBINOM_ROWS", {})
-            additions.clear()
+    for order in (range(20, -1, -1), range(21)):
+        monkeypatch.setattr(polyq, "_QBINOM_ROWS", [[{0: 1}]])
+        monkeypatch.setattr(polyq, "_QBINOM_POLYS", {})
+        for base in bases:
             table = {(m, j): qbinom(m, j, base)
                      for m in order for j in range(m + 1)}
-            assert len(additions) == sum(range(12)), (base, order)
-            assert tables.setdefault(base, table) == table, base
+            assert tables.setdefault(base, table) == table, (base, order)
+            assert all(qbinom(m, j, base) is poly
+                       for (m, j), poly in table.items()), base
+        assert len(polyq._QBINOM_ROWS) == 21
+        assert not arithmetic
     monkeypatch.undo()
     for base, table in tables.items():
         q = LaurentPoly.variable(base) if isinstance(base, str) else base
-        for m in range(1, 13):
+        for m in range(1, 21):
             for j in range(m + 1):
                 lhs = table[m, j]
                 assert lhs == table[m, m - j]

@@ -27,6 +27,7 @@ a fourth description of the level-one invariant.
 """
 
 from itertools import combinations, product
+from math import comb
 
 from .graphcore import ParseError, _content_lines, _numbers
 from .polyq import LaurentPoly, qbinom
@@ -444,6 +445,46 @@ def flow_configurations(g, f):
     return [drop for _, drop in partial]
 
 
+def _catmm_terms(g, f, n):
+    """catmm_flow_sum(g, f, n) as {exponent: count}, by the sweep its
+    docstring describes."""
+    states = {(): {0: 1}}
+    for v in range(1, g.r):
+        size = g.flow_value(f, g.blue_out(v - 1))
+        for _ in range(sum(f[g.edge_index[e]] for e in g.red_in(v))):
+            grown = {}
+            for pool, terms in states.items():
+                below = 0
+                for x in range(n):
+                    if below < size and pool[below] == x:
+                        below += 1
+                        continue
+                    target = grown.setdefault(
+                        pool[:below] + (x,) + pool[below:], {})
+                    get = target.get
+                    for e, c in terms.items():
+                        e += x - below
+                        target[e] = get(e, 0) + c
+            states = grown
+            size += 1
+        # Each way to keep `keep` of the pool's sorted positions, with
+        # its charge: one per (kept, dropped) position pair in order.
+        keep = g.flow_value(f, g.blue_out(v))
+        patterns = [(kept, sum(size - keep - i + k
+                               for k, i in enumerate(kept)))
+                    for kept in combinations(range(size), keep)]
+        grown = {}
+        for pool, terms in states.items():
+            for kept, charge in patterns:
+                target = grown.setdefault(tuple(pool[i] for i in kept), {})
+                get = target.get
+                for e, c in terms.items():
+                    e -= charge
+                    target[e] = get(e, 0) + c
+        states = grown
+    return states.get((), {})
+
+
 def catmm_flow_sum(g, f, n):
     """Defect-weighted value sum over configurations with values.
 
@@ -454,53 +495,24 @@ def catmm_flow_sum(g, f, n):
     is dropped.  Two copies may share a value only if the one arriving
     first is dropped before the other arrives.
 
-    Copies are listed by arrival, so copy b meets on arrival exactly its
-    clash list riding[b], the earlier copies a with drop(a) >= arrival(b).
-    Their values are pairwise distinct and b's avoids them, so value -
-    def1 is the rank of b's value among the values they leave free.  A
-    def2 pair is charged when its later copy b takes its value: against b
-    for each smaller-valued earlier copy dropped later than b, and
-    against a for each earlier copy a dropped sooner than b (but not
-    before b arrives) whose value is larger.  All three lists depend
-    only on the drop tuple, so each configuration is one walk that
-    carries the exponent down to its leaves.
+    So the copies a vertex's pool holds, those riding in and those
+    arriving there, carry distinct values, and one transfer sweep over
+    vertices 1..r-1 sums every configuration at once.  Its states are
+    {sorted tuple of the values riding the current blue edge: {exponent:
+    count}}, from {(): {0: 1}}.  Each copy arriving at v takes a value
+    not yet in the pool and adds its rank among the free values, value
+    - def1.  Then the pool keeps f(blue out of v) of its values (none at
+    v = r-1), and each dropped value x is charged -#{kept values below
+    x}, its def2: a copy arriving at v counts as still riding for those
+    dropped there, and copies dropped at the same vertex charge nothing
+    to each other.  The sum is the exponent dict of the final state
+    ().  A pool's values being distinct, the values kept name the copies
+    kept, so the sweep's paths are the (configuration, values) pairs one
+    to one.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    copies = red_copies(g, f)
-    arrival = [g.target(e) for e, _ in copies]
-    values = [0] * len(copies)
-    terms = {}
-    for drop in flow_configurations(g, f):
-        riding = [[a for a in range(b) if drop[a] >= arrival[b]]
-                  for b in range(len(copies))]
-        later = [[a for a in riding[b] if drop[a] > drop[b]]
-                 for b in range(len(copies))]
-        sooner = [[a for a in riding[b] if drop[a] < drop[b]]
-                  for b in range(len(copies))]
-
-        def assign(b, exponent):
-            if b == len(copies):
-                terms[exponent] = terms.get(exponent, 0) + 1
-                return
-            taken = {values[a] for a in riding[b]}
-            rank = 0
-            for value in range(n):
-                if value in taken:
-                    continue
-                charged = exponent + rank
-                for a in later[b]:
-                    if values[a] < value:
-                        charged -= 1
-                for a in sooner[b]:
-                    if values[a] > value:
-                        charged -= 1
-                values[b] = value
-                assign(b + 1, charged)
-                rank += 1
-
-        assign(0, 0)
-    return LaurentPoly.from_powers("t", terms)
+    return LaurentPoly.from_powers("t", _catmm_terms(g, f, n))
 
 
 def ma2_flow_sum(g, f, n):
@@ -525,6 +537,28 @@ def ma2_flow_sum(g, f, n):
     return total
 
 
+def _z_terms(g, f, n):
+    """z_nf(g, f, n) as (shift, {exponent: int}), the prefactor being
+    t^shift times the dict's polynomial.  With a red units from -
+    sources and b from + sources, the unit factors are (-1)^b t^-b
+    (1-t)^(a+b): one binomial row."""
+    blue = {1: 0, -1: 0}
+    red = {1: 0, -1: 0}
+    for e in g.reduced_edges:
+        kind, u = e
+        (blue if kind == "b" else red)[g.sign(u)] += f[g.edge_index[e]]
+    shift = delta_flow(g, f) + n * (blue[-1] - blue[1]) - red[1]
+    for e, idx in red_copies(g, f):
+        if g.sign(e[1]) == 1:
+            shift -= n - 1 - (_ahead(g, f, e) + idx)
+    for v in range(1, g.r):
+        shift += (g.flow_value(f, g.red_out(v))
+                  * g.flow_value(f, g.blue_out(v)))
+    units = red[-1] + red[1]
+    return shift, {k: (-1) ** (red[1] + k) * comb(units, k)
+                   for k in range(units + 1)}
+
+
 def z_nf(g, f, n):
     """Per-flow prefactor of the chord-diagram route.
 
@@ -532,24 +566,14 @@ def z_nf(g, f, n):
     times (1-t) per red unit from a - source and (1-t^-1) per red unit
     from a + source, times t^-(n-1-|P|) per + red copy (P the flow
     entering ahead of it), times t^(red out times blue out) at every
-    vertex.
+    vertex.  Since (1-t)^a (1-t^-1)^b = (-1)^b t^-b (1-t)^(a+b), the
+    unit factors are one binomial row, computed in integers by _z_terms.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    blue = {1: 0, -1: 0}
-    red = {1: 0, -1: 0}
-    for e in g.reduced_edges:
-        kind, u = e
-        (blue if kind == "b" else red)[g.sign(u)] += f[g.edge_index[e]]
-    exponent = delta_flow(g, f) + n * (blue[-1] - blue[1])
-    out = _one_minus_t_power(1) ** red[-1] * _one_minus_t_power(-1) ** red[1]
-    for e, idx in red_copies(g, f):
-        if g.sign(e[1]) == 1:
-            exponent -= n - 1 - (_ahead(g, f, e) + idx)
-    for v in range(1, g.r):
-        exponent += (g.flow_value(f, g.red_out(v))
-                     * g.flow_value(f, g.blue_out(v)))
-    return out * _t_power(exponent)
+    shift, terms = _z_terms(g, f, n)
+    return LaurentPoly.from_powers("t", {e + shift: c
+                                         for e, c in terms.items()})
 
 
 def cycle_families(g):
@@ -626,9 +650,11 @@ def colored_jones(g, n, route="ma2"):
 
     t^delta(K,n) times the flow total, where delta(K,n) is half of
     n^2 (sign sum) + n rotK.  Routes: "main" sums t^delta(f) times
-    main_flow_weight, all flows in one integer exponent dict made a
-    LaurentPoly once; "catmm" sums z_nf times catmm_flow_sum; "ma2"
-    sums z_nf times ma2_flow_sum.  All three agree.
+    main_flow_weight; "catmm" sums z_nf times catmm_flow_sum, each
+    prefactor a shift and one binomial row, (1-t)^a (1-t^-1)^b being
+    (-1)^b t^-b (1-t)^(a+b); "ma2" sums z_nf times ma2_flow_sum.  The
+    main and catmm routes sum all their flows in one integer exponent
+    dict made a LaurentPoly once.  All three agree.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -637,21 +663,21 @@ def colored_jones(g, n, route="ma2"):
                          % (", ".join(ROUTES), route))
     prefactor = _t_power(_delta_kn(g, n))
     flows = enumerate_flows(g, n)
-    if route == "main":
-        terms = {}
-        get = terms.get
+    if route == "ma2":
+        total = LaurentPoly()
         for f in flows:
-            shift, weight = _main_terms(g, f, n)
-            shift += delta_flow(g, f)
-            for e, c in weight.items():
-                e += shift
-                terms[e] = get(e, 0) + c
-        return prefactor * LaurentPoly.from_powers("t", terms)
-    total = LaurentPoly()
+            total = total + z_nf(g, f, n) * ma2_flow_sum(g, f, n)
+        return prefactor * total
+    terms = {}
+    get = terms.get
     for f in flows:
-        if route == "catmm":
-            term = z_nf(g, f, n) * catmm_flow_sum(g, f, n)
+        if route == "main":
+            shift, weight = _main_terms(g, f, n)
+            shift, factor = shift + delta_flow(g, f), {0: 1}
         else:
-            term = z_nf(g, f, n) * ma2_flow_sum(g, f, n)
-        total = total + term
-    return prefactor * total
+            (shift, factor), weight = _z_terms(g, f, n), _catmm_terms(g, f, n)
+        for e1, c1 in factor.items():
+            for e2, c2 in weight.items():
+                e = shift + e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+    return prefactor * LaurentPoly.from_powers("t", terms)

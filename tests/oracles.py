@@ -25,6 +25,12 @@ now lays out one diagram per configuration.  main_flow_weight_reference
 is the package's former main-route weight, one LaurentPoly product per
 Gaussian binomial and per red unit factor; the package now works in
 integer exponent dicts and makes one LaurentPoly per weight.
+catmm_walk_reference is the package's former catmm kernel, one walk per
+configuration that assigns values copy by copy; the package now sweeps
+the blue path once, keyed by the values riding it.  z_nf_reference is
+the package's former chord-route prefactor, one LaurentPoly power per
+kind of red unit factor, with its own delta(f); the package now expands
+the unit factors as one binomial row in integers.
 """
 
 from fractions import Fraction
@@ -529,6 +535,89 @@ def catmm_terms_reference(g, f, pairs):
             exponent += value - def1 - def2
         terms[exponent] = terms.get(exponent, 0) + 1
     return terms
+
+
+def catmm_walk_reference(g, f, n):
+    """{exponent: count} of the catmm flow sum, walking each drop map of
+    configurations_reference once, read in red_copies order.
+
+    Copies are listed by arrival, so copy b meets on arrival exactly the
+    earlier copies a with drop(a) >= arrival(b), riding[b].  Their values
+    are pairwise distinct and b's avoids them, so value - def1 is the
+    rank of b's value among the values they leave free.  A def2 pair is
+    charged when its later copy b takes its value: against b for each
+    smaller-valued earlier copy dropped later than b, and against a for
+    each earlier copy a dropped sooner than b (but not before b arrives)
+    whose value is larger.  The exponent is carried down to the leaves.
+    """
+    copies = red_copies(g, f)
+    arrival = [g.target(e) for e, _ in copies]
+    values = [0] * len(copies)
+    terms = {}
+    for drop_map, _ in configurations_reference(g, f):
+        drop = [drop_map[c] for c in copies]
+        riding = [[a for a in range(b) if drop[a] >= arrival[b]]
+                  for b in range(len(copies))]
+        later = [[a for a in riding[b] if drop[a] > drop[b]]
+                 for b in range(len(copies))]
+        sooner = [[a for a in riding[b] if drop[a] < drop[b]]
+                  for b in range(len(copies))]
+
+        def assign(b, exponent):
+            if b == len(copies):
+                terms[exponent] = terms.get(exponent, 0) + 1
+                return
+            taken = {values[a] for a in riding[b]}
+            rank = 0
+            for value in range(n):
+                if value in taken:
+                    continue
+                charged = exponent + rank
+                for a in later[b]:
+                    if values[a] < value:
+                        charged -= 1
+                for a in sooner[b]:
+                    if values[a] > value:
+                        charged -= 1
+                values[b] = value
+                assign(b + 1, charged)
+                rank += 1
+
+        assign(0, 0)
+    return terms
+
+
+def z_nf_reference(g, f, n):
+    """Per-flow prefactor of the chord-diagram route as a product of
+    LaurentPoly factors.
+
+    t^delta(f), delta(f) being the sign-weighted product of each
+    vertex's blue out-flow and the flow entering ahead of its red
+    out-edge minus the rot-weighted flow total, times t^(n (blue flow
+    from - sources minus from +)), times (1-t)^a (1-t^-1)^b for the a
+    red units from - sources and the b from + sources, times
+    t^-(n-1-|P|) per + red copy (P the flow entering ahead of it), times
+    t^(red out times blue out) at every vertex.
+    """
+    value = dict(zip(g.reduced_edges, f))
+    exponent = 0
+    for v in range(1, g.r):
+        blue, red = value.get(("b", v), 0), value.get(("r", v), 0)
+        if ("r", v) in value:
+            exponent += g.sign(v) * blue * _ahead(g, f, ("r", v))
+        exponent += red * blue
+    units = {1: 0, -1: 0}
+    for e, x in value.items():
+        exponent -= x * g.rot(e)
+        if e[0] == "b":
+            exponent -= g.sign(e[1]) * n * x
+        else:
+            units[g.sign(e[1])] += x
+    for e, idx in red_copies(g, f):
+        if g.sign(e[1]) == 1:
+            exponent -= n - 1 - (_ahead(g, f, e) + idx)
+    return (_one_minus_t_power(1) ** units[-1]
+            * _one_minus_t_power(-1) ** units[1] * _t_power(exponent))
 
 
 def chord_diagrams(g, f):

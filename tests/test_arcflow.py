@@ -14,14 +14,15 @@ from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
                                  ma2_flow_sum, main_flow_weight, parse_arc,
                                  red_copies, z_nf)
 from qbichromate.graphcore import ParseError
-from qbichromate.polyq import LaurentPoly
+from qbichromate.polyq import LaurentPoly, qbinom, qint
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
-                     chord_diagrams, configurations_reference,
-                     figure_eight_colored_jones,
+                     catmm_walk_reference, chord_diagrams,
+                     configurations_reference, figure_eight_colored_jones,
                      flows_reference, ma2_terms_reference,
                      main_flow_weight_reference,
-                     torus_2k_colored_jones, trefoil_colored_jones)
+                     torus_2k_colored_jones, trefoil_colored_jones,
+                     z_nf_reference)
 
 T = LaurentPoly.variable("t")
 
@@ -144,15 +145,17 @@ def assert_searches_match(g, n, budget=None):
     """The flow search against generate-and-test, lists compared in
     order, and catmm_flow_sum against the defects counted on every
     admissible pair.  With a budget, flows whose pair_work exceeds it
-    skip the catmm comparison."""
+    are compared against the per-configuration walk instead."""
     flows = enumerate_flows(g, n)
     assert flows == flows_reference(g, n), n
     for f in flows:
         if budget is not None and pair_work(g, f, n) > budget:
-            continue
-        pairs = admissible_pairs_reference(g, f, n)
+            terms = catmm_walk_reference(g, f, n)
+        else:
+            pairs = admissible_pairs_reference(g, f, n)
+            terms = catmm_terms_reference(g, f, pairs)
         assert catmm_flow_sum(g, f, n) == LaurentPoly.from_powers(
-            "t", catmm_terms_reference(g, f, pairs)), (n, f)
+            "t", terms), (n, f)
 
 
 def test_searches_match_generate_and_test():
@@ -213,6 +216,52 @@ def test_catmm_equals_ma2_per_flow_in_any_entering_order(data):
             assert ma2_flow_sum(h, f, n) == sums, (n, f)
 
 
+def test_catmm_sweep_matches_the_walk():
+    # the sweep against the per-configuration walk at levels past the
+    # admissible-pair references' reach
+    for g in (trefoil(), fig8(), fig8_red_first()):
+        for n in (4, 5):
+            for f in enumerate_flows(g, n):
+                assert catmm_flow_sum(g, f, n) == LaurentPoly.from_powers(
+                    "t", catmm_walk_reference(g, f, n)), (n, f)
+
+
+def test_catmm_sum_is_a_product():
+    # the sweep's states at a vertex all hold pools of one size, and
+    # what a pool adds downstream does not depend on its values: an
+    # arrival to a pool of p adds [n - p]_t, and keeping k of a pool of
+    # s adds [s choose k]_(1/t).  So each flow's sum is a product, and
+    # it does not depend on the entering order.
+    for g in (trefoil(), fig8(), fig8_red_first()) + tuple(
+            parse_arc(text) for text in (TWO_REDS, REORDERED, THREE_INTO_3)):
+        for n in (1, 2, 3, 4):
+            for f in enumerate_flows(g, n):
+                product_form = LaurentPoly.constant(1)
+                for v in range(1, g.r):
+                    riding = g.flow_value(f, g.blue_out(v - 1))
+                    pool = riding + sum(f[g.edge_index[e]]
+                                        for e in g.red_in(v))
+                    for p in range(riding, pool):
+                        product_form = product_form * qint(max(n - p, 0), T)
+                    product_form = product_form * qbinom(
+                        pool, g.flow_value(f, g.blue_out(v)), T ** -1)
+                assert catmm_flow_sum(g, f, n) == product_form, (n, f)
+
+
+def test_z_nf_matches_reference():
+    for g in (trefoil(), fig8(), fig8_red_first()):
+        for n in range(1, 5):
+            for f in enumerate_flows(g, n):
+                assert z_nf(g, f, n) == z_nf_reference(g, f, n), (n, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decorated_arc_graphs(), st.integers(1, 3))
+def test_z_nf_matches_reference_on_drawn_arcs(g, n):
+    for f in enumerate_flows(g, n):
+        assert z_nf(g, f, n) == z_nf_reference(g, f, n), (n, f)
+
+
 def assert_main_weights_match(g, n):
     for f in enumerate_flows(g, n):
         assert main_flow_weight(g, f, n) \
@@ -246,24 +295,37 @@ def test_main_route_is_the_reference_sum_on_drawn_arcs(g, n):
     assert colored_jones(g, n, route="main") == T ** delta * total
 
 
-def test_main_route_multiplies_once(monkeypatch):
-    # the main route sums its flows in one integer exponent dict, so
-    # fig8 makes one LaurentPoly product, the t^delta(K,n) prefactor,
-    # for its 28 flows at n = 6 and its 91 at n = 12
+def assert_route_multiplies_once(monkeypatch, route, levels):
+    """On fig8 at each (n, flow count) of levels, colored_jones makes
+    one LaurentPoly product, the t^delta(K,n) prefactor, and no power."""
     calls = []
-    multiply = LaurentPoly.__mul__
+    multiply, power = LaurentPoly.__mul__, LaurentPoly.__pow__
 
-    def counting_mul(p1, p2):
-        calls.append(1)
-        return multiply(p1, p2)
+    def counting(operation):
+        def counted(p1, p2):
+            calls.append(operation.__name__)
+            return operation(p1, p2)
+        return counted
 
     g = fig8()
-    for n, flows in ((6, 28), (12, 91)):
-        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for n, flows in levels:
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting(multiply))
+        monkeypatch.setattr(LaurentPoly, "__pow__", counting(power))
         calls.clear()
-        colored_jones(g, n, route="main")
+        colored_jones(g, n, route=route)
         monkeypatch.undo()
-        assert (len(enumerate_flows(g, n)), len(calls)) == (flows, 1)
+        assert (len(enumerate_flows(g, n)), calls) == (flows, ["__mul__"])
+
+
+def test_main_route_multiplies_once(monkeypatch):
+    # the main route sums its flows in one integer exponent dict
+    assert_route_multiplies_once(monkeypatch, "main", ((6, 28), (12, 91)))
+
+
+def test_catmm_route_multiplies_once(monkeypatch):
+    # the catmm route convolves each flow's prefactor row with its value
+    # sums in one integer exponent dict
+    assert_route_multiplies_once(monkeypatch, "catmm", ((6, 28), (8, 45)))
 
 
 def test_flow_stats():
@@ -545,11 +607,20 @@ def test_fig8_red_first_matches_habiro_sum():
     # with r3 entering vertex 2 ahead of b1, catmm and ma2 give Habiro's
     # sum exactly
     g = fig8_red_first()
-    for route, levels in (("catmm", range(1, 6)), ("ma2", range(1, 5))):
+    for route, levels in (("catmm", range(1, 9)), ("ma2", range(1, 5))):
         for n in levels:
             assert _monomial_shift(colored_jones(g, n, route=route),
                                    figure_eight_colored_jones(n + 1)) == 0, \
                 (route, n)
+
+
+def test_fig8_red_first_catmm_equals_ma2_per_flow():
+    # past the levels the references reach, the two per-flow sums check
+    # each other: 28 flows at n = 6
+    g = fig8_red_first()
+    n = 6
+    for f in enumerate_flows(g, n):
+        assert catmm_flow_sum(g, f, n) == ma2_flow_sum(g, f, n), f
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(c): main_flow_weight "

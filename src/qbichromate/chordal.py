@@ -22,15 +22,17 @@ polynomials in q:
   chosen; the plain (non-defected) color sum has no such invariance.
 - str20_pair: the defected coloring sums (the left side of str2_pair)
   of all structures of an instance, added up, equal the number of
-  structures times the same q-integer product.
+  structures times the same q-integer product.  It also returns the
+  str2_pair of each structure it summed, so the chordal suite computes
+  each structure's defected sum once.
 """
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
                         _Record)
-from .polyq import LaurentPoly, qint
+from .polyq import LaurentPoly
 
 
 class NotChordal(Exception):
@@ -286,13 +288,21 @@ def graph_of_structure(s):
 
 
 def _qints(values):
-    """Product of (v)_q over the values; zero if any value is <= 0."""
+    """Product of (v)_q over the values; zero if any value is <= 0.
+
+    Built in ints, coeffs[e] being the coefficient of q^e: times
+    (v)_q = 1 + q + ... + q^(v-1), the coefficient at e is the sum of
+    the old ones at e-v+1..e, a difference of two running sums.
+    """
     if any(v <= 0 for v in values):
         return LaurentPoly()
-    out = LaurentPoly.constant(1)
+    coeffs = [1]
     for v in values:
-        out = out * qint(v)
-    return out
+        sums = list(accumulate(coeffs, initial=0))
+        top = len(coeffs)
+        coeffs = [sums[min(e + 1, top)] - sums[max(e + 1 - v, 0)]
+                  for e in range(top + v - 1)]
+    return LaurentPoly.from_powers("q", dict(enumerate(coeffs)))
 
 
 def _defected_sum(s, z):
@@ -331,17 +341,22 @@ def str20_pair(parents, a_sets, b_sizes, z):
     (z - m(x))_q.  Both the per-structure value and the count admit
     closed forms, so the aggregate does too; computing the left side by
     plain enumeration keeps the two sides independent.
+
+    Returns (lhs, rhs, pairs), pairs holding the str2_pair of each
+    structure in tree_structures order; lhs is the sum of their left
+    sides, so a caller that checks every structure reads them from pairs
+    instead of computing each defected sum again.
     """
     if z < 1:
         raise ValueError("z must be a positive integer")
-    root, topdown, a_norm, b_norm = _instance(parents, a_sets, b_sizes)
-    lhs = LaurentPoly()
-    for s in tree_structures(parents, a_sets, b_sizes):
-        lhs = lhs + _defected_sum(s, z)
+    _, _, a_norm, b_norm = _instance(parents, a_sets, b_sizes)
+    pairs = [str2_pair(s, z)
+             for s in tree_structures(parents, a_sets, b_sizes)]
+    lhs = sum((left for left, _ in pairs), LaurentPoly())
     m_by_x = _m_values(a_norm, b_norm)
     rhs = (LaurentPoly.constant(structure_count(parents, a_sets, b_sizes))
            * _qints([z - m_by_x[x] for x in sorted(m_by_x)]))
-    return lhs, rhs
+    return lhs, rhs, pairs
 
 
 def _m_values(a_sets, b_sizes):

@@ -328,20 +328,15 @@ def _suite_chordal(args, report):
         "structure", _need(args, "structure"), chordal.parse_structure)
     z = args.z if args.z is not None else 3
     report.add("z", z)
-    structures = chordal.tree_structures(parents, a_sets, b_sizes)
-    report.verdict("structure count",
-                   len(structures),
-                   chordal.structure_count(parents, a_sets, b_sizes))
-    lhs, rhs = chordal.str20_pair(parents, a_sets, b_sizes, z)
+    # structure_count validates the instance before str20_pair checks z
+    count = chordal.structure_count(parents, a_sets, b_sizes)
+    lhs, rhs, pairs = chordal.str20_pair(parents, a_sets, b_sizes, z)
+    report.verdict("structure count", len(pairs), count)
     report.verdict("structure aggregate", lhs, rhs)
-    reference = None
-    for i, s in enumerate(structures):
-        lhs, rhs = chordal.str2_pair(s, z)
+    for i, (lhs, rhs) in enumerate(pairs):
         report.verdict("defected sum, structure %d" % i, lhs, rhs)
-        if reference is None:
-            reference = lhs
-        else:
-            report.verdict("invariance, structure %d" % i, lhs, reference)
+        if i:
+            report.verdict("invariance, structure %d" % i, lhs, pairs[0][0])
 
 
 # Each suite with the identities flags it reads.

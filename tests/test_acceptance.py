@@ -316,10 +316,11 @@ def test_defected_color_sum_aggregate_and_invariance():
     for parents, a_sets, b_sizes, zs in str_grid():
         ss = list(tree_structures(parents, a_sets, b_sizes))
         for z in zs:
-            lhs, rhs = str20_pair(parents, a_sets, b_sizes, z)
+            lhs, rhs, pairs = str20_pair(parents, a_sets, b_sizes, z)
             assert lhs == rhs, (parents, a_sets, b_sizes, z)
+            assert pairs == [str2_pair(s, z) for s in ss]
             # the per-structure sum does not depend on the structure
-            values = {str2_pair(s, z)[0] for s in ss}
+            values = {left for left, _ in pairs}
             assert len(values) <= 1, (parents, a_sets, b_sizes, z)
 
 

@@ -3,11 +3,13 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbichromate.chordal import (NotChordal, parse_structure,
+from qbichromate.chordal import (NotChordal, _qints, parse_structure,
                                  peo, graph_of_structure, str2_pair,
                                  str20_pair, structure_count, tree_structures)
 from qbichromate.graphcore import Multigraph, ParseError
+from qbichromate.polyq import LaurentPoly, qint
 from conftest import load_fixture
 
 
@@ -133,7 +135,21 @@ def test_str2_identity():
 def test_str20_identity():
     parents, a_sets, b_sizes = load_fixture("chain.s", parse_structure)
     for z in (1, 2, 3):
-        lhs, rhs = str20_pair(parents, a_sets, b_sizes, z)
+        lhs, rhs, pairs = str20_pair(parents, a_sets, b_sizes, z)
         assert lhs == rhs
+        # the pairs it summed are str2_pair's, in enumeration order
+        assert pairs == [str2_pair(s, z) for s in
+                         tree_structures(parents, a_sets, b_sizes)]
     with pytest.raises(ValueError):
         str20_pair(parents, a_sets, b_sizes, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 12), max_size=6))
+def test_qints_is_the_product_of_qint(values):
+    # qint(0) is zero, so a value <= 0 zeroes the reference product
+    product = LaurentPoly.constant(1)
+    for v in values:
+        product = product * qint(max(v, 0))
+    assert _qints(values) == product
+    assert _qints(values).is_zero() == any(v <= 0 for v in values)

@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, emit formats."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbichromate import chordal, cli
 from qbichromate.cli import run
+from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly
 from conftest import fixture_path
 
@@ -259,6 +261,52 @@ def test_chordal_invariance_compares_left_sides(monkeypatch, capsys):
                    "--structure", fixture_path("chain.s")])
     assert code == 1
     assert "FAIL invariance, structure" in capsys.readouterr().out
+
+
+def test_chordal_suite_sums_each_structure_once(monkeypatch, capsys):
+    # chain.s has 4 structures: one state sum each and one enumeration
+    calls = []
+
+    def counting(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(Multigraph, "state_sums",
+                        counting("state_sums", Multigraph.state_sums))
+    monkeypatch.setattr(chordal, "tree_structures",
+                        counting("tree_structures", chordal.tree_structures))
+    code, _ = run(["identities", "--suite", "chordal",
+                   "--structure", fixture_path("chain.s"), "--z", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("checked: 9 failed: 0\n")
+    assert sorted(calls) == ["state_sums"] * 4 + ["tree_structures"]
+
+
+# sha256 of the chordal suite's stdout on chain.s, run from the
+# repository root, as recorded before the suite read its per-structure
+# pairs from str20_pair.
+CHORDAL_SUITE_DIGESTS = {
+    ("1", "text"):
+        "a701dcd81d249ab3076326c63d6c016d3ff9e7342b4463a8a03cfacdf506617a",
+    ("1", "json"):
+        "ba750901647da607719c5e28898654c93bd2648e271cad00e7c25f53884fccb2",
+    ("3", "text"):
+        "754dab549f44e7c405a5a46013753dbeb5e4f884e7ad07229925363b65639749",
+    ("3", "json"):
+        "82e39ea01755bc94764afcab09041a86850b576909bdc15c4c7d5754fcd97e30",
+}
+
+
+@pytest.mark.parametrize("z, emit", sorted(CHORDAL_SUITE_DIGESTS))
+def test_chordal_suite_output_is_pinned(z, emit, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, _ = run(["identities", "--suite", "chordal", "--structure",
+                   "tests/fixtures/chain.s", "--z", z, "--emit", emit])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CHORDAL_SUITE_DIGESTS[z, emit]
 
 
 def test_colored_jones_routes_agree(capsys):

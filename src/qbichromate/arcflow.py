@@ -334,18 +334,32 @@ def delta_flow(g, f):
     return _exc(g, f) - rot_total
 
 
-# The base t^b of main_flow_weight's Gaussian binomials, by b.
+# The base t^b of the Gaussian binomials in _times_qbinom, by b.
 _T_BASES = {1: _t_power(1), -1: _t_power(-1)}
+
+
+def _times_qbinom(terms, m, k, b):
+    """terms times the Gaussian binomial [m choose k] in base t^b, both
+    as {exponent: int} dicts; the terms are read from qbinom."""
+    if k in (0, m):
+        # the constant 1, whose exponent key is () rather than a 1-tuple
+        return terms
+    product_terms = {}
+    get = product_terms.get
+    for (e2,), c2 in qbinom(m, k, _T_BASES[b]).terms.items():
+        for e1, c1 in terms.items():
+            e = e1 + e2
+            product_terms[e] = get(e, 0) + c1 * c2
+    return product_terms
 
 
 def _main_terms(g, f, n):
     """main_flow_weight(g, f, n) as (shift, {exponent: int}), the weight
     being t^shift times the dict's polynomial.
 
-    The blue exponents go into the shift, the terms of the Gaussian
-    binomials (qbinom, each built once per process) are multiplied in as
-    dicts, and each red unit factor 1 - t^d is one shift-and-subtract
-    pass over the dict.
+    The blue exponents go into the shift, the Gaussian binomials are
+    multiplied in by _times_qbinom, and each red unit factor 1 - t^d is
+    one shift-and-subtract pass over the dict.
     """
     shift = 0
     terms = {0: 1}
@@ -354,16 +368,7 @@ def _main_terms(g, f, n):
         carried = g.flow_value(f, g.blue_out(v))
         total = carried + g.flow_value(f, g.red_out(v))
         shift += b * n * carried
-        if 0 < carried < total:
-            product_terms = {}
-            get = product_terms.get
-            # not constant, so its exponent keys are 1-tuples
-            gaussian = qbinom(total, carried, _T_BASES[b])
-            for (e2,), c2 in gaussian.terms.items():
-                for e1, c1 in terms.items():
-                    e = e1 + e2
-                    product_terms[e] = get(e, 0) + c1 * c2
-            terms = product_terms
+        terms = _times_qbinom(terms, total, carried, b)
     for e in g.reduced_edges:
         kind, u = e
         value = f[g.edge_index[e]]
@@ -446,43 +451,19 @@ def flow_configurations(g, f):
 
 
 def _catmm_terms(g, f, n):
-    """catmm_flow_sum(g, f, n) as {exponent: count}, by the sweep its
-    docstring describes."""
-    states = {(): {0: 1}}
+    """catmm_flow_sum(g, f, n) as {exponent: count}, by the product its
+    docstring gives."""
+    terms = {0: 1}
     for v in range(1, g.r):
-        size = g.flow_value(f, g.blue_out(v - 1))
+        pool = g.flow_value(f, g.blue_out(v - 1))
         for _ in range(sum(f[g.edge_index[e]] for e in g.red_in(v))):
-            grown = {}
-            for pool, terms in states.items():
-                below = 0
-                for x in range(n):
-                    if below < size and pool[below] == x:
-                        below += 1
-                        continue
-                    target = grown.setdefault(
-                        pool[:below] + (x,) + pool[below:], {})
-                    get = target.get
-                    for e, c in terms.items():
-                        e += x - below
-                        target[e] = get(e, 0) + c
-            states = grown
-            size += 1
-        # Each way to keep `keep` of the pool's sorted positions, with
-        # its charge: one per (kept, dropped) position pair in order.
-        keep = g.flow_value(f, g.blue_out(v))
-        patterns = [(kept, sum(size - keep - i + k
-                               for k, i in enumerate(kept)))
-                    for kept in combinations(range(size), keep)]
-        grown = {}
-        for pool, terms in states.items():
-            for kept, charge in patterns:
-                target = grown.setdefault(tuple(pool[i] for i in kept), {})
-                get = target.get
-                for e, c in terms.items():
-                    e -= charge
-                    target[e] = get(e, 0) + c
-        states = grown
-    return states.get((), {})
+            if pool >= n:
+                # no free value is left for the arriving copy
+                return {}
+            terms = _times_qbinom(terms, n - pool, 1, 1)
+            pool += 1
+        terms = _times_qbinom(terms, pool, g.flow_value(f, g.blue_out(v)), -1)
+    return terms
 
 
 def catmm_flow_sum(g, f, n):
@@ -495,20 +476,19 @@ def catmm_flow_sum(g, f, n):
     is dropped.  Two copies may share a value only if the one arriving
     first is dropped before the other arrives.
 
-    So the copies a vertex's pool holds, those riding in and those
-    arriving there, carry distinct values, and one transfer sweep over
-    vertices 1..r-1 sums every configuration at once.  Its states are
-    {sorted tuple of the values riding the current blue edge: {exponent:
-    count}}, from {(): {0: 1}}.  Each copy arriving at v takes a value
-    not yet in the pool and adds its rank among the free values, value
-    - def1.  Then the pool keeps f(blue out of v) of its values (none at
-    v = r-1), and each dropped value x is charged -#{kept values below
-    x}, its def2: a copy arriving at v counts as still riding for those
-    dropped there, and copies dropped at the same vertex charge nothing
-    to each other.  The sum is the exponent dict of the final state
-    ().  A pool's values being distinct, the values kept name the copies
-    kept, so the sweep's paths are the (configuration, values) pairs one
-    to one.
+    The sum is a product over vertices v = 1..r-1.  Each copy arriving
+    at v meets a pool of p copies (those riding in on the blue edge and
+    those arrived before it) and multiplies by [n-p]_t; then keeping
+    f(blue out of v) of the pool's s copies (none at v = r-1)
+    multiplies by [s choose kept]_(1/t).  This holds because a pool's
+    values are distinct: an arriving copy takes one of the n - p free
+    values, and value - def1 is its rank among them, 0..n-p-1.  Of the
+    pool, the kept copies ride on and each dropped copy pays def2, one
+    per kept copy of smaller value, so a choice of kept copies costs
+    the inversions between kept and dropped values, and summing over
+    the choices gives the Gaussian binomial whatever the values are.
+    What a pool adds downstream thus depends only on its size, and the
+    factors multiply.  Zero when a copy arrives at a full pool (p = n).
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)

@@ -371,9 +371,6 @@ class Multigraph(_Record):
                 degree[v] += 1
         return sum(1 for v in range(1, self.vertex_count + 1) if degree[v] % 2)
 
-    def has_loop(self):
-        return any(u == v for u, v in self.edges)
-
     def to_text(self):
         lines = ["vertices %d" % self.vertex_count]
         lines.extend("%d %d" % (u, v) for u, v in self.edges)

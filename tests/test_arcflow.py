@@ -216,8 +216,8 @@ def test_catmm_equals_ma2_per_flow_in_any_entering_order(data):
             assert ma2_flow_sum(h, f, n) == sums, (n, f)
 
 
-def test_catmm_sweep_matches_the_walk():
-    # the sweep against the per-configuration walk at levels past the
+def test_catmm_product_matches_the_walk():
+    # the product against the per-configuration walk at levels past the
     # admissible-pair references' reach
     for g in (trefoil(), fig8(), fig8_red_first()):
         for n in (4, 5):
@@ -227,15 +227,19 @@ def test_catmm_sweep_matches_the_walk():
 
 
 def test_catmm_sum_is_a_product():
-    # the sweep's states at a vertex all hold pools of one size, and
-    # what a pool adds downstream does not depend on its values: an
-    # arrival to a pool of p adds [n - p]_t, and keeping k of a pool of
-    # s adds [s choose k]_(1/t).  So each flow's sum is a product, and
-    # it does not depend on the entering order.
+    # a pool's values are distinct, and what a pool adds downstream
+    # depends only on its size: an arrival to a pool of p adds
+    # [n - p]_t, and keeping k of a pool of s adds [s choose k]_(1/t).
+    # So each flow's sum is a product, and it does not depend on the
+    # entering order.  The arrival factors here come from qint, and all
+    # factors multiply as LaurentPolys, not in the kernel's integer
+    # dicts.  A flow carrying more than n somewhere has no values, and
+    # a factor [0]_t makes its sum 0.
     for g in (trefoil(), fig8(), fig8_red_first()) + tuple(
             parse_arc(text) for text in (TWO_REDS, REORDERED, THREE_INTO_3)):
+        flows = enumerate_flows(g, 4)
         for n in (1, 2, 3, 4):
-            for f in enumerate_flows(g, n):
+            for f in flows:
                 product_form = LaurentPoly.constant(1)
                 for v in range(1, g.r):
                     riding = g.flow_value(f, g.blue_out(v - 1))
@@ -325,7 +329,7 @@ def test_main_route_multiplies_once(monkeypatch):
 def test_catmm_route_multiplies_once(monkeypatch):
     # the catmm route convolves each flow's prefactor row with its value
     # sums in one integer exponent dict
-    assert_route_multiplies_once(monkeypatch, "catmm", ((6, 28), (8, 45)))
+    assert_route_multiplies_once(monkeypatch, "catmm", ((6, 28), (12, 91)))
 
 
 def test_flow_stats():
@@ -607,7 +611,7 @@ def test_fig8_red_first_matches_habiro_sum():
     # with r3 entering vertex 2 ahead of b1, catmm and ma2 give Habiro's
     # sum exactly
     g = fig8_red_first()
-    for route, levels in (("catmm", range(1, 9)), ("ma2", range(1, 5))):
+    for route, levels in (("catmm", range(1, 13)), ("ma2", range(1, 5))):
         for n in levels:
             assert _monomial_shift(colored_jones(g, n, route=route),
                                    figure_eight_colored_jones(n + 1)) == 0, \

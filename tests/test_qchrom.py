@@ -75,7 +75,7 @@ def test_tutte_triangle():
 
 
 def test_tutte_matches_deletion_contraction_oracle(catalog):
-    assert any(g.has_loop() for g in catalog)
+    assert any(u == v for g in catalog for u, v in g.edges)
     assert any(len(g.edges) != len(set(g.edges)) for g in catalog)
     for g in catalog:
         poly = tutte(g)

@@ -27,10 +27,9 @@ a fourth description of the level-one invariant.
 """
 
 from itertools import combinations, product
-from math import comb
 
 from .graphcore import ParseError, _content_lines, _numbers
-from .polyq import LaurentPoly, qbinom
+from .polyq import LaurentPoly, _divide_one_minus, _times_one_minus, qbinom
 from .qchrom import mdef_chord
 
 # The routes of colored_jones, in the order the CLI lists them.
@@ -334,41 +333,38 @@ def delta_flow(g, f):
     return _exc(g, f) - rot_total
 
 
-# The base t^b of the Gaussian binomials in _times_qbinom, by b.
-_T_BASES = {1: _t_power(1), -1: _t_power(-1)}
-
-
-def _times_qbinom(terms, m, k, b):
-    """terms times the Gaussian binomial [m choose k] in base t^b, both
-    as {exponent: int} dicts; the terms are read from qbinom."""
+def _times_qbinom(row, m, k):
+    """The dense int row times the Gaussian binomial [m choose k] in base
+    t, whose terms are read from qbinom.  The one in base t^-1 is
+    t^(-k(m-k)) times this one."""
     if k in (0, m):
         # the constant 1, whose exponent key is () rather than a 1-tuple
-        return terms
-    product_terms = {}
-    get = product_terms.get
-    for (e2,), c2 in qbinom(m, k, _T_BASES[b]).terms.items():
-        for e1, c1 in terms.items():
-            e = e1 + e2
-            product_terms[e] = get(e, 0) + c1 * c2
-    return product_terms
+        return row
+    out = [0] * (len(row) + k * (m - k))
+    for (e,), c in qbinom(m, k, "t").terms.items():
+        for i, c1 in enumerate(row, e):
+            out[i] += c * c1
+    return out
 
 
 def _main_terms(g, f, n):
-    """main_flow_weight(g, f, n) as (shift, {exponent: int}), the weight
-    being t^shift times the dict's polynomial.
+    """main_flow_weight(g, f, n) as (shift, row): t^shift times the
+    dense int row's polynomial, an empty row for zero.
 
     The blue exponents go into the shift, the Gaussian binomials are
     multiplied in by _times_qbinom, and each red unit factor 1 - t^d is
-    one shift-and-subtract pass over the dict.
+    one _times_one_minus pass, written -t^d (1 - t^-d) when d < 0.
     """
     shift = 0
-    terms = {0: 1}
+    row = [1]
     for v in range(1, g.r):
-        b = -g.sign(v)
         carried = g.flow_value(f, g.blue_out(v))
         total = carried + g.flow_value(f, g.red_out(v))
-        shift += b * n * carried
-        terms = _times_qbinom(terms, total, carried, b)
+        shift -= g.sign(v) * n * carried
+        if g.sign(v) == 1:
+            # the Gaussian binomial's base is t^-1
+            shift -= carried * (total - carried)
+        row = _times_qbinom(row, total, carried)
     for e in g.reduced_edges:
         kind, u = e
         value = f[g.edge_index[e]]
@@ -380,14 +376,12 @@ def _main_terms(g, f, n):
             d = b * (n - j - ahead)
             if d == 0:
                 # the factor 1 - t^0 zeroes the weight
-                return shift, {}
-            shifted = dict(terms)
-            get = shifted.get
-            for exponent, c in terms.items():
-                exponent += d
-                shifted[exponent] = get(exponent, 0) - c
-            terms = shifted
-    return shift, {e: c for e, c in terms.items() if c}
+                return shift, []
+            if d < 0:
+                # 1 - t^d = -t^d (1 - t^-d)
+                shift, row, d = shift + d, [-c for c in row], -d
+            row = _times_one_minus(row, d)
+    return shift, row
 
 
 def main_flow_weight(g, f, n):
@@ -399,14 +393,13 @@ def main_flow_weight(g, f, n):
     times, for every unit j = 0..f(e)-1 of every red edge e entering w,
     the factor 1 - t^(-sign(source)(n - j - s)) where s sums the flow on
     edges entering w before e.  Zero whenever some vertex carries more
-    than n.  Computed in integer exponent dicts by _main_terms and made
-    a LaurentPoly once.
+    than n.  Computed in one dense int row by _main_terms and made a
+    LaurentPoly once.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    shift, terms = _main_terms(g, f, n)
-    return LaurentPoly.from_powers("t", {e + shift: c
-                                         for e, c in terms.items()})
+    shift, row = _main_terms(g, f, n)
+    return LaurentPoly.from_powers("t", dict(enumerate(row, shift)))
 
 
 def red_copies(g, f):
@@ -451,19 +444,24 @@ def flow_configurations(g, f):
 
 
 def _catmm_terms(g, f, n):
-    """catmm_flow_sum(g, f, n) as {exponent: count}, by the product its
-    docstring gives."""
-    terms = {0: 1}
+    """catmm_flow_sum(g, f, n) times 1 - t per red copy, as (shift, row):
+    t^shift times the dense int row's polynomial, an empty row for zero.
+    Each [n-p]_t enters as 1 - t^(n-p), and each [s choose k]_(1/t) as
+    t^(-k(s-k)) [s choose k]_t."""
+    shift = 0
+    row = [1]
     for v in range(1, g.r):
         pool = g.flow_value(f, g.blue_out(v - 1))
         for _ in range(sum(f[g.edge_index[e]] for e in g.red_in(v))):
             if pool >= n:
                 # no free value is left for the arriving copy
-                return {}
-            terms = _times_qbinom(terms, n - pool, 1, 1)
+                return shift, []
+            row = _times_one_minus(row, n - pool)
             pool += 1
-        terms = _times_qbinom(terms, pool, g.flow_value(f, g.blue_out(v)), -1)
-    return terms
+        kept = g.flow_value(f, g.blue_out(v))
+        shift -= kept * (pool - kept)
+        row = _times_qbinom(row, pool, kept)
+    return shift, row
 
 
 def catmm_flow_sum(g, f, n):
@@ -489,10 +487,14 @@ def catmm_flow_sum(g, f, n):
     the choices gives the Gaussian binomial whatever the values are.
     What a pool adds downstream thus depends only on its size, and the
     factors multiply.  Zero when a copy arrives at a full pool (p = n).
+    _catmm_terms' row is divided exactly by 1 - t once per red copy.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    return LaurentPoly.from_powers("t", _catmm_terms(g, f, n))
+    shift, row = _catmm_terms(g, f, n)
+    for _ in red_copies(g, f):
+        row = _divide_one_minus(row, 1)
+    return LaurentPoly.from_powers("t", dict(enumerate(row, shift)))
 
 
 def ma2_flow_sum(g, f, n):
@@ -518,10 +520,9 @@ def ma2_flow_sum(g, f, n):
 
 
 def _z_terms(g, f, n):
-    """z_nf(g, f, n) as (shift, {exponent: int}), the prefactor being
-    t^shift times the dict's polynomial.  With a red units from -
-    sources and b from + sources, the unit factors are (-1)^b t^-b
-    (1-t)^(a+b): one binomial row."""
+    """z_nf(g, f, n) as (shift, sign), the prefactor being sign t^shift
+    (1 - t)^(red units).  With a red units from - sources and b from +
+    sources, the unit factors are (-1)^b t^-b (1-t)^(a+b)."""
     blue = {1: 0, -1: 0}
     red = {1: 0, -1: 0}
     for e in g.reduced_edges:
@@ -534,9 +535,7 @@ def _z_terms(g, f, n):
     for v in range(1, g.r):
         shift += (g.flow_value(f, g.red_out(v))
                   * g.flow_value(f, g.blue_out(v)))
-    units = red[-1] + red[1]
-    return shift, {k: (-1) ** (red[1] + k) * comb(units, k)
-                   for k in range(units + 1)}
+    return shift, (-1) ** red[1]
 
 
 def z_nf(g, f, n):
@@ -546,14 +545,16 @@ def z_nf(g, f, n):
     times (1-t) per red unit from a - source and (1-t^-1) per red unit
     from a + source, times t^-(n-1-|P|) per + red copy (P the flow
     entering ahead of it), times t^(red out times blue out) at every
-    vertex.  Since (1-t)^a (1-t^-1)^b = (-1)^b t^-b (1-t)^(a+b), the
-    unit factors are one binomial row, computed in integers by _z_terms.
+    vertex.  Since (1-t)^a (1-t^-1)^b = (-1)^b t^-b (1-t)^(a+b), it is
+    _z_terms' sign and shift times one 1 - t pass per red unit.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    shift, terms = _z_terms(g, f, n)
-    return LaurentPoly.from_powers("t", {e + shift: c
-                                         for e, c in terms.items()})
+    shift, sign = _z_terms(g, f, n)
+    row = [sign]
+    for _ in red_copies(g, f):
+        row = _times_one_minus(row, 1)
+    return LaurentPoly.from_powers("t", dict(enumerate(row, shift)))
 
 
 def cycle_families(g):
@@ -630,11 +631,11 @@ def colored_jones(g, n, route="ma2"):
 
     t^delta(K,n) times the flow total, where delta(K,n) is half of
     n^2 (sign sum) + n rotK.  Routes: "main" sums t^delta(f) times
-    main_flow_weight; "catmm" sums z_nf times catmm_flow_sum, each
-    prefactor a shift and one binomial row, (1-t)^a (1-t^-1)^b being
-    (-1)^b t^-b (1-t)^(a+b); "ma2" sums z_nf times ma2_flow_sum.  The
-    main and catmm routes sum all their flows in one integer exponent
-    dict made a LaurentPoly once.  All three agree.
+    main_flow_weight; "catmm" sums z_nf times catmm_flow_sum, z_nf's
+    1 - t per red copy cancelling catmm's [n-p]_t denominators, so no
+    row is divided; "ma2" sums z_nf times ma2_flow_sum.  The main and
+    catmm routes sum all their flows in one integer exponent dict made a
+    LaurentPoly once.  All three agree.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -652,12 +653,11 @@ def colored_jones(g, n, route="ma2"):
     get = terms.get
     for f in flows:
         if route == "main":
-            shift, weight = _main_terms(g, f, n)
-            shift, factor = shift + delta_flow(g, f), {0: 1}
+            shift, sign = delta_flow(g, f), 1
+            rest, row = _main_terms(g, f, n)
         else:
-            (shift, factor), weight = _z_terms(g, f, n), _catmm_terms(g, f, n)
-        for e1, c1 in factor.items():
-            for e2, c2 in weight.items():
-                e = shift + e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
+            shift, sign = _z_terms(g, f, n)
+            rest, row = _catmm_terms(g, f, n)
+        for e, c in enumerate(row, shift + rest):
+            terms[e] = get(e, 0) + sign * c
     return prefactor * LaurentPoly.from_powers("t", terms)

@@ -28,11 +28,11 @@ polynomials in q:
 """
 
 import math
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
                         _Record)
-from .polyq import LaurentPoly
+from .polyq import LaurentPoly, _divide_one_minus, _times_one_minus
 
 
 class NotChordal(Exception):
@@ -290,19 +290,15 @@ def graph_of_structure(s):
 def _qints(values):
     """Product of (v)_q over the values; zero if any value is <= 0.
 
-    Built in ints, coeffs[e] being the coefficient of q^e: times
-    (v)_q = 1 + q + ... + q^(v-1), the coefficient at e is the sum of
-    the old ones at e-v+1..e, a difference of two running sums.
+    Built in a dense int row, (v)_q being (1 - q^v) / (1 - q): one
+    multiply and one exact divide pass per value.
     """
     if any(v <= 0 for v in values):
         return LaurentPoly()
-    coeffs = [1]
+    row = [1]
     for v in values:
-        sums = list(accumulate(coeffs, initial=0))
-        top = len(coeffs)
-        coeffs = [sums[min(e + 1, top)] - sums[max(e + 1 - v, 0)]
-                  for e in range(top + v - 1)]
-    return LaurentPoly.from_powers("q", dict(enumerate(coeffs)))
+        row = _divide_one_minus(_times_one_minus(row, v), 1)
+    return LaurentPoly.from_powers("q", dict(enumerate(row)))
 
 
 def _defected_sum(s, z):

@@ -24,7 +24,10 @@ no term uses (t * t^-1 = 1).
 
 The module also provides the quantum integer ``qint`` and the Gaussian
 binomial ``qbinom``, both with an arbitrary monomial base, plus a check of
-the q-binomial theorem used by the self-test suite.
+the q-binomial theorem used by the self-test suite.  Every q-product in the
+package is built from factors (1 - x^a) on dense int rows (row[i] the
+coefficient of x^i) by two private passes: ``_times_one_minus`` multiplies
+by 1 - x^a, and ``_divide_one_minus`` divides by it exactly.
 """
 
 from fractions import Fraction
@@ -378,21 +381,36 @@ def qint(n, base="q"):
     return out
 
 
-# Rows 0, 1, ... of the Gaussian Pascal triangle as {power of the base:
-# int} dicts, extended on demand, and the polynomial of each entry asked
-# for, per base, so each entry is computed once per process and the
-# triangle is shared by every base.
-_QBINOM_ROWS = [[{0: 1}]]
-_QBINOM_POLYS = {}
+def _times_one_minus(row, a):
+    """The dense int row times 1 - x^a, a >= 0: one shift-and-subtract pass."""
+    out = row + [0] * a
+    for i, c in enumerate(row, a):
+        out[i] -= c
+    return out
+
+
+def _divide_one_minus(row, a):
+    """The dense int row divided by 1 - x^a, for a >= 1: one running-sum
+    pass.  Raises ValueError when the division leaves a remainder."""
+    # quotient[i] = row[i] + quotient[i - a]
+    out = list(row)
+    for i in range(a, len(out)):
+        out[i] += out[i - a]
+    # the quotient has a fewer entries; the last a running sums are what
+    # is left over
+    cut = max(len(out) - a, 0)
+    if a < 1 or any(out[cut:]):
+        raise ValueError("the row is not a multiple of 1 - x^%d" % a)
+    return out[:cut]
 
 
 def qbinom(m, n, base="q"):
     """The Gaussian binomial coefficient [m choose n] in the given base.
 
-    Computed as a polynomial in an abstract base x by the Pascal recursion
-        [k+1 choose i] = x^i [k choose i] + [k choose i-1],
-    which never divides, in integer dicts; x is then replaced by the
-    base, which may be any monomial.
+    Computed as a polynomial in an abstract base x by the product of
+    (1 - x^(m-k+i)) / (1 - x^i) over i = 1..k, k = min(n, m - n), each
+    partial product being [m-k+i choose i], so each division is exact;
+    x is then replaced by the base, which may be any monomial.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -402,30 +420,18 @@ def qbinom(m, n, base="q"):
     if n > m:
         raise ValueError("qbinom needs n <= m, got m=%d n=%d" % (m, n))
     base = _as_base(base)
-    polys = _QBINOM_POLYS.setdefault(base, {})
-    poly = polys.get((m, n))
-    if poly is None:
-        rows = _QBINOM_ROWS
-        while len(rows) <= m:
-            row = rows[-1]
-            new = [row[0]]
-            for i in range(1, len(row)):
-                entry = dict(row[i - 1])
-                for k, c in row[i].items():
-                    k += i
-                    entry[k] = entry.get(k, 0) + c
-                new.append(entry)
-            new.append(row[0])
-            rows.append(new)
-        ((exps, _),) = base.terms.items()
-        terms = {}
-        for k, c in rows[m][n].items():
-            # distinct powers of the base are distinct monomials unless
-            # the base is 1
-            key = tuple(map(k.__mul__, exps))
-            terms[key] = terms.get(key, 0) + c
-        poly = polys[m, n] = _result(base.variables, terms)
-    return poly
+    k = min(n, m - n)
+    row = [1]
+    for i in range(1, k + 1):
+        row = _divide_one_minus(_times_one_minus(row, m - k + i), i)
+    ((exps, _),) = base.terms.items()
+    terms = {}
+    for e, c in enumerate(row):
+        # distinct powers of the base are distinct monomials unless the
+        # base is 1
+        key = tuple(map(e.__mul__, exps))
+        terms[key] = terms.get(key, 0) + c
+    return _result(base.variables, terms)
 
 
 def qbinomial_theorem_check(n):

@@ -17,7 +17,8 @@ from functools import cache
 from math import comb, factorial
 
 from .graphcore import Multigraph, group_sums
-from .polyq import LaurentPoly, qbinom, qint
+from .polyq import (LaurentPoly, _divide_one_minus, _times_one_minus,
+                    qbinom)
 
 
 def mq_direct(g, n):
@@ -46,19 +47,13 @@ def mq_subset(g, n):
 
 
 def _component_qints(sizes, n):
-    """Product over component sizes s of the quantum integer of n in base q^s."""
-    if not sizes:
-        return LaurentPoly.constant(1)
-    out = _component_qint(sizes[0], n)
-    for s in sizes[1:]:
-        out = out * _component_qint(s, n)
-    return out
-
-
-@cache
-def _component_qint(s, n):
-    """The quantum integer of n in base q^s, built once per s and n."""
-    return qint(n, LaurentPoly.variable("q") ** s)
+    """Product over component sizes s of the quantum integer of n in base
+    q^s, (1 - q^(sn)) / (1 - q^s): one multiply and one exact divide
+    pass per size over a dense int row."""
+    row = [1]
+    for s in sizes:
+        row = _divide_one_minus(_times_one_minus(row, s * n), s)
+    return LaurentPoly.from_powers("q", dict(enumerate(row)))
 
 
 def mq_complete(k, n):

@@ -24,13 +24,17 @@ at each vertex and weighted each distinct diagram by 1/deg; the package
 now lays out one diagram per configuration.  main_flow_weight_reference
 is the package's former main-route weight, one LaurentPoly product per
 Gaussian binomial and per red unit factor; the package now works in
-integer exponent dicts and makes one LaurentPoly per weight.
+dense integer rows and makes one LaurentPoly per weight.
 catmm_walk_reference is the package's former catmm kernel, one walk per
-configuration that assigns values copy by copy; the package now sweeps
-the blue path once, keyed by the values riding it.  z_nf_reference is
-the package's former chord-route prefactor, one LaurentPoly power per
-kind of red unit factor, with its own delta(f); the package now expands
-the unit factors as one binomial row in integers.
+configuration that assigns values copy by copy; the package now
+multiplies one closed product of Gaussian factors per flow.
+z_nf_reference is the package's former chord-route prefactor, one
+LaurentPoly power per kind of red unit factor, with its own delta(f);
+the package now makes it a sign, a shift and one (1 - t) pass per red
+unit.  qbinom_reference is the package's former Gaussian binomial, the
+Pascal recursion in integer dicts; the package now multiplies and
+divides (1 - x^a) factors.  None of these references imports those
+(1 - x^a) passes.
 """
 
 from fractions import Fraction
@@ -38,7 +42,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 
 from qbichromate.arcflow import red_copies
-from qbichromate.polyq import LaurentPoly, qbinom
+from qbichromate.polyq import LaurentPoly
 
 
 def _poly_aligned(p1, p2):
@@ -425,6 +429,27 @@ def _ahead(g, f, edge):
     return sum(f[g.edge_index[a]] for a in entering[:entering.index(edge)])
 
 
+def qbinom_reference(m, k, base):
+    """The Gaussian binomial [m choose k] in a monomial base, by the
+    Pascal recursion [j+1 choose i] = x^i [j choose i] + [j choose i-1]
+    over rows of {power of x: int} dicts, x then replaced by the base."""
+    row = [{0: 1}]
+    for _ in range(m):
+        grown = [{0: 1}]
+        for i in range(1, len(row)):
+            entry = dict(row[i - 1])
+            for e, c in row[i].items():
+                entry[e + i] = entry.get(e + i, 0) + c
+            grown.append(entry)
+        row = grown + [{0: 1}]
+    ((exps, _),) = base.terms.items()
+    terms = {}
+    for e, c in row[k].items():
+        key = tuple(e * x for x in exps)
+        terms[key] = terms.get(key, 0) + c
+    return LaurentPoly(base.variables, terms)
+
+
 def mult_t(g, f):
     """Product over vertices of the quantum binomial (f(v) choose blue
     out-flow) in base t^(-sign(v))."""
@@ -433,7 +458,7 @@ def mult_t(g, f):
         total = g.vertex_flow(f, v)
         carried = g.flow_value(f, g.blue_out(v))
         base = _t_power(-g.sign(v))
-        out = out * qbinom(total, carried, base)
+        out = out * qbinom_reference(total, carried, base)
     return out
 
 

@@ -14,13 +14,13 @@ from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
                                  ma2_flow_sum, main_flow_weight, parse_arc,
                                  red_copies, z_nf)
 from qbichromate.graphcore import ParseError
-from qbichromate.polyq import LaurentPoly, qbinom, qint
+from qbichromate.polyq import LaurentPoly, qint
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
                      catmm_walk_reference, chord_diagrams,
                      configurations_reference, figure_eight_colored_jones,
                      flows_reference, ma2_terms_reference,
-                     main_flow_weight_reference,
+                     main_flow_weight_reference, qbinom_reference,
                      torus_2k_colored_jones, trefoil_colored_jones,
                      z_nf_reference)
 
@@ -231,10 +231,11 @@ def test_catmm_sum_is_a_product():
     # depends only on its size: an arrival to a pool of p adds
     # [n - p]_t, and keeping k of a pool of s adds [s choose k]_(1/t).
     # So each flow's sum is a product, and it does not depend on the
-    # entering order.  The arrival factors here come from qint, and all
-    # factors multiply as LaurentPolys, not in the kernel's integer
-    # dicts.  A flow carrying more than n somewhere has no values, and
-    # a factor [0]_t makes its sum 0.
+    # entering order.  The arrival factors here come from qint, the
+    # Gaussians from the Pascal recursion, and all factors multiply as
+    # LaurentPolys, not by the kernel's (1 - t^a) passes.  A flow
+    # carrying more than n somewhere has no values, and a factor [0]_t
+    # makes its sum 0.
     for g in (trefoil(), fig8(), fig8_red_first()) + tuple(
             parse_arc(text) for text in (TWO_REDS, REORDERED, THREE_INTO_3)):
         flows = enumerate_flows(g, 4)
@@ -247,7 +248,7 @@ def test_catmm_sum_is_a_product():
                                         for e in g.red_in(v))
                     for p in range(riding, pool):
                         product_form = product_form * qint(max(n - p, 0), T)
-                    product_form = product_form * qbinom(
+                    product_form = product_form * qbinom_reference(
                         pool, g.flow_value(f, g.blue_out(v)), T ** -1)
                 assert catmm_flow_sum(g, f, n) == product_form, (n, f)
 
@@ -299,6 +300,19 @@ def test_main_route_is_the_reference_sum_on_drawn_arcs(g, n):
     assert colored_jones(g, n, route="main") == T ** delta * total
 
 
+@settings(max_examples=50, deadline=None)
+@given(decorated_arc_graphs(), st.integers(1, 3))
+def test_catmm_route_is_the_reference_sum_on_drawn_arcs(g, n):
+    # t^delta(K,n) times the sum of z_nf times catmm_flow_sum, each
+    # computed on its own, with its (1 - t) factors; the route cancels
+    # them and never divides
+    total = LaurentPoly()
+    for f in enumerate_flows(g, n):
+        total = total + z_nf(g, f, n) * catmm_flow_sum(g, f, n)
+    delta = (n * n * sum(g.signs) + n * g.rot_k) // 2
+    assert colored_jones(g, n, route="catmm") == T ** delta * total
+
+
 def assert_route_multiplies_once(monkeypatch, route, levels):
     """On fig8 at each (n, flow count) of levels, colored_jones makes
     one LaurentPoly product, the t^delta(K,n) prefactor, and no power."""
@@ -327,8 +341,9 @@ def test_main_route_multiplies_once(monkeypatch):
 
 
 def test_catmm_route_multiplies_once(monkeypatch):
-    # the catmm route convolves each flow's prefactor row with its value
-    # sums in one integer exponent dict
+    # the catmm route adds each flow's signed, shifted product, in which
+    # z_nf's 1 - t per red copy has cancelled the [n-p]_t denominators,
+    # to one integer exponent dict
     assert_route_multiplies_once(monkeypatch, "catmm", ((6, 28), (12, 91)))
 
 

@@ -207,33 +207,13 @@ def test_qbinom_values():
     assert qbinom(6, 3).substitute("q", one) == LaurentPoly.constant(20)
 
 
-def test_qbinom_pascal(monkeypatch):
-    # One triangle of integer dicts is built on demand and shared by every
-    # base, so no LaurentPoly arithmetic runs; whether it grows all at once
-    # (descending m) or row by row (ascending m), it ends with one row per
-    # m, each entry's polynomial is built once per base, and the values
-    # agree.
+def test_qbinom_pascal():
+    # qbinom multiplies (1 - x^a) factors, so the symmetry and both
+    # Pascal recursions check it against a construction it does not use
     t = LaurentPoly.variable("t")
-    bases = ("q", t ** -1, t ** 2)
-    arithmetic = []
-    for name in ("__add__", "__mul__"):
-        op = getattr(LaurentPoly, name)
-        monkeypatch.setattr(LaurentPoly, name, lambda a, b, op=op:
-                            arithmetic.append(1) or op(a, b))
-    tables = {}
-    for order in (range(20, -1, -1), range(21)):
-        monkeypatch.setattr(polyq, "_QBINOM_ROWS", [[{0: 1}]])
-        monkeypatch.setattr(polyq, "_QBINOM_POLYS", {})
-        for base in bases:
-            table = {(m, j): qbinom(m, j, base)
-                     for m in order for j in range(m + 1)}
-            assert tables.setdefault(base, table) == table, (base, order)
-            assert all(qbinom(m, j, base) is poly
-                       for (m, j), poly in table.items()), base
-        assert len(polyq._QBINOM_ROWS) == 21
-        assert not arithmetic
-    monkeypatch.undo()
-    for base, table in tables.items():
+    for base in ("q", t ** -1, t ** 2):
+        table = {(m, j): qbinom(m, j, base)
+                 for m in range(21) for j in range(m + 1)}
         q = LaurentPoly.variable(base) if isinstance(base, str) else base
         for m in range(1, 21):
             for j in range(m + 1):
@@ -248,6 +228,51 @@ def test_qbinom_pascal(monkeypatch):
                 if j:
                     rhs2 = rhs2 + q ** (m - j) * table[m - 1, j - 1]
                 assert lhs == rhs2
+
+
+ROWS = st.lists(st.integers(-5, 5), max_size=8)
+
+
+def row_poly(row):
+    return LaurentPoly.from_powers("x", dict(enumerate(row)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, st.integers(0, 6))
+def test_times_one_minus_is_the_product(row, a):
+    product = polyq._times_one_minus(row, a)
+    assert len(product) == len(row) + a
+    factor = LaurentPoly.constant(1) - LaurentPoly.variable("x") ** a
+    assert row_poly(product) == poly_mul_reference(row_poly(row), factor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, st.integers(1, 6))
+def test_divide_one_minus_undoes_the_product(row, a):
+    assert polyq._divide_one_minus(polyq._times_one_minus(row, a), a) == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, st.integers(1, 6), st.integers(0, 5), st.integers(1, 5))
+def test_divide_one_minus_refuses_a_remainder(row, a, at, c):
+    # a nonzero remainder of degree below a, added to a multiple of
+    # 1 - x^a, is a row that is not one
+    multiple = polyq._times_one_minus(row, a)
+    multiple[at % a] += c
+    with pytest.raises(ValueError):
+        polyq._divide_one_minus(multiple, a)
+
+
+def test_divide_one_minus_examples():
+    assert polyq._divide_one_minus([1, 0, -1], 2) == [1]
+    assert polyq._divide_one_minus([1, 1, -1, -1], 2) == [1, 1]
+    assert polyq._divide_one_minus([], 3) == []
+    for row, a in (([1], 1), ([1, 1], 1), ([1, 0, 1], 2), ([0, 0, 1], 1),
+                   ([1, -1], 2)):
+        with pytest.raises(ValueError):
+            polyq._divide_one_minus(row, a)
+    with pytest.raises(ValueError):
+        polyq._divide_one_minus([1, -1], 0)
 
 
 def test_qbinomial_theorem():

@@ -13,7 +13,9 @@ per that part with group_sums and computes one factor per group.
 state_sums sweeps the vertices one at a time and keeps only the spins
 of a frontier, so its cost grows with the frontier's width, not with
 |V|; it too runs in integers, with its own scaling.  The per-subset
-queries take an edge subset as a bitmask where bit i selects edges[i].
+queries index an edge subset by a bitmask where bit i selects edges[i]:
+component_counts lists the component count of every subset from one
+rollback walk, and odd_degree_count reads one mask.
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -100,12 +102,12 @@ class Multigraph(_Record):
         """Histogram of all 2^m edge subsets A, as {(sorted component
         sizes of (V, A), |A|, odd-degree count of (V, A)): summed weight}.
 
-        A subset weighs the product of weights[i] over its edges (ints,
-        Fractions or monomial LaurentPolys), or 1 when weights is None.
-        Every key that some subset reaches is kept, even when its weights
-        cancel to zero.  The values are ints for int weights, Fractions
-        when any weight is a Fraction, and LaurentPolys for LaurentPoly
-        weights (the empty subset's key aside, which holds the int 1).
+        A subset weighs the product of weights[i] over its edges (ints or
+        Fractions), or 1 when weights is None.  Every key that some subset
+        reaches is kept, even when its weights cancel to zero.  The values
+        are ints for int weights and Fractions when any weight is a
+        Fraction.  Any other weight that multiplies with ints is summed as
+        it is.
 
         The walk is depth-first, edge by edge, with a union-find that
         rolls back on backtrack (union by size, no path compression).  It
@@ -332,32 +334,49 @@ class Multigraph(_Record):
             return sums
         return {e: Fraction(x, scale) for e, x in sums.items()}
 
-    def components(self, mask):
-        """Vertex sets of the components of (V, selected edges).
+    def component_counts(self):
+        """[c(mask) for mask in 0..2^m - 1], c(mask) being the number of
+        components of (V, the edges bit i of mask selects), isolated
+        vertices included.
 
-        Isolated vertices count as singleton components.  Returned as a
-        list of sorted vertex lists, ordered by smallest vertex.
+        One depth-first walk, edge by edge, with a union-find that rolls
+        back on backtrack (union by size, no path compression), as in
+        subset_statistics.
+
+        >>> Multigraph(3, ((1, 2), (2, 3), (1, 1))).component_counts()
+        [3, 2, 2, 1, 3, 2, 2, 1]
         """
+        edges = self.edges
+        m = len(edges)
+        counts = [0] * (1 << m)
         parent = list(range(self.vertex_count + 1))
+        size = [1] * (self.vertex_count + 1)
 
         def find(x):
             while parent[x] != x:
-                parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        for i, (u, v) in enumerate(self.edges):
-            if mask >> i & 1:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        groups = {}
-        for v in range(1, self.vertex_count + 1):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
+        def walk(i, mask, c):
+            if i == m:
+                counts[mask] = c
+                return
+            walk(i + 1, mask, c)
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                walk(i + 1, mask | 1 << i, c)
+                return
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            walk(i + 1, mask | 1 << i, c - 1)
+            size[ru] -= size[rv]
+            parent[rv] = rv
 
-    def component_count(self, mask):
-        return len(self.components(mask))
+        walk(0, 0, self.vertex_count)
+        return counts
 
     def odd_degree_count(self, mask):
         """Number of vertices with odd degree in the selected subgraph.

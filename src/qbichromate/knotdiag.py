@@ -20,6 +20,7 @@ color class becomes white.
 """
 
 from collections import Counter
+from math import comb
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
                         _Record, group_sums)
@@ -355,22 +356,27 @@ def jones(k):
     return LaurentPoly.from_powers("t", terms)
 
 
-def prop_mm_check(k, outer_face):
-    """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states.
+def prop_mm_check(k):
+    """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for the
+    median graph of every outer face; return {face id: holds}.
 
-    The loop count comes from strand smoothing alone, the right side from
-    the median graph of the chosen shading.
+    The loop counts come from one strand-smoothing walk that all faces
+    share, the right side from each shading's median graph.
     """
-    m = median_graph(k, outer_face)
-    nv = m.graph.vertex_count
-    # E(s) keeps edge ci where s joins the black corners: A if eta = +1.
-    flip = sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
-    for mask, loops in state_loops(k):
-        joined = mask ^ flip
-        if loops != (2 * m.graph.component_count(joined)
-                     + joined.bit_count() - nv):
-            return False
-    return True
+    loops = [0] * (1 << k.r)
+    for mask, count in state_loops(k):
+        loops[mask] = count
+    holds = {}
+    for face in faces(k):
+        m = median_graph(k, face.id)
+        nv = m.graph.vertex_count
+        counts = m.graph.component_counts()
+        # E(s) keeps edge ci where s joins the black corners: A if eta = +1.
+        flip = sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
+        holds[face.id] = all(
+            loops[mask ^ flip] == 2 * c + mask.bit_count() - nv
+            for mask, c in enumerate(counts))
+    return holds
 
 
 def jones_via_bichromate(k, outer_face, route="kk"):
@@ -390,23 +396,41 @@ def jones_via_bichromate(k, outer_face, route="kk"):
     shadings of every diagram.
     """
     m = median_graph(k, outer_face)
-    d = _loop_variable()
-    a = LaurentPoly.variable("A")
     nv = m.graph.vertex_count
     w = k.writhe
     sign = -1 if w % 2 else 1
-    prefactor = sign * a ** (-3 * w) * a ** (-sum(m.eta))
     if route == "kk":
-        weights = [a ** (2 * e) for e in m.eta]
-        groups = group_sums((2 * len(sizes) + chosen - nv - 1, weight)
-                            for (sizes, chosen, _), weight
+        # In integers: an eta = +1 edge weighs x, an eta = -1 edge 1, so a
+        # histogram value holds, in base x, the number of its subsets with
+        # p chosen eta = +1 edges as digit p; each is below 2^r < x.
+        x = 1 << (k.r + 1)
+        weights = [x if e == 1 else 1 for e in m.eta]
+        groups = group_sums(((2 * len(sizes) + chosen - nv - 1, chosen), value)
+                            for (sizes, chosen, _), value
                             in m.graph.subset_statistics(weights).items())
-        total = LaurentPoly()
-        for exponent, weight in groups.items():
+        # B weighs A^(2 (2p - |B|)) d^e, d^e = (-1)^e sum over j of
+        # C(e, j) A^(4j - 2e), and the prefactor shifts every exponent by
+        # -3W - sum of eta.
+        offset = -3 * w - sum(m.eta)
+        powers = {}
+        for (exponent, chosen), value in groups.items():
             if exponent < 0:
                 raise AssertionError("negative loop exponent %d" % exponent)
-            total = total + d ** exponent * weight
-        return prefactor * total
+            signed = sign * (-1) ** exponent
+            p = 0
+            while value:
+                value, count = divmod(value, x)
+                if count:
+                    base = offset + 2 * (2 * p - chosen) - 2 * exponent
+                    for j in range(exponent + 1):
+                        e = base + 4 * j
+                        powers[e] = (powers.get(e, 0)
+                                     + signed * comb(exponent, j) * count)
+                p += 1
+        return LaurentPoly.from_powers("A", powers)
+    d = _loop_variable()
+    a = LaurentPoly.variable("A")
+    prefactor = sign * a ** (-3 * w) * a ** (-sum(m.eta))
     if route == "kkk":
         if len(set(m.b)) > 1:
             raise ValueError("bichromate route needs uniform crossing signs")

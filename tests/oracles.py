@@ -15,10 +15,14 @@ and prunes): flows_reference every edge tuple, configurations_reference
 every drop map; they share the package's ArcGraph and copy order.
 state_sums_reference is the package's former state kernel, a depth-first
 walk over all k^|V| states, kept as the reference for the frontier sweep
-that replaced it.  poly_add_reference and poly_mul_reference are the
-package's former LaurentPoly sum and product, which build every result
-through the public validating constructor; the package's arithmetic now
-skips those checks for results of canonical operands.  chord_diagrams
+that replaced it.  components and component_count are the package's
+former per-subset queries, one fresh union-find per mask, kept as the
+reference for Multigraph.component_counts (one rollback walk over all
+masks) and for the subset-statistics histogram.  poly_add_reference
+and poly_mul_reference are the package's former LaurentPoly sum and
+product, which build every result through the public validating
+constructor; the package's arithmetic now skips those checks for
+results of canonical operands.  chord_diagrams
 is the package's former ma2 layout, which tried every order of the ends
 at each vertex and weighted each distinct diagram by 1/deg; the package
 now lays out one diagram per configuration.  main_flow_weight_reference
@@ -218,6 +222,36 @@ def _connected(edges, a, b):
                     seen.add(y)
                     stack.append(y)
     return False
+
+
+def components(g, mask):
+    """Vertex sets of the components of (V, the edges of g that bit i of
+    mask selects), by a fresh union-find with path halving.
+
+    Isolated vertices count as singleton components.  Returned as a list
+    of sorted vertex lists, ordered by smallest vertex.
+    """
+    parent = list(range(g.vertex_count + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, (u, v) in enumerate(g.edges):
+        if mask >> i & 1:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    groups = {}
+    for v in range(1, g.vertex_count + 1):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def component_count(g, mask):
+    return len(components(g, mask))
 
 
 def tutte_poly(edges):

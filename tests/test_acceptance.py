@@ -161,8 +161,9 @@ def test_even_subgraph_count_identity(tiny_catalog):
 def test_face_graph_state_model():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
+        holds = prop_mm_check(k)
         for face in range(len(faces(k))):
-            assert prop_mm_check(k, face), (name, face)
+            assert holds[face], (name, face)
 
 
 def test_face_graph_route_recovers_bracket():

@@ -12,7 +12,8 @@ from qbichromate.polyq import LaurentPoly
 from qbichromate.qchrom import mq_direct
 from qbichromate.statmech import Couplings, potts_direct
 from conftest import load_fixture
-from oracles import defected_sums_reference, state_sums_reference
+from oracles import (component_count, components, defected_sums_reference,
+                     state_sums_reference)
 
 
 def test_parse_basic():
@@ -49,18 +50,32 @@ def test_load_graph():
 def test_components():
     g = Multigraph(4, ((1, 2), (3, 4)))
     full = (1 << len(g.edges)) - 1
-    assert g.component_count(full) == 2
-    assert g.component_count(0) == 4
-    comps = g.components(0b01)
+    assert component_count(g, full) == 2
+    assert component_count(g, 0) == 4
+    comps = components(g, 0b01)
     assert sorted(map(sorted, comps)) == [[1, 2], [3], [4]]
+
+
+def test_component_counts_match_per_mask_reference(catalog):
+    graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
+    # isolated vertices, beside edges and without any
+    assert any(g.edges and len({u for e in g.edges for u in e}) < g.vertex_count
+               for g in graphs)
+    for g in graphs:
+        assert g.component_counts() == [
+            component_count(g, mask) for mask in range(1 << g.edge_count)], g
+    assert Multigraph(0, ()).component_counts() == [0]
+    assert Multigraph(3, ()).component_counts() == [3]
 
 
 def reference_statistics(g, weights=None):
     """The kernel's histogram rebuilt mask by mask from the per-subset
-    queries."""
+    references."""
     histogram = {}
     for mask in range(1 << g.edge_count):
-        sizes = tuple(sorted(len(part) for part in g.components(mask)))
+        sizes = tuple(sorted(len(part) for part in components(g, mask)))
         key = (sizes, bin(mask).count("1"), g.odd_degree_count(mask))
         weight = 1
         for i in range(g.edge_count):
@@ -74,7 +89,8 @@ def subset_weight_sets(m):
     """Weight lists for m edges, each with the value type its histogram
     must have: int weights (zeros among them), Fractions (negative, with
     several denominators, zero, and one of denominator 1, mixed with
-    ints) and the bracket route's monomial LaurentPolys."""
+    ints) and monomial LaurentPolys, which no package caller passes but
+    the walk sums as they are."""
     a = LaurentPoly.variable("A")
     return [
         ([(-1) ** i * (i % 4) for i in range(m)], int),

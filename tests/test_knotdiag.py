@@ -102,8 +102,27 @@ def test_median_graph_trefoil():
 def test_prop_mm():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
+        holds = prop_mm_check(k)
+        assert sorted(holds) == list(range(len(faces(k))))
         for face in range(len(faces(k))):
-            assert prop_mm_check(k, face)
+            assert holds[face]
+
+
+def test_mixed_eta_unknot():
+    # the trefoil with crossing 1 flipped: an unknot whose two shadings
+    # have eta (1, -1, -1) and (-1, 1, 1), so the kk route's histogram
+    # values carry more than one count of eta = +1 edges
+    k = load_fixture("trefoil_flip.pd", parse_pd)
+    assert jones(k) == LaurentPoly.constant(1)
+    assert {median_graph(k, face).eta for face in range(len(faces(k)))} == \
+        {(1, -1, -1), (-1, 1, 1)}
+    f = kauffman_f(k)
+    expect = LaurentPoly.from_powers("A", oracles.bracket_f(read("trefoil_flip.pd")))
+    assert f == expect
+    holds = prop_mm_check(k)
+    for face in range(len(faces(k))):
+        assert jones_via_bichromate(k, face, route="kk") == f, face
+        assert holds[face], face
 
 
 def test_bichromate_route_equals_bracket():

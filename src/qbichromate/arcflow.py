@@ -18,12 +18,13 @@ rotation number rotK are input decorations that calibrate the
 normalization; they enter only through delta exponents.
 
 A flow assigns nonnegative integers to the reduced edges, conserved at
-every vertex.  Three routes to the same n-colored invariant are
-implemented: a closed per-flow weight (main route), a sum over flow
-configurations with values (catmm route), and a sum of defect-corrected
-coloring sums over one chord layout per configuration (ma2 route).  At
-n = 1 the cable is the reduced graph itself, and its cycle families give
-a fourth description of the level-one invariant.
+every vertex.  Two per-flow kernels give the n-colored invariant: a
+closed product of (1 - t^a) and Gaussian factors, the catmm value sum
+over flow configurations with its prefactor cancelled in, which the
+main and catmm routes share, and a sum of defect-corrected coloring
+sums over one chord layout per configuration (ma2 route).  At n = 1 the
+cable is the reduced graph itself, and its cycle families give a third
+description of the level-one invariant.
 """
 
 from itertools import combinations, product
@@ -101,6 +102,14 @@ class ArcGraph:
         self._ahead_of = {e: tuple(self.edge_index[a] for a in edges[:i])
                           for edges in self._entering.values()
                           for i, e in enumerate(edges)}
+        # Per vertex 1..r-1, for the per-flow kernels: the index of its
+        # blue out-edge and of its red out-edge (None where there is
+        # none) and the indices of its red in-edges in entering order.
+        self._vertex_edges = tuple(
+            (self.edge_index.get(("b", v)), self.edge_index.get(("r", v)),
+             tuple(self.edge_index[e] for e in self._entering[v]
+                   if e[0] == "r"))
+            for v in range(1, r))
 
     @property
     def r(self):
@@ -113,15 +122,6 @@ class ArcGraph:
         kind, v = edge
         return v + 1 if kind == "b" else self.over[v - 1]
 
-    def blue_out(self, v):
-        return ("b", v) if ("b", v) in self.edge_index else None
-
-    def red_out(self, v):
-        return ("r", v) if ("r", v) in self.edge_index else None
-
-    def red_in(self, v):
-        return tuple(e for e in self._entering[v] if e[0] == "r")
-
     def entering(self, v):
         """Edges entering v in entering order: by default the blue edge,
         then the reds by source."""
@@ -132,21 +132,6 @@ class ArcGraph:
             raise ValueError("rot decoration missing for edge %s %d"
                              % edge)
         return self._rot[edge]
-
-    def flow_value(self, f, edge):
-        return 0 if edge is None else f[self.edge_index[edge]]
-
-    def vertex_flow(self, f, v):
-        """Total flow through v (the common in/out value)."""
-        return (self.flow_value(f, self.blue_out(v))
-                + self.flow_value(f, self.red_out(v)))
-
-    def is_conserved(self, f):
-        for v in range(1, self.r):
-            into = sum(f[self.edge_index[e]] for e in self._entering[v])
-            if into != self.vertex_flow(f, v):
-                return False
-        return True
 
     def beta(self, edge):
         """Weight of a reduced edge."""
@@ -252,8 +237,8 @@ def enumerate_flows(g, n):
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     index = g.edge_index
-    out = [()] + [tuple(index[e] for e in (g.blue_out(v), g.red_out(v))
-                        if e is not None) for v in range(1, g.r)]
+    out = [()] + [tuple(i for i in (blue, red) if i is not None)
+                  for blue, red, _ in g._vertex_edges]
     # known[v] lists the edges entering v when they all come from
     # earlier levels; any other vertex w is checked at the level that
     # sets the last of its edges, an edge key (kind, u) being set at
@@ -305,8 +290,7 @@ def enumerate_flows(g, n):
 def flow_weight_beta(g, f):
     """Product of edge weights raised to the flow values."""
     out = LaurentPoly.constant(1)
-    for e in g.reduced_edges:
-        value = g.flow_value(f, e)
+    for e, value in zip(g.reduced_edges, f):
         if value:
             out = out * g.beta(e) ** value
     return out
@@ -319,11 +303,9 @@ def _ahead(g, f, edge):
 
 def _exc(g, f):
     total = 0
-    for v in range(1, g.r):
-        carried = g.flow_value(f, g.blue_out(v))
-        red = g.red_out(v)
-        if carried and red is not None:
-            total += g.sign(v) * carried * _ahead(g, f, red)
+    for v, (blue, red, _) in enumerate(g._vertex_edges, 1):
+        if blue is not None and red is not None and f[blue]:
+            total += g.signs[v - 1] * f[blue] * _ahead(g, f, ("r", v))
     return total
 
 
@@ -347,59 +329,24 @@ def _times_qbinom(row, m, k):
     return out
 
 
-def _main_terms(g, f, n):
-    """main_flow_weight(g, f, n) as (shift, row): t^shift times the
-    dense int row's polynomial, an empty row for zero.
-
-    The blue exponents go into the shift, the Gaussian binomials are
-    multiplied in by _times_qbinom, and each red unit factor 1 - t^d is
-    one _times_one_minus pass, written -t^d (1 - t^-d) when d < 0.
-    """
-    shift = 0
-    row = [1]
-    for v in range(1, g.r):
-        carried = g.flow_value(f, g.blue_out(v))
-        total = carried + g.flow_value(f, g.red_out(v))
-        shift -= g.sign(v) * n * carried
-        if g.sign(v) == 1:
-            # the Gaussian binomial's base is t^-1
-            shift -= carried * (total - carried)
-        row = _times_qbinom(row, total, carried)
-    for e in g.reduced_edges:
-        kind, u = e
-        value = f[g.edge_index[e]]
-        if kind != "r" or value == 0:
-            continue
-        b = -g.sign(u)
-        ahead = _ahead(g, f, e)
-        for j in range(value):
-            d = b * (n - j - ahead)
-            if d == 0:
-                # the factor 1 - t^0 zeroes the weight
-                return shift, []
-            if d < 0:
-                # 1 - t^d = -t^d (1 - t^-d)
-                shift, row, d = shift + d, [-c for c in row], -d
-            row = _times_one_minus(row, d)
-    return shift, row
-
-
 def main_flow_weight(g, f, n):
-    """Closed per-flow weight of the main route, without the t^delta(f)
-    normalization (returned separately by delta_flow).
+    """Closed per-flow weight of the main and catmm routes, without the
+    t^delta(f) normalization (returned separately by delta_flow).
 
-    The product over vertices of the Gaussian binomial (f(v) choose blue
-    out-flow) in base t^(-sign(v)), times t^(-sign(v) n f(blue out)),
-    times, for every unit j = 0..f(e)-1 of every red edge e entering w,
-    the factor 1 - t^(-sign(source)(n - j - s)) where s sums the flow on
-    edges entering w before e.  Zero whenever some vertex carries more
-    than n.  Computed in one dense int row by _main_terms and made a
-    LaurentPoly once.
+    z_nf(f) catmm_flow_sum(f) over t^delta(f), with z_nf's 1 - t per red
+    copy cancelling the 1 / (1 - t) of each [n-p]_t: _z_terms' sign
+    t^shift times _catmm_terms' product of 1 - t^(n-p) per copy arriving
+    at a pool of p and of Gaussian binomials [pool choose kept]_(1/t).
+    It holds in every entering order.  Zero when a copy arrives at a
+    full pool, that is when some vertex carries more than n.  Needs no
+    rot data.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    shift, row = _main_terms(g, f, n)
-    return LaurentPoly.from_powers("t", dict(enumerate(row, shift)))
+    shift, sign = _z_terms(g, f, n)
+    rest, row = _catmm_terms(g, f, n)
+    return LaurentPoly.from_powers("t", {e: sign * c for e, c
+                                         in enumerate(row, shift + rest)})
 
 
 def red_copies(g, f):
@@ -410,8 +357,8 @@ def red_copies(g, f):
     lists every edge entering the vertex; a blue edge carries no
     copies), then by index.
     """
-    return tuple((e, idx) for w in range(1, g.r) for e in g.red_in(w)
-                 for idx in range(f[g.edge_index[e]]))
+    return tuple((e, idx) for w in range(1, g.r) for e in g.entering(w)
+                 if e[0] == "r" for idx in range(f[g.edge_index[e]]))
 
 
 def flow_configurations(g, f):
@@ -430,7 +377,7 @@ def flow_configurations(g, f):
     arrival = [g.target(e) for e, _ in red_copies(g, f)]
     partial = [((), (g.r - 1,) * len(arrival))]
     for i in range(1, g.r - 1):
-        size = g.flow_value(f, ("b", i))
+        size = f[g.edge_index[("b", i)]]
         arriving = tuple(k for k, w in enumerate(arrival) if w == i)
         grown = []
         for riding, drop in partial:
@@ -446,21 +393,25 @@ def flow_configurations(g, f):
 def _catmm_terms(g, f, n):
     """catmm_flow_sum(g, f, n) times 1 - t per red copy, as (shift, row):
     t^shift times the dense int row's polynomial, an empty row for zero.
-    Each [n-p]_t enters as 1 - t^(n-p), and each [s choose k]_(1/t) as
-    t^(-k(s-k)) [s choose k]_t."""
+    Each [s choose k]_(1/t) enters as t^(-k(s-k)) [s choose k]_t, and
+    then each [n-p]_t as 1 - t^(n-p), so the Gaussians' convolutions run
+    on short rows."""
     shift = 0
     row = [1]
-    for v in range(1, g.r):
-        pool = g.flow_value(f, g.blue_out(v - 1))
-        for _ in range(sum(f[g.edge_index[e]] for e in g.red_in(v))):
-            if pool >= n:
-                # no free value is left for the arriving copy
-                return shift, []
-            row = _times_one_minus(row, n - pool)
-            pool += 1
-        kept = g.flow_value(f, g.blue_out(v))
+    arrivals = []
+    kept = 0
+    for blue, _, reds_in in g._vertex_edges:
+        riding = kept
+        pool = riding + sum(f[i] for i in reds_in)
+        if pool > n:
+            # the copy arriving at a full pool has no free value left
+            return 0, []
+        arrivals.extend(range(n - riding, n - pool, -1))
+        kept = 0 if blue is None else f[blue]
         shift -= kept * (pool - kept)
         row = _times_qbinom(row, pool, kept)
+    for a in arrivals:
+        row = _times_one_minus(row, a)
     return shift, row
 
 
@@ -520,22 +471,27 @@ def ma2_flow_sum(g, f, n):
 
 
 def _z_terms(g, f, n):
-    """z_nf(g, f, n) as (shift, sign), the prefactor being sign t^shift
-    (1 - t)^(red units).  With a red units from - sources and b from +
-    sources, the unit factors are (-1)^b t^-b (1-t)^(a+b)."""
-    blue = {1: 0, -1: 0}
-    red = {1: 0, -1: 0}
-    for e in g.reduced_edges:
-        kind, u = e
-        (blue if kind == "b" else red)[g.sign(u)] += f[g.edge_index[e]]
-    shift = delta_flow(g, f) + n * (blue[-1] - blue[1]) - red[1]
-    for e, idx in red_copies(g, f):
-        if g.sign(e[1]) == 1:
-            shift -= n - 1 - (_ahead(g, f, e) + idx)
-    for v in range(1, g.r):
-        shift += (g.flow_value(f, g.red_out(v))
-                  * g.flow_value(f, g.blue_out(v)))
-    return shift, (-1) ** red[1]
+    """z_nf(g, f, n) over t^delta(f) as (shift, sign), the prefactor
+    being sign t^shift (1 - t)^(red units).  With a red units from -
+    sources and b from + sources, the unit factors are (-1)^b t^-b
+    (1-t)^(a+b).  Copy idx = 0..x-1 of a + red edge carrying x, with
+    flow s entering ahead of it, adds -(n-1-s-idx) - 1 to the shift.
+    Needs no rot data."""
+    shift = 0
+    plus = 0
+    for v, (blue, red, _) in enumerate(g._vertex_edges, 1):
+        sign = g.signs[v - 1]
+        carried = 0 if blue is None else f[blue]
+        shift -= sign * n * carried
+        if red is None:
+            continue
+        units = f[red]
+        shift += units * carried
+        if sign == 1 and units:
+            plus += units
+            shift -= (units * (n - _ahead(g, f, ("r", v)))
+                      - units * (units - 1) // 2)
+    return shift, (-1) ** plus
 
 
 def z_nf(g, f, n):
@@ -546,7 +502,8 @@ def z_nf(g, f, n):
     from a + source, times t^-(n-1-|P|) per + red copy (P the flow
     entering ahead of it), times t^(red out times blue out) at every
     vertex.  Since (1-t)^a (1-t^-1)^b = (-1)^b t^-b (1-t)^(a+b), it is
-    _z_terms' sign and shift times one 1 - t pass per red unit.
+    t^delta(f) times _z_terms' sign and shift times one 1 - t pass per
+    red unit.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -554,7 +511,8 @@ def z_nf(g, f, n):
     row = [sign]
     for _ in red_copies(g, f):
         row = _times_one_minus(row, 1)
-    return LaurentPoly.from_powers("t", dict(enumerate(row, shift)))
+    return LaurentPoly.from_powers(
+        "t", dict(enumerate(row, delta_flow(g, f) + shift)))
 
 
 def cycle_families(g):
@@ -565,8 +523,8 @@ def cycle_families(g):
     search walks out-edges from each start vertex and never consults the
     flow enumeration.
     """
-    out_edges = {v: [e for e in (g.blue_out(v), g.red_out(v))
-                     if e is not None] for v in range(1, g.r)}
+    out_edges = {v: [e for e in g.reduced_edges if e[1] == v]
+                 for v in range(1, g.r)}
     cycles = []
 
     def explore(start, v, path_vertices, path_edges):
@@ -630,12 +588,12 @@ def colored_jones(g, n, route="ma2"):
     """The n-colored invariant of the arc graph, by any of three routes.
 
     t^delta(K,n) times the flow total, where delta(K,n) is half of
-    n^2 (sign sum) + n rotK.  Routes: "main" sums t^delta(f) times
-    main_flow_weight; "catmm" sums z_nf times catmm_flow_sum, z_nf's
-    1 - t per red copy cancelling catmm's [n-p]_t denominators, so no
-    row is divided; "ma2" sums z_nf times ma2_flow_sum.  The main and
-    catmm routes sum all their flows in one integer exponent dict made a
-    LaurentPoly once.  All three agree.
+    n^2 (sign sum) + n rotK.  Routes: "main" and "catmm" share one
+    kernel, summing t^delta(f) times main_flow_weight, which is z_nf
+    times catmm_flow_sum with z_nf's 1 - t per red copy cancelling
+    catmm's [n-p]_t denominators, so no row is divided; they add every
+    flow's signed, shifted row to one integer exponent dict made a
+    LaurentPoly once.  "ma2" sums z_nf times ma2_flow_sum.  All agree.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
@@ -652,12 +610,8 @@ def colored_jones(g, n, route="ma2"):
     terms = {}
     get = terms.get
     for f in flows:
-        if route == "main":
-            shift, sign = delta_flow(g, f), 1
-            rest, row = _main_terms(g, f, n)
-        else:
-            shift, sign = _z_terms(g, f, n)
-            rest, row = _catmm_terms(g, f, n)
-        for e, c in enumerate(row, shift + rest):
+        shift, sign = _z_terms(g, f, n)
+        rest, row = _catmm_terms(g, f, n)
+        for e, c in enumerate(row, delta_flow(g, f) + shift + rest):
             terms[e] = get(e, 0) + sign * c
     return prefactor * LaurentPoly.from_powers("t", terms)

@@ -12,7 +12,9 @@ package sums over arc-graph flows),
 all with plain dict Laurent arithmetic in one variable.  The arc-graph
 references generate every candidate and test it (the package searches
 and prunes): flows_reference every edge tuple, configurations_reference
-every drop map; they share the package's ArcGraph and copy order.
+every drop map; they share the package's ArcGraph and copy order, and
+flows_reference tests conservation with is_conserved, which reads each
+edge's source and target rather than the package's entering orders.
 state_sums_reference is the package's former state kernel, a depth-first
 walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  components and component_count are the package's
@@ -26,9 +28,11 @@ results of canonical operands.  chord_diagrams
 is the package's former ma2 layout, which tried every order of the ends
 at each vertex and weighted each distinct diagram by 1/deg; the package
 now lays out one diagram per configuration.  main_flow_weight_reference
-is the package's former main-route weight, one LaurentPoly product per
-Gaussian binomial and per red unit factor; the package now works in
-dense integer rows and makes one LaurentPoly per weight.
+is the paper's closed main-route weight and the package's former one,
+one LaurentPoly product per Gaussian binomial and per red unit factor;
+it holds on trefoil.arc and fig8.arc, but not on every arc, and the
+package's main route is now the catmm product, which the tests check
+against z_nf_reference times catmm_walk_reference.
 catmm_walk_reference is the package's former catmm kernel, one walk per
 configuration that assigns values copy by copy; the package now
 multiplies one closed product of Gaussian factors per flow.
@@ -435,14 +439,26 @@ def torus_2k_colored_jones(k, N):
     return out
 
 
+def vertex_flow(g, f, v):
+    """Total flow leaving v, the common in/out value of a conserved
+    flow."""
+    return sum(x for e, x in zip(g.reduced_edges, f) if e[1] == v)
+
+
+def is_conserved(g, f):
+    """Whether the flow into every vertex equals the flow out of it."""
+    return all(sum(x for e, x in zip(g.reduced_edges, f) if g.target(e) == v)
+               == vertex_flow(g, f, v) for v in range(1, g.r))
+
+
 def flows_reference(g, n):
     """Conserved flows with at most n through every vertex, by testing
     all (n+1)^|E| tuples in lexicographic order."""
     flows = []
     for f in product(range(n + 1), repeat=len(g.reduced_edges)):
-        if not g.is_conserved(f):
+        if not is_conserved(g, f):
             continue
-        if any(g.vertex_flow(f, v) > n for v in range(1, g.r)):
+        if any(vertex_flow(g, f, v) > n for v in range(1, g.r)):
             continue
         flows.append(f)
     return flows
@@ -487,27 +503,29 @@ def qbinom_reference(m, k, base):
 def mult_t(g, f):
     """Product over vertices of the quantum binomial (f(v) choose blue
     out-flow) in base t^(-sign(v))."""
+    flow_on = dict(zip(g.reduced_edges, f))
     out = LaurentPoly.constant(1)
     for v in range(1, g.r):
-        total = g.vertex_flow(f, v)
-        carried = g.flow_value(f, g.blue_out(v))
+        total = vertex_flow(g, f, v)
+        carried = flow_on.get(("b", v), 0)
         base = _t_power(-g.sign(v))
         out = out * qbinom_reference(total, carried, base)
     return out
 
 
 def main_flow_weight_reference(g, f, n):
-    """Closed per-flow weight of the main route, without the t^delta(f)
-    normalization, as a product of LaurentPoly factors.
+    """The paper's closed per-flow weight of the main route, without the
+    t^delta(f) normalization, as a product of LaurentPoly factors.
 
     mult_t times t^(-sign(v) n f(blue out)) over vertices, times, for
     every unit j = 0..f(e)-1 of every red edge e entering w, the factor
     1 - t^(-sign(source)(n - j - s)) where s sums the flow on edges
     entering w before e.
     """
+    flow_on = dict(zip(g.reduced_edges, f))
     blue_exponent = 0
     for v in range(1, g.r):
-        blue_exponent -= g.sign(v) * n * g.flow_value(f, g.blue_out(v))
+        blue_exponent -= g.sign(v) * n * flow_on.get(("b", v), 0)
     out = mult_t(g, f) * _t_power(blue_exponent)
     for e in g.reduced_edges:
         kind, u = e

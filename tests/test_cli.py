@@ -190,6 +190,17 @@ def test_non_planar_pd_is_an_input_error(tmp_path):
         assert "Traceback" not in result.stderr, argv
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_arcflow_suite_passes_on_red_first_fig8(capsys, n):
+    # r3 enters vertex 2 ahead of the blue edge b1; every route total
+    # agrees there, main's included
+    code, _ = run(["identities", "--suite", "arcflow", "--arc",
+                   fixture_path("fig8_red_first.arc"), "--n", str(n)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_order_vertex_out_of_range_exits_2(tmp_path, capsys):
     arc = tmp_path / "order9.arc"
     with open(fixture_path("trefoil.arc"), encoding="utf-8") as handle:

@@ -294,13 +294,13 @@ def _suite_vdw(args, report):
 def _suite_bracket(args, report):
     k = report.add_input("pd", _need(args, "pd"), knotdiag.parse_pd)
     f = knotdiag.kauffman_f(k)
-    holds = knotdiag.prop_mm_check(k)
-    for face in knotdiag.faces(k):
-        report.verdict_true("loop count model, outer face %d" % face.id,
-                            holds[face.id])
-        report.verdict("subset route, outer face %d" % face.id,
-                       knotdiag.jones_via_bichromate(k, face.id, route="kk"),
-                       f)
+    medians = knotdiag.median_graphs(k)
+    holds = knotdiag.prop_mm_check(k, medians)
+    for fid, m in medians.items():
+        report.verdict_true("loop count model, outer face %d" % fid,
+                            holds[fid])
+        report.verdict("subset route, outer face %d" % fid,
+                       knotdiag.jones_via_bichromate(k, m, route="kk"), f)
 
 
 def _suite_arcflow(args, report):

@@ -1,21 +1,29 @@
-"""Multigraphs, their two enumeration kernels, and the shared text format.
+"""Multigraphs, their enumeration kernels, and the shared text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
-parallel edges are allowed.  Every subset expansion in the package folds
-the histogram of Multigraph.subset_statistics, and every agree/differ
-state sum that of Multigraph.state_sums; a defected coloring sum is a
+parallel edges are allowed.  A subset expansion with one factor per
+component of (V, A) (the random-cluster and q-Potts forms, the
+q-chromatic inclusion-exclusion) is a cluster sum of
+Multigraph.cluster_sums, which sweeps a vertex frontier and folds each
+component's factor in as the component closes; the expansions that also
+read |A| or the odd-degree count (the Tutte, Whitney-rank and bichromate
+polynomials, the high-temperature expansion, the bracket's subset route)
+fold the histogram of Multigraph.subset_statistics.  Every agree/differ
+state sum folds Multigraph.state_sums; a defected coloring sum is a
 state sum over the proper colorings with defect lists, and without
 defects it is the q-chromatic sum.  subset_statistics walks all 2^|E|
 edge subsets depth-first, in integers: Fraction weights are split into
 numerator and denominator, and each histogram value is divided once at
 the end.  A fold reads only part of each key, so it sums the histogram
 per that part with group_sums and computes one factor per group.
-state_sums sweeps the vertices one at a time and keeps only the spins
-of a frontier, so its cost grows with the frontier's width, not with
-|V|; it too runs in integers, with its own scaling.  The per-subset
-queries index an edge subset by a bitmask where bit i selects edges[i]:
-component_counts lists the component count of every subset from one
-rollback walk, and odd_degree_count reads one mask.
+state_sums and cluster_sums place the vertices in one order
+(_sweep_order) and keep only what a frontier needs, the spins or the
+partition into open components, so their cost grows with the
+frontier's width, not with |V| or |E|; they too run in integers, each
+with its own scaling.  The per-subset queries index an edge subset by a
+bitmask where bit i selects edges[i]: component_counts lists the
+component count of every subset from one rollback walk, and
+odd_degree_count reads one mask.
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -189,6 +197,145 @@ class Multigraph(_Record):
         inverse = Fraction(1, prod(leave))
         return {key: x * inverse for key, x in histogram.items()}
 
+    def cluster_sums(self, weights, factor):
+        """The sum over all edge subsets A of the product of weights[i]
+        over the edges of A times the product, over the components W of
+        (V, A), of the factor of W, as a dense row: row[i] is the
+        coefficient of x^i, and trailing zeros are dropped (a zero sum
+        is []).
+
+        factor is a function from a component's size to its dense int
+        row, or one such row that every component takes.  The weights are
+        ints or Fractions; the entries are ints for int weights and
+        Fractions when any weight is a Fraction.
+
+        The sweep places the vertices in state_sums' order (edges make
+        two vertices neighbours).  The frontier is the placed vertices
+        that still have an unplaced neighbour, and the sweep keeps
+        {(the partition of the frontier into the components of the
+        chosen edges, the size of each block): row}.  Placing v decides
+        at once every edge between v and a placed vertex: the parallel
+        edges to one neighbour join it when any of them is chosen.  A
+        block whose last frontier vertex leaves is a whole component: its
+        factor is multiplied into the row and its size is forgotten, so
+        no key holds a closed component.  With one row for every size the
+        key is the partition alone.  On a path the frontier is one
+        vertex, so there are at most |V| keys, and one without sizes.  It
+        runs in integers: a Fraction weight p/q contributes p when its
+        edge is chosen and q when it is left out, and the sum is divided
+        once by the product of the q's at the end.
+
+        With weight -1 and 1 + x^s for a component of size s, it is the
+        sum of x^(sum of colors) over the proper colorings with colors
+        0 and 1 (inclusion-exclusion over the edges that agree):
+
+        >>> path = Multigraph(3, ((1, 2), (2, 3)))
+        >>> path.cluster_sums([-1, -1], lambda s: [1] + [0] * (s - 1) + [1])
+        [0, 1, 1]
+        >>> path.cluster_sums([Fraction(1, 2), -1], [3])
+        [Fraction(21, 1)]
+        """
+        n = self.vertex_count
+        if len(weights) != len(self.edges):
+            raise ValueError("got %d weights for %d edges"
+                             % (len(weights), len(self.edges)))
+        # bundles[x][y] and bundles[y][x] share [leave all, any choice] for
+        # x != y: the scaled weight products of the edges between x and y
+        # when none of them is chosen, and over every choice of them.
+        bundles = [{} for _ in range(n + 1)]
+        scale = 1
+        loops = 1
+        fractional = False
+        for (u, v), w in zip(self.edges, weights):
+            if isinstance(w, Fraction):
+                fractional = True
+                take, leave = w.numerator, w.denominator
+            else:
+                take, leave = w, 1
+            scale *= leave
+            if u == v:
+                loops *= take + leave
+            elif v in bundles[u]:
+                entry = bundles[u][v]
+                entry[0] *= leave
+                entry[1] *= take + leave
+            else:
+                bundles[u][v] = bundles[v][u] = [leave, take + leave]
+        sized = callable(factor)
+        if sized:
+            rows = {}
+        else:
+            factor = _sparse(factor)
+        placed = [False] * (n + 1)
+        unplaced_neighbours = list(map(len, bundles))
+        front = []
+        # A key is the block of each frontier vertex, numbered in order of
+        # first appearance, and the size of each block (empty unsized).
+        states = {((), ()): [1]}
+        for v in _sweep_order(bundles):
+            placed[v] = True
+            links = []
+            for u, (apart, every) in bundles[v].items():
+                if placed[u]:
+                    links.append((front.index(u), apart, every - apart))
+                    unplaced_neighbours[u] -= 1
+                    unplaced_neighbours[v] -= 1
+            # (weight, frontier positions joined to v) per choice of links
+            choices = [(1, ())]
+            for i, apart, join in links:
+                choices = [(w * apart, joined) for w, joined in choices] + [
+                    (w * join, joined + (i,)) for w, joined in choices if join]
+            keep = [i for i, u in enumerate(front) if unplaced_neighbours[u]]
+            stay = unplaced_neighbours[v] > 0
+            front = [front[i] for i in keep]
+            if stay:
+                front.append(v)
+            new = {}
+            for (blocks, sizes), row in states.items():
+                # v's block is number b until the renumbering
+                b = max(blocks, default=-1) + 1
+                for w, joined in choices:
+                    into = list(range(b + 1))
+                    for i in joined:
+                        into[blocks[i]] = b
+                    seq = [into[blocks[i]] for i in keep]
+                    if stay:
+                        seq.append(b)
+                    number = {}
+                    for x in seq:
+                        if x not in number:
+                            number[x] = len(number)
+                    key = tuple([number[x] for x in seq])
+                    closed = [x for x in range(b + 1)
+                              if into[x] == x and x not in number]
+                    out = [c * w for c in row]
+                    if sized:
+                        size = [0] * (b + 1)
+                        size[b] = 1
+                        for x, s in enumerate(sizes):
+                            size[into[x]] += s
+                        key = (key, tuple([size[x] for x in number]))
+                        for x in closed:
+                            s = size[x]
+                            f = rows.get(s)
+                            if f is None:
+                                f = rows[s] = _sparse(factor(s))
+                            out = _times_row(out, f)
+                    else:
+                        key = (key, ())
+                        for _ in closed:
+                            out = _times_row(out, factor)
+                    old = new.get(key)
+                    new[key] = out if old is None else _plus_row(old, out)
+            states = new
+        (row,) = states.values()
+        while row and not row[-1]:
+            row.pop()
+        row = [c * loops for c in row] if loops else []
+        if fractional:
+            return [Fraction(c, scale) for c in row]
+        return row
+
     def state_sums(self, spins, weights, defects=None):
         """Histogram of all states s: V -> spins, as {sum of s(v) minus the
         defects of v: summed weight}, leaving out sums whose weight cancels
@@ -261,21 +408,9 @@ class Multigraph(_Record):
             return {}
         placed = [False] * (n + 1)
         unplaced_neighbours = list(map(len, links))
-        # The unplaced vertices with a placed neighbour.  rank[u] is u less
-        # n + 1 per placed neighbour: the least comes next.
-        candidates = set()
-        rank = list(range(n + 1))
-        unlinked = 1
         front = []
         states = {(0,): 1}
-        for _ in range(n):
-            if candidates:
-                v = min(candidates, key=rank.__getitem__)
-                candidates.remove(v)
-            else:
-                while placed[unlinked]:
-                    unlinked += 1
-                v = unlinked
+        for v in _sweep_order(links):
             placed[v] = True
             # (frontier position of u, factor when s(u) = s(v), otherwise)
             # and (position, pairs charged when s(u) < s(v), when s(u) > s(v))
@@ -284,8 +419,6 @@ class Multigraph(_Record):
             whole = True
             for u, entry in links[v].items():
                 if not placed[u]:
-                    rank[u] -= n + 1
-                    candidates.add(u)
                     continue
                 agree, differ, lo, hi = entry
                 i = front.index(u)
@@ -394,6 +527,67 @@ class Multigraph(_Record):
         lines = ["vertices %d" % self.vertex_count]
         lines.extend("%d %d" % (u, v) for u, v in self.edges)
         return "\n".join(lines) + "\n"
+
+
+def _sweep_order(links):
+    """The order in which the frontier sweeps place the vertices 1..n,
+    links[v] holding v's neighbours: next is the unplaced vertex with the
+    most placed neighbours, ties going to the smaller label, and the
+    smallest unplaced label when no unplaced vertex has a placed
+    neighbour."""
+    n = len(links) - 1
+    placed = [False] * (n + 1)
+    # The unplaced vertices with a placed neighbour.  rank[u] is u less
+    # n + 1 per placed neighbour: the least comes next.
+    candidates = set()
+    rank = list(range(n + 1))
+    unlinked = 1
+    order = []
+    for _ in range(n):
+        if candidates:
+            v = min(candidates, key=rank.__getitem__)
+            candidates.remove(v)
+        else:
+            while placed[unlinked]:
+                unlinked += 1
+            v = unlinked
+        placed[v] = True
+        order.append(v)
+        for u in links[v]:
+            if not placed[u]:
+                rank[u] -= n + 1
+                candidates.add(u)
+    return order
+
+
+def _sparse(f):
+    """A dense factor row as (its length, [(i, f[i]) for its nonzero
+    entries]): the quantum integers that factor rows hold are mostly
+    zeros."""
+    return len(f), [(i, c) for i, c in enumerate(f) if c]
+
+
+def _times_row(row, f):
+    """The dense row times a factor row given by _sparse."""
+    length, terms = f
+    if length == 1 and terms:
+        ((_, c),) = terms
+        return [x * c for x in row]
+    out = [0] * (len(row) + length - 1)
+    for i, c in terms:
+        for j, x in enumerate(row, i):
+            out[j] += x * c
+    return out
+
+
+def _plus_row(a, b):
+    """The sum of two dense rows."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
 
 
 def group_sums(pairs):

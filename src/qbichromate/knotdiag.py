@@ -237,7 +237,18 @@ class MedianGraph(_Record):
 
 
 def median_graph(k, outer_face):
+    """The median graph of k whose outer face is the given face id."""
+    return _median_graph(k, _Embedding(k), outer_face)
+
+
+def median_graphs(k):
+    """{face id: median_graph(k, face id)} for every face of k, from one
+    traced embedding."""
     emb = _Embedding(k)
+    return {face.id: _median_graph(k, emb, face.id) for face in emb.faces}
+
+
+def _median_graph(k, emb, outer_face):
     colors = emb.colors(outer_face)
     black = tuple(sorted(fid for fid, color in colors.items() if color == 1))
     vertex_of = {fid: i + 1 for i, fid in enumerate(black)}
@@ -356,9 +367,10 @@ def jones(k):
     return LaurentPoly.from_powers("t", terms)
 
 
-def prop_mm_check(k):
-    """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for the
-    median graph of every outer face; return {face id: holds}.
+def prop_mm_check(k, medians):
+    """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for each
+    median graph of medians ({face id: median graph}, as median_graphs(k)
+    gives); return {face id: holds}.
 
     The loop counts come from one strand-smoothing walk that all faces
     share, the right side from each shading's median graph.
@@ -367,20 +379,19 @@ def prop_mm_check(k):
     for mask, count in state_loops(k):
         loops[mask] = count
     holds = {}
-    for face in faces(k):
-        m = median_graph(k, face.id)
+    for fid, m in medians.items():
         nv = m.graph.vertex_count
         counts = m.graph.component_counts()
         # E(s) keeps edge ci where s joins the black corners: A if eta = +1.
         flip = sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
-        holds[face.id] = all(
+        holds[fid] = all(
             loops[mask ^ flip] == 2 * c + mask.bit_count() - nv
             for mask, c in enumerate(counts))
     return holds
 
 
-def jones_via_bichromate(k, outer_face, route="kk"):
-    """kauffman_f computed through the median graph.
+def jones_via_bichromate(k, m, route="kk"):
+    """kauffman_f computed through m, a median graph of k.
 
     route="kk" (any signs): sum over median edge subsets B of
     (-A^2-A^-2)^(2c(B)+|B|-|V|-1) * A^(2 * sum of eta over B), times the
@@ -395,7 +406,6 @@ def jones_via_bichromate(k, outer_face, route="kk"):
     not in general, and only the eta form reproduces kauffman_f for both
     shadings of every diagram.
     """
-    m = median_graph(k, outer_face)
     nv = m.graph.vertex_count
     w = k.writhe
     sign = -1 if w % 2 else 1

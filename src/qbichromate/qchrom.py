@@ -33,17 +33,20 @@ def mq_subset(g, n):
     """The same sum by inclusion-exclusion over edge subsets.
 
     Each subset A contributes (-1)^|A| times the product over components W
-    of (V, A) of the quantum integer of n in base q^|W|.
+    of (V, A) of the quantum integer of n in base q^|W|: the cluster sum
+    of Multigraph.cluster_sums with weight -1 on every edge, which folds
+    each component's quantum integer in as the frontier sweep closes it.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    groups = group_sums((sizes, -count if chosen & 1 else count)
-                        for (sizes, chosen, _), count
-                        in g.subset_statistics().items())
-    out = LaurentPoly()
-    for sizes, count in groups.items():
-        out = out + count * _component_qints(sizes, n)
-    return out
+    row = g.cluster_sums((-1,) * g.edge_count, lambda s: _qint_row(n, s))
+    return LaurentPoly.from_powers("q", dict(enumerate(row)))
+
+
+def _qint_row(n, s):
+    """The quantum integer of n in base q^s, (1 - q^(sn)) / (1 - q^s), as
+    a dense int row: one multiply and one exact divide pass."""
+    return _divide_one_minus(_times_one_minus([1], s * n), s)
 
 
 def _component_qints(sizes, n):

@@ -17,7 +17,7 @@ from math import prod
 from .graphcore import (ParseError, _content_lines, _numbers, _Record,
                         group_sums)
 from .polyq import LaurentPoly
-from .qchrom import _component_qints
+from .qchrom import _qint_row
 
 
 class Couplings(_Record):
@@ -41,14 +41,6 @@ class Couplings(_Record):
         else:
             raise ValueError("coupling kind must be 'v' or 'ch', got %r" % kind)
         _Record.__init__(self, kind, values)
-
-    @classmethod
-    def uniform_v(cls, edge_count, v):
-        return cls("v", (Fraction(v),) * edge_count)
-
-    @classmethod
-    def uniform_ch(cls, edge_count, c, h):
-        return cls("ch", ((Fraction(c), Fraction(h)),) * edge_count)
 
     def check_edge_count(self, g):
         if len(self.values) != g.edge_count:
@@ -107,17 +99,13 @@ def potts_direct(g, k, w):
 
 def potts_fk(g, k, w):
     """Random-cluster form: sum over edge subsets A of k^c(A) times the
-    product of v_e over A."""
+    product of v_e over A, by Multigraph.cluster_sums with the factor k
+    for every component."""
     if k < 1:
         raise ValueError("need k >= 1")
     _require_kind(w, "v", "potts_fk")
     w.check_edge_count(g)
-    counts = group_sums((len(sizes), weight) for (sizes, _, _), weight
-                        in g.subset_statistics(w.values).items())
-    total = Fraction(0)
-    for c, weight in counts.items():
-        total += k ** c * weight
-    return total
+    return sum(g.cluster_sums(w.values, [k]), Fraction(0))
 
 
 def qpotts_pair(g, k, w):
@@ -125,7 +113,9 @@ def qpotts_pair(g, k, w):
 
     First component (subset form): sum over A of the product over
     components W of the quantum integer of k in base q^|W|, times the
-    product of v_e over A.
+    product of v_e over A.  Multigraph.cluster_sums sweeps a vertex
+    frontier for it and multiplies each component's quantum integer in
+    as the component closes, without visiting the 2^|E| subsets.
 
     Second component (state form): sum over s: V -> {0..k-1} of
     q^(sum s(v)) times the product over edges of (1 + v_e) on agreement.
@@ -142,13 +132,11 @@ def qpotts_pair(g, k, w):
 
 
 def _qpotts_subset_form(g, k, vs):
-    """The subset form of qpotts_pair, with edge weights vs."""
-    groups = group_sums((sizes, weight) for (sizes, _, _), weight
-                        in g.subset_statistics(vs).items())
-    out = LaurentPoly()
-    for sizes, weight in groups.items():
-        out = out + weight * _component_qints(sizes, k)
-    return out
+    """The subset form of qpotts_pair, with edge weights vs: the cluster
+    sum whose component of size s weighs the quantum integer of k in
+    base q^s."""
+    row = g.cluster_sums(vs, lambda s: _qint_row(k, s))
+    return LaurentPoly.from_powers("q", dict(enumerate(row)))
 
 
 def ising_direct(g, w):

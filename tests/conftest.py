@@ -1,6 +1,7 @@
-"""Shared catalogs and fixture paths."""
+"""Shared catalogs, fixture paths and coupling helpers."""
 
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qbichromate.graphcore import Multigraph
+from qbichromate.statmech import Couplings
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -20,6 +22,16 @@ def fixture_path(name):
 def load_fixture(name, parse):
     """Parse a fixture file with one of the package's parse_* functions."""
     return parse((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def uniform_v(edge_count, v):
+    """v couplings with the same value on every edge."""
+    return Couplings("v", (Fraction(v),) * edge_count)
+
+
+def uniform_ch(edge_count, c, h):
+    """ch couplings with the same (cosh, sinh) pair on every edge."""
+    return Couplings("ch", ((Fraction(c), Fraction(h)),) * edge_count)
 
 
 def small_simple_graphs(max_vertices=4):

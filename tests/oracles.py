@@ -20,7 +20,9 @@ walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  components and component_count are the package's
 former per-subset queries, one fresh union-find per mask, kept as the
 reference for Multigraph.component_counts (one rollback walk over all
-masks) and for the subset-statistics histogram.  poly_add_reference
+masks) and for the subset-statistics histogram; cluster_sums_reference
+sums its component-factor products over every mask, as the reference
+for Multigraph.cluster_sums (a vertex frontier sweep).  poly_add_reference
 and poly_mul_reference are the package's former LaurentPoly sum and
 product, which build every result through the public validating
 constructor; the package's arithmetic now skips those checks for
@@ -256,6 +258,38 @@ def components(g, mask):
 
 def component_count(g, mask):
     return len(components(g, mask))
+
+
+def cluster_sums_reference(g, weights, factor):
+    """Multigraph.cluster_sums one mask at a time: each edge subset's
+    weight is a plain product of its weights, times one product of
+    factor rows over components(g, mask), added into a dense row whose
+    trailing zeros are then dropped.  factor is a function of a
+    component's size or one row for every component."""
+    if len(weights) != g.edge_count:
+        raise ValueError("got %d weights for %d edges"
+                         % (len(weights), g.edge_count))
+    total = []
+    for mask in range(1 << g.edge_count):
+        row = [1]
+        for i, w in enumerate(weights):
+            if mask >> i & 1:
+                row = [w * c for c in row]
+        for component in components(g, mask):
+            f = factor(len(component)) if callable(factor) else factor
+            out = [0] * (len(row) + len(f) - 1)
+            for i, a in enumerate(row):
+                for j, c in enumerate(f):
+                    out[i + j] += a * c
+            row = out
+        total += [0] * (len(row) - len(total))
+        for i, c in enumerate(row):
+            total[i] += c
+    while total and not total[-1]:
+        total.pop()
+    if any(isinstance(w, Fraction) for w in weights):
+        return [Fraction(c) for c in total]
+    return total
 
 
 def tutte_poly(edges):

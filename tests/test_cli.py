@@ -6,12 +6,14 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbichromate import chordal, cli
+from qbichromate import chordal, cli, knotdiag
 from qbichromate.cli import run
 from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly
@@ -95,6 +97,26 @@ def test_median_without_face_lists_faces(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "eta" in out
+
+
+def test_bracket_suite_traces_the_embedding_twice(capsys, monkeypatch):
+    # once to validate the PD, once for the median graphs of all faces
+    builds = []
+
+    class Counted(knotdiag._Embedding):
+        def __init__(self, k):
+            builds.append(k)
+            super().__init__(k)
+
+    monkeypatch.setattr(knotdiag, "_Embedding", Counted)
+    for name, face_count in (("trefoil.pd", 5), ("fig8.pd", 6)):
+        builds.clear()
+        code, _ = run(["identities", "--suite", "bracket",
+                       "--pd", fixture_path(name)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("checked: %d failed: 0\n" % (2 * face_count))
+        assert len(builds) == 2, name
 
 
 def test_timing_goes_to_stderr():
@@ -213,18 +235,32 @@ def test_order_vertex_out_of_range_exits_2(tmp_path, capsys):
 
 
 def test_internal_fault_exits_3(tmp_path):
-    # 1999 edges: the subset walk recurses past Python's default limit
+    # 1999 edges: the Tutte polynomial's subset walk recurses past
+    # Python's default limit
     graph = tmp_path / "path.g"
     graph.write_text("vertices 2000\n"
                      + "".join("%d %d\n" % (i, i + 1) for i in range(1, 2000)))
-    couplings = tmp_path / "path.c"
-    couplings.write_text("v 1/2\n" * 1999)
-    result = invoke(["potts", "--graph", str(graph), "--couplings",
-                     str(couplings), "--k", "1"])
+    result = invoke(["tutte", "--graph", str(graph)])
     assert result.returncode == 3
     assert result.stderr.startswith("internal error: ")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_potts_on_a_200_vertex_path(capsys):
+    # 2^199 edge subsets on the random-cluster side; on a path it is k
+    # times the product of (k + v_e)
+    graph = fixture_path("path200.g")
+    couplings = fixture_path("path200.v")
+    vs = [Fraction(line.split()[1]) for line in
+          Path(couplings).read_text().splitlines() if line.startswith("v ")]
+    assert len(vs) == 199
+    code, _ = run(["potts", "--graph", graph, "--couplings", couplings,
+                   "--k", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "result: %s\n" % (3 * prod(3 + v for v in vs)) in out
+    assert out.endswith("checked: 1 failed: 0\n")
 
 
 def test_infeasible_chordal_structure_is_quiet(tmp_path):

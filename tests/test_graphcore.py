@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qbichromate.graphcore import Multigraph, ParseError, group_sums, parse_graph
 from qbichromate.polyq import LaurentPoly
 from qbichromate.qchrom import mq_direct
-from qbichromate.statmech import Couplings, potts_direct
-from conftest import load_fixture
-from oracles import (component_count, components, defected_sums_reference,
-                     state_sums_reference)
+from qbichromate.statmech import potts_direct
+from conftest import load_fixture, uniform_v
+from oracles import (cluster_sums_reference, component_count, components,
+                     defected_sums_reference, state_sums_reference)
 
 
 def test_parse_basic():
@@ -207,6 +207,75 @@ def test_state_sums_small_cases():
         loop.state_sums(range(2), [])
 
 
+ROW = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+
+@st.composite
+def cluster_sum_inputs(draw):
+    """A multigraph with loops, parallel edges and isolated vertices
+    (Multigraph(0, ()) included), int or Fraction weights with zeros and
+    negatives, and a factor: one row for every component, or rows of
+    several lengths that depend on the component's size."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(1, n) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=8 if n else 0))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    weight = draw(st.sampled_from((
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    if draw(st.booleans()):
+        factor = draw(ROW)
+    else:
+        rows = draw(st.lists(ROW, min_size=max(n, 1), max_size=max(n, 1)))
+        factor = lambda size: rows[size - 1]
+    return Multigraph(n, tuple(edges)), weights, factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_sum_inputs())
+def test_cluster_sums_match_per_mask_reference(drawn):
+    g, weights, factor = drawn
+    got = g.cluster_sums(weights, factor)
+    assert got == cluster_sums_reference(g, weights, factor)
+    kind = Fraction if any(type(w) is Fraction for w in weights) else int
+    assert all(type(c) is kind for c in got)
+    assert not got or got[-1]
+
+
+def test_cluster_sums_small_cases():
+    # one empty subset, and no components to weigh it
+    assert Multigraph(0, ()).cluster_sums([], [7]) == [1]
+    assert Multigraph(0, ()).cluster_sums([], lambda size: [7]) == [1]
+    assert Multigraph(3, ()).cluster_sums([], [1, 1]) == [1, 3, 3, 1]
+    # a loop never joins components, and weight -1 on it cancels every
+    # subset
+    loop = Multigraph(2, ((1, 1), (1, 2)))
+    assert loop.cluster_sums([3, 5], [2]) == [4 * (4 + 5 * 2)]
+    assert loop.cluster_sums([-1, 5], [2]) == []
+    # parallel edges: any nonempty choice of them makes one component
+    pair = Multigraph(2, ((1, 2), (1, 2)))
+    halves = [Fraction(1, 2), Fraction(-1, 2)]
+    assert pair.cluster_sums(halves, lambda size: [size]) == [Fraction(1, 2)]
+    assert pair.cluster_sums(halves, lambda size: [1, size]) == \
+        [Fraction(3, 4), Fraction(3, 2), Fraction(1)]
+    assert pair.cluster_sums([0, 0], [5]) == [25]
+    with pytest.raises(ValueError, match="got 1 weights for 2 edges"):
+        pair.cluster_sums([1], [1])
+
+
+def test_cluster_sums_deep_graphs():
+    # the sweep must not recurse per edge: on a 2000-vertex path every
+    # subset has 2000 - |A| components, and a cycle adds the whole one
+    n = 2000
+    path = Multigraph(n, tuple((i, i + 1) for i in range(1, n)))
+    cycle = Multigraph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+    assert path.cluster_sums([1] * (n - 1), [3]) == [3 * 4 ** (n - 1)]
+    assert cycle.cluster_sums([1] * n, [3]) == [4 ** n + 2]
+    assert cycle.cluster_sums([0] * n, [2]) == [2 ** n]
+
+
 def test_state_sums_value_types():
     # integral weights give int sums; any other weight gives Fractions
     path = Multigraph(3, ((1, 2), (2, 3)))
@@ -223,7 +292,7 @@ def test_state_sums_deep_graphs():
     # one spin per vertex: the walk must not recurse per vertex
     assert mq_direct(Multigraph(2000, ()), 1) == 1
     path = Multigraph(2000, tuple((i, i + 1) for i in range(1, 2000)))
-    w = Couplings.uniform_v(path.edge_count, Fraction(1, 2))
+    w = uniform_v(path.edge_count, Fraction(1, 2))
     assert potts_direct(path, 1, w) == Fraction(3, 2) ** 1999
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from qbichromate.graphcore import ParseError
 from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
-                                  kauffman_f, median_graph, parse_pd,
-                                  prop_mm_check, state_loops)
+                                  kauffman_f, median_graph, median_graphs,
+                                  parse_pd, prop_mm_check, state_loops)
 from qbichromate.polyq import LaurentPoly
 import oracles
 from conftest import fixture_path, load_fixture
@@ -102,7 +102,10 @@ def test_median_graph_trefoil():
 def test_prop_mm():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
-        holds = prop_mm_check(k)
+        medians = median_graphs(k)
+        assert medians == {face.id: median_graph(k, face.id)
+                           for face in faces(k)}
+        holds = prop_mm_check(k, medians)
         assert sorted(holds) == list(range(len(faces(k))))
         for face in range(len(faces(k))):
             assert holds[face]
@@ -114,14 +117,14 @@ def test_mixed_eta_unknot():
     # values carry more than one count of eta = +1 edges
     k = load_fixture("trefoil_flip.pd", parse_pd)
     assert jones(k) == LaurentPoly.constant(1)
-    assert {median_graph(k, face).eta for face in range(len(faces(k)))} == \
-        {(1, -1, -1), (-1, 1, 1)}
+    medians = median_graphs(k)
+    assert {m.eta for m in medians.values()} == {(1, -1, -1), (-1, 1, 1)}
     f = kauffman_f(k)
     expect = LaurentPoly.from_powers("A", oracles.bracket_f(read("trefoil_flip.pd")))
     assert f == expect
-    holds = prop_mm_check(k)
-    for face in range(len(faces(k))):
-        assert jones_via_bichromate(k, face, route="kk") == f, face
+    holds = prop_mm_check(k, medians)
+    for face, m in medians.items():
+        assert jones_via_bichromate(k, m, route="kk") == f, face
         assert holds[face], face
 
 
@@ -129,18 +132,19 @@ def test_bichromate_route_equals_bracket():
     for name in ("trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
-        for face in range(len(faces(k))):
-            assert jones_via_bichromate(k, face, route="kk") == f
+        for m in median_graphs(k).values():
+            assert jones_via_bichromate(k, m, route="kk") == f
 
 
 def test_uniform_sign_route():
     tre = load_fixture("trefoil.pd", parse_pd)
-    assert jones_via_bichromate(tre, 0, route="kkk") == kauffman_f(tre)
+    assert jones_via_bichromate(tre, median_graph(tre, 0), route="kkk") == \
+        kauffman_f(tre)
     fig8 = load_fixture("fig8.pd", parse_pd)
     with pytest.raises(ValueError):
-        jones_via_bichromate(fig8, 0, route="kkk")
+        jones_via_bichromate(fig8, median_graph(fig8, 0), route="kkk")
     with pytest.raises(ValueError):
-        jones_via_bichromate(tre, 0, route="bogus")
+        jones_via_bichromate(tre, median_graph(tre, 0), route="bogus")
 
 
 def test_state_loops_match_port_walk_oracle():

@@ -1,11 +1,14 @@
-"""Every fold of the subset histogram against a side that does not read it.
+"""Every subset-side function against a side that does not read it.
 
-Each subset-side function sums Multigraph.subset_statistics per the part
-of the key it reads; a fold that groups by the wrong part, or drops a
-key's sign or size, changes its value on some drawn multigraph.  The
-other sides are state sums (statmech, mq_direct), deletion-contraction
-(oracles.tutte_poly) and, for q_bichromate, the bichromate at q = 1 and
-the colouring sum at x = -1.
+potts_fk, the q-Potts subset form (qpotts_pair, ising_pair) and
+mq_subset are cluster sums of Multigraph.cluster_sums; the other
+subset-side functions sum Multigraph.subset_statistics per the part of
+the key they read.  A fold that groups by the wrong part, drops a key's
+sign or size, or weighs a component by the wrong factor changes its
+value on some drawn multigraph.  The other sides are state sums
+(statmech, mq_direct), deletion-contraction (oracles.tutte_poly) and,
+for q_bichromate, the bichromate at q = 1 and the colouring sum at
+x = -1.
 """
 
 from fractions import Fraction

@@ -1,28 +1,26 @@
 """Multigraphs, their enumeration kernels, and the shared text format.
 
 Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
-parallel edges are allowed.  A subset expansion with one factor per
-component of (V, A) (the random-cluster and q-Potts forms, the
-q-chromatic inclusion-exclusion) is a cluster sum of
-Multigraph.cluster_sums, which sweeps a vertex frontier and folds each
-component's factor in as the component closes; the expansions that also
-read |A| or the odd-degree count (the Tutte, Whitney-rank and bichromate
-polynomials, the high-temperature expansion, the bracket's subset route)
-fold the histogram of Multigraph.subset_statistics.  Every agree/differ
-state sum folds Multigraph.state_sums; a defected coloring sum is a
-state sum over the proper colorings with defect lists, and without
-defects it is the q-chromatic sum.  subset_statistics walks all 2^|E|
-edge subsets depth-first, in integers: Fraction weights are split into
-numerator and denominator, and each histogram value is divided once at
-the end.  A fold reads only part of each key, so it sums the histogram
-per that part with group_sums and computes one factor per group.
-state_sums and cluster_sums place the vertices in one order
-(_sweep_order) and keep only what a frontier needs, the spins or the
-partition into open components, so their cost grows with the
-frontier's width, not with |V| or |E|; they too run in integers, each
-with its own scaling.  The per-subset queries index an edge subset by a
-bitmask where bit i selects edges[i]: component_counts lists the
-component count of every subset from one rollback walk, and
+parallel edges are allowed.  Every subset expansion is a frontier
+sweep.  One with a factor per component of (V, A) is a cluster sum of
+Multigraph.cluster_sums, which folds each component's factor in as the
+component closes; its cycle weight, paid by each chosen edge that closes
+a cycle, lets an expansion that also reads |A| (the Tutte, Whitney-rank,
+bichromate and q-bichromate polynomials, the bracket's subset route)
+pack its counts into the digits of one row.  The high-temperature
+expansion reads the odd-degree count, which Multigraph.parity_sums keys
+on instead.  Every agree/differ state sum folds Multigraph.state_sums;
+a defected coloring sum is a state sum over the proper colorings with
+defect lists, and without defects it is the q-chromatic sum.  The three
+sweeps place the vertices in one order (_sweep_order) and keep only
+what a frontier needs, its spins, its partition into open components or
+its degree parities, so their cost grows with the frontier's width, not
+with |V| or |E|, and none recurses.  They run in integers: the subset
+sweeps split each Fraction weight into numerator and denominator
+(_split_weights) and divide once at the end, and state_sums scales each
+edge's pair by its own denominator.  The per-subset queries index an
+edge subset by a bitmask where bit i selects edges[i]: component_counts
+lists the component count of every subset from one rollback walk, and
 odd_degree_count reads one mask.
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
@@ -106,124 +104,86 @@ class Multigraph(_Record):
     def edge_count(self):
         return len(self.edges)
 
-    def subset_statistics(self, weights=None):
-        """Histogram of all 2^m edge subsets A, as {(sorted component
-        sizes of (V, A), |A|, odd-degree count of (V, A)): summed weight}.
-
-        A subset weighs the product of weights[i] over its edges (ints or
-        Fractions), or 1 when weights is None.  Every key that some subset
-        reaches is kept, even when its weights cancel to zero.  The values
-        are ints for int weights and Fractions when any weight is a
-        Fraction.  Any other weight that multiplies with ints is summed as
-        it is.
-
-        The walk is depth-first, edge by edge, with a union-find that
-        rolls back on backtrack (union by size, no path compression).  It
-        runs in integers: a Fraction weight p/q is the pair (p, q), and a
-        chosen edge multiplies the running weight by p, a left-out one by
-        q.  Each sum then carries the product of all the q's, and is
-        divided by it once at the end.  The walk recurses once per edge
-        on purpose: a graph with more edges than Python's recursion limit
-        allows fails with a RecursionError, whose 2^m subsets no caller
-        could wait for anyway.
-
-        >>> path = Multigraph(3, ((1, 2), (2, 3)))
-        >>> stats = path.subset_statistics([Fraction(1, 2), Fraction(-1, 2)])
-        >>> for key in sorted(stats):
-        ...     print(key, stats[key])
-        ((1, 1, 1), 0, 0) 1
-        ((1, 2), 1, 2) 0
-        ((3,), 2, 2) -1/4
+    def _subset_sweep(self, weights):
+        """The frontier steps that cluster_sums and parity_sums share:
+        (steps, loops, scale, fractional).  Each weight, an int w or a
+        Fraction p/q, becomes the pair of ints (take, leave), (w, 1) or
+        (p, q): its edge's factor when chosen and when left out.  The
+        vertices are placed in state_sums' order (edges make two vertices
+        neighbours), and the frontier is the placed vertices that still
+        have an unplaced neighbour.  steps holds, per placed vertex v,
+        (bundles, keep, stay): bundles lists (frontier position of u, the
+        pairs of the edges between u and v) per placed neighbour u, keep
+        the positions that stay on the frontier, and stay whether v
+        joins it.  loops lists the loops' pairs, scale is the product of
+        every leave, by which a sweep divides once at the end, and
+        fractional is whether any weight is a Fraction.
         """
-        edges = self.edges
-        m = len(edges)
-        if weights is None:
-            weights = (1,) * m
-        elif len(weights) != m:
-            raise ValueError("got %d weights for %d edges" % (len(weights), m))
-        # the factor when edge i is chosen, and when it is left out
-        fractional = [isinstance(w, Fraction) for w in weights]
-        take = [w.numerator if f else w for w, f in zip(weights, fractional)]
-        leave = [w.denominator if f else 1 for w, f in zip(weights, fractional)]
-        parent = list(range(self.vertex_count + 1))
-        size = [1] * (self.vertex_count + 1)
-        # the sizes of the roots, in no order
-        sizes = [1] * self.vertex_count
-        odd = [0] * (self.vertex_count + 1)
-        histogram = {}
+        if len(weights) != len(self.edges):
+            raise ValueError("got %d weights for %d edges"
+                             % (len(weights), len(self.edges)))
+        links = [{} for _ in range(self.vertex_count + 1)]
+        loops = []
+        scale = 1
+        fractional = False
+        for (u, v), w in zip(self.edges, weights):
+            if isinstance(w, Fraction):
+                fractional = True
+                pair = w.numerator, w.denominator
+                scale *= w.denominator
+            else:
+                pair = w, 1
+            if u == v:
+                loops.append(pair)
+            else:
+                links[u].setdefault(v, []).append(pair)
+                links[v][u] = links[u][v]
+        placed = [False] * (self.vertex_count + 1)
+        unplaced_neighbours = list(map(len, links))
+        front = []
+        steps = []
+        for v in _sweep_order(links):
+            placed[v] = True
+            bundles = []
+            for u, pairs in links[v].items():
+                if placed[u]:
+                    bundles.append((front.index(u), pairs))
+                    unplaced_neighbours[u] -= 1
+                    unplaced_neighbours[v] -= 1
+            keep = [i for i, u in enumerate(front) if unplaced_neighbours[u]]
+            stay = unplaced_neighbours[v] > 0
+            front = [front[i] for i in keep]
+            if stay:
+                front.append(v)
+            steps.append((bundles, keep, stay))
+        return steps, loops, scale, fractional
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        def walk(i, chosen, odd_count, weight):
-            if i == m:
-                key = (tuple(sorted(sizes)), chosen, odd_count)
-                old = histogram.get(key)
-                histogram[key] = weight if old is None else old + weight
-                return
-            q = leave[i]
-            walk(i + 1, chosen, odd_count, weight if q == 1 else weight * q)
-            u, v = edges[i]
-            # A loop flips its vertex twice, so its parity is unchanged.
-            odd[u] ^= 1
-            odd_count += 2 * odd[u] - 1
-            odd[v] ^= 1
-            odd_count += 2 * odd[v] - 1
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                if size[ru] < size[rv]:
-                    ru, rv = rv, ru
-                a, b = size[ru], size[rv]
-                parent[rv] = ru
-                size[ru] = a + b
-                sizes.remove(a)
-                sizes.remove(b)
-                sizes.append(a + b)
-            walk(i + 1, chosen + 1, odd_count, weight * take[i])
-            if ru != rv:
-                sizes.remove(a + b)
-                sizes.append(a)
-                sizes.append(b)
-                size[ru] = a
-                parent[rv] = rv
-            odd[u] ^= 1
-            odd[v] ^= 1
-
-        walk(0, 0, 0, 1)
-        if True not in fractional:
-            return histogram
-        inverse = Fraction(1, prod(leave))
-        return {key: x * inverse for key, x in histogram.items()}
-
-    def cluster_sums(self, weights, factor):
+    def cluster_sums(self, weights, factor, cycle=1):
         """The sum over all edge subsets A of the product of weights[i]
-        over the edges of A times the product, over the components W of
-        (V, A), of the factor of W, as a dense row: row[i] is the
-        coefficient of x^i, and trailing zeros are dropped (a zero sum
-        is []).
+        over the edges of A, times cycle^(|A| - |V| + c(A)), times the
+        product, over the components W of (V, A), of the factor of W, as
+        a dense row: row[i] is the coefficient of x^i, and trailing zeros
+        are dropped (a zero sum is []).
 
         factor is a function from a component's size to its dense int
         row, or one such row that every component takes.  The weights are
-        ints or Fractions; the entries are ints for int weights and
-        Fractions when any weight is a Fraction.
+        ints or Fractions and the cycle weight is an int; the entries are
+        ints for int weights and Fractions when any weight is a Fraction.
+        |A| - |V| + c(A) is the nullity of A, the number of its chosen
+        edges that close a cycle: with the factor x, a large cycle
+        weight packs the counts per (c(A), |A|) into the digits of a row.
 
-        The sweep places the vertices in state_sums' order (edges make
-        two vertices neighbours).  The frontier is the placed vertices
-        that still have an unplaced neighbour, and the sweep keeps
-        {(the partition of the frontier into the components of the
-        chosen edges, the size of each block): row}.  Placing v decides
-        at once every edge between v and a placed vertex: the parallel
-        edges to one neighbour join it when any of them is chosen.  A
-        block whose last frontier vertex leaves is a whole component: its
-        factor is multiplied into the row and its size is forgotten, so
-        no key holds a closed component.  With one row for every size the
-        key is the partition alone.  On a path the frontier is one
-        vertex, so there are at most |V| keys, and one without sizes.  It
-        runs in integers: a Fraction weight p/q contributes p when its
-        edge is chosen and q when it is left out, and the sum is divided
-        once by the product of the q's at the end.
+        The sweep (see _subset_sweep) keeps {(the partition of the
+        frontier into the components of the chosen edges, the size of
+        each block): row}.  Placing v decides at once every edge between
+        v and a placed vertex: the parallel edges to one neighbour join
+        it when any of them is chosen, and each of them chosen beyond
+        the first closes a cycle, as does a second link from v into one
+        block and every chosen loop.  A block whose last frontier vertex
+        leaves is a whole component: its factor is multiplied into the
+        row and its size is forgotten, so no key holds a closed
+        component.  With one row for every size the key is the partition
+        alone.
 
         With weight -1 and 1 + x^s for a component of size s, it is the
         sum of x^(sum of colors) over the proper colorings with colors
@@ -234,62 +194,35 @@ class Multigraph(_Record):
         [0, 1, 1]
         >>> path.cluster_sums([Fraction(1, 2), -1], [3])
         [Fraction(21, 1)]
+
+        With weight 1, the factor x and cycle weight 8, entry c holds in
+        base 8 the number of subsets with c components per nullity: of
+        the triangle's one-component subsets, three are paths and one
+        closes a cycle.
+
+        >>> triangle = Multigraph(3, ((1, 2), (2, 3), (1, 3)))
+        >>> triangle.cluster_sums([1, 1, 1], [0, 1], 8)
+        [0, 11, 3, 1]
         """
-        n = self.vertex_count
-        if len(weights) != len(self.edges):
-            raise ValueError("got %d weights for %d edges"
-                             % (len(weights), len(self.edges)))
-        # bundles[x][y] and bundles[y][x] share [leave all, any choice] for
-        # x != y: the scaled weight products of the edges between x and y
-        # when none of them is chosen, and over every choice of them.
-        bundles = [{} for _ in range(n + 1)]
-        scale = 1
-        loops = 1
-        fractional = False
-        for (u, v), w in zip(self.edges, weights):
-            if isinstance(w, Fraction):
-                fractional = True
-                take, leave = w.numerator, w.denominator
-            else:
-                take, leave = w, 1
-            scale *= leave
-            if u == v:
-                loops *= take + leave
-            elif v in bundles[u]:
-                entry = bundles[u][v]
-                entry[0] *= leave
-                entry[1] *= take + leave
-            else:
-                bundles[u][v] = bundles[v][u] = [leave, take + leave]
+        steps, loops, scale, fractional = self._subset_sweep(weights)
+        loop = prod([take * cycle + leave for take, leave in loops])
         sized = callable(factor)
-        if sized:
-            rows = {}
-        else:
-            factor = _sparse(factor)
-        placed = [False] * (n + 1)
-        unplaced_neighbours = list(map(len, bundles))
-        front = []
+        rows = {}
+        factor = factor if sized else _sparse(factor)
         # A key is the block of each frontier vertex, numbered in order of
         # first appearance, and the size of each block (empty unsized).
         states = {((), ()): [1]}
-        for v in _sweep_order(bundles):
-            placed[v] = True
-            links = []
-            for u, (apart, every) in bundles[v].items():
-                if placed[u]:
-                    links.append((front.index(u), apart, every - apart))
-                    unplaced_neighbours[u] -= 1
-                    unplaced_neighbours[v] -= 1
-            # (weight, frontier positions joined to v) per choice of links
+        for bundles, keep, stay in steps:
+            # (weight, frontier positions joined to v) per choice of bundles
             choices = [(1, ())]
-            for i, apart, join in links:
+            for i, pairs in bundles:
+                # none chosen, and some, each beyond the first a cycle
+                join, apart = pairs[0]
+                for take, leave in pairs[1:]:
+                    join = join * (take * cycle + leave) + apart * take
+                    apart *= leave
                 choices = [(w * apart, joined) for w, joined in choices] + [
                     (w * join, joined + (i,)) for w, joined in choices if join]
-            keep = [i for i, u in enumerate(front) if unplaced_neighbours[u]]
-            stay = unplaced_neighbours[v] > 0
-            front = [front[i] for i in keep]
-            if stay:
-                front.append(v)
             new = {}
             for (blocks, sizes), row in states.items():
                 # v's block is number b until the renumbering
@@ -298,6 +231,10 @@ class Multigraph(_Record):
                     into = list(range(b + 1))
                     for i in joined:
                         into[blocks[i]] = b
+                    if cycle != 1 and len(joined) > 1:
+                        # a second link into one block closes a cycle
+                        w *= cycle ** (len(joined)
+                                       - len({blocks[i] for i in joined}))
                     seq = [into[blocks[i]] for i in keep]
                     if stay:
                         seq.append(b)
@@ -329,12 +266,60 @@ class Multigraph(_Record):
                     new[key] = out if old is None else _plus_row(old, out)
             states = new
         (row,) = states.values()
-        while row and not row[-1]:
-            row.pop()
-        row = [c * loops for c in row] if loops else []
-        if fractional:
-            return [Fraction(c, scale) for c in row]
-        return row
+        return _finish(row, loop, scale, fractional)
+
+    def parity_sums(self, weights):
+        """The sum over all edge subsets A of the product of weights[i]
+        over the edges of A, by the number of odd-degree vertices of
+        (V, A), as a dense row: row[o] is the sum over the subsets with o
+        odd vertices; trailing zeros are dropped, and the entries are
+        typed as in cluster_sums.
+
+        The sweep (see _subset_sweep) keeps {the degree parity of each
+        frontier vertex: row}, row[o] summing the choices so far with o
+        odd vertices off the frontier.  Placing v decides the parallel
+        edges between v and each placed neighbour by the parity of how
+        many are chosen: an even choice weighs (P + M) / 2 and an odd one,
+        which flips both ends, (P - M) / 2, P being the product of take +
+        leave over those edges and M that of leave - take.  A loop keeps
+        every parity and multiplies every subset by take + leave.
+
+        >>> path = Multigraph(3, ((1, 2), (2, 3)))
+        >>> path.parity_sums([2, 3])
+        [1, 0, 11]
+        """
+        steps, loops, scale, fractional = self._subset_sweep(weights)
+        loop = prod([take + leave for take, leave in loops])
+        states = {(): [1]}
+        for bundles, keep, stay in steps:
+            # (weight, frontier positions flipped) per choice of parities
+            choices = [(1, ())]
+            for i, pairs in bundles:
+                plus = minus = 1
+                for take, leave in pairs:
+                    plus *= leave + take
+                    minus *= leave - take
+                even, odd = (plus + minus) // 2, (plus - minus) // 2
+                choices = [(w * even, flips) for w, flips in choices
+                           if even] + [(w * odd, flips + (i,))
+                                       for w, flips in choices if odd]
+            new = {}
+            for parities, row in states.items():
+                for w, flips in choices:
+                    bits = list(parities)
+                    for i in flips:
+                        bits[i] ^= 1
+                    # v's parity is the number of odd choices it made
+                    bits.append(len(flips) & 1)
+                    key = tuple([bits[i] for i in keep]) + (bits[-1],) * stay
+                    closed = sum(bits) - sum(key)
+                    out = [0] * closed + [c * w for c in row]
+                    old = new.get(key)
+                    new[key] = out if old is None else _plus_row(old, out)
+            states = new
+        # every choice at some vertex may weigh 0
+        row = next(iter(states.values()), [])
+        return _finish(row, loop, scale, fractional)
 
     def state_sums(self, spins, weights, defects=None):
         """Histogram of all states s: V -> spins, as {sum of s(v) minus the
@@ -473,8 +458,7 @@ class Multigraph(_Record):
         vertices included.
 
         One depth-first walk, edge by edge, with a union-find that rolls
-        back on backtrack (union by size, no path compression), as in
-        subset_statistics.
+        back on backtrack (union by size, no path compression).
 
         >>> Multigraph(3, ((1, 2), (2, 3), (1, 1))).component_counts()
         [3, 2, 2, 1, 3, 2, 2, 1]
@@ -560,6 +544,17 @@ def _sweep_order(links):
     return order
 
 
+def _finish(row, loop, scale, fractional):
+    """A sweep's last row without trailing zeros, times the loops' factor
+    and divided by the scale: Fractions when any weight was one."""
+    while row and not row[-1]:
+        row.pop()
+    row = [c * loop for c in row] if loop else []
+    if fractional:
+        return [Fraction(c, scale) for c in row]
+    return row
+
+
 def _sparse(f):
     """A dense factor row as (its length, [(i, f[i]) for its nonzero
     entries]): the quantum integers that factor rows hold are mostly
@@ -588,24 +583,6 @@ def _plus_row(a, b):
     for i, x in enumerate(b):
         out[i] += x
     return out
-
-
-def group_sums(pairs):
-    """{group: the sum of its values} over (group, value) pairs.
-
-    A group's first value is stored as it is, not added to 0.  Each
-    subset fold reads only part of a subset_statistics key, so it sums
-    the histogram per that part here and then computes one factor per
-    group instead of one per key.
-
-    >>> group_sums([("a", 1), ("b", 2), ("a", 3)])
-    {'a': 4, 'b': 2}
-    """
-    sums = {}
-    for group, value in pairs:
-        old = sums.get(group)
-        sums[group] = value if old is None else old + value
-    return sums
 
 
 def _content_lines(text):

@@ -23,9 +23,9 @@ from collections import Counter
 from math import comb
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
-                        _Record, group_sums)
+                        _Record)
 from .polyq import LaurentPoly
-from .qchrom import bichromate
+from .qchrom import _digits, bichromate
 
 
 class Crossing(_Record):
@@ -395,7 +395,8 @@ def jones_via_bichromate(k, m, route="kk"):
 
     route="kk" (any signs): sum over median edge subsets B of
     (-A^2-A^-2)^(2c(B)+|B|-|V|-1) * A^(2 * sum of eta over B), times the
-    prefactor (-A)^(-3W) * A^(-sum of eta).
+    prefactor (-A)^(-3W) * A^(-sum of eta), counted by one cluster sum
+    of the median graph.
 
     route="kkk": the same sum read off the bichromate polynomial of the
     median graph; valid only when all crossing signs agree and all eta
@@ -410,33 +411,30 @@ def jones_via_bichromate(k, m, route="kk"):
     w = k.writhe
     sign = -1 if w % 2 else 1
     if route == "kk":
-        # In integers: an eta = +1 edge weighs x, an eta = -1 edge 1, so a
-        # histogram value holds, in base x, the number of its subsets with
-        # p chosen eta = +1 edges as digit p; each is below 2^r < x.
-        x = 1 << (k.r + 1)
-        weights = [x if e == 1 else 1 for e in m.eta]
-        groups = group_sums(((2 * len(sizes) + chosen - nv - 1, chosen), value)
-                            for (sizes, chosen, _), value
-                            in m.graph.subset_statistics(weights).items())
-        # B weighs A^(2 (2p - |B|)) d^e, d^e = (-1)^e sum over j of
-        # C(e, j) A^(4j - 2e), and the prefactor shifts every exponent by
-        # -3W - sum of eta.
+        # An eta = +1 edge weighs x = 2^(r+1), an eta = -1 edge 1, and a
+        # cycle x^(r+1), so entry c (components) holds, as base-x digit
+        # p + (r+1) k, the number (at most 2^r) of subsets with p chosen
+        # eta = +1 edges and nullity k.
+        bits = k.r + 1
+        weights = [1 << bits if e == 1 else 1 for e in m.eta]
+        row = m.graph.cluster_sums(weights, [0, 1], 1 << bits * bits)
+        # B weighs A^(2 (2p - |B|)) d^e with e = 2c + |B| - |V| - 1, d^e =
+        # (-1)^e sum over j of C(e, j) A^(4j - 2e), and the prefactor
+        # shifts every exponent by -3W - sum of eta.
         offset = -3 * w - sum(m.eta)
         powers = {}
-        for (exponent, chosen), value in groups.items():
-            if exponent < 0:
-                raise AssertionError("negative loop exponent %d" % exponent)
-            signed = sign * (-1) ** exponent
-            p = 0
-            while value:
-                value, count = divmod(value, x)
-                if count:
-                    base = offset + 2 * (2 * p - chosen) - 2 * exponent
-                    for j in range(exponent + 1):
-                        e = base + 4 * j
-                        powers[e] = (powers.get(e, 0)
-                                     + signed * comb(exponent, j) * count)
-                p += 1
+        for c, value in enumerate(row):
+            for digit, count in _digits(value, bits):
+                nullity, p = divmod(digit, bits)
+                chosen = nullity + nv - c
+                exponent = 2 * c + chosen - nv - 1
+                if exponent < 0:
+                    raise AssertionError("negative loop exponent %d" % exponent)
+                signed = sign * (-1) ** exponent * count
+                base = offset + 2 * (2 * p - chosen) - 2 * exponent
+                for j in range(exponent + 1):
+                    e = base + 4 * j
+                    powers[e] = powers.get(e, 0) + signed * comb(exponent, j)
         return LaurentPoly.from_powers("A", powers)
     d = _loop_variable()
     a = LaurentPoly.variable("A")

@@ -14,9 +14,9 @@ this one, lays out one chord diagram per flow configuration.
 """
 
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
-from .graphcore import Multigraph, group_sums
+from .graphcore import Multigraph
 from .polyq import (LaurentPoly, _divide_one_minus, _times_one_minus,
                     qbinom)
 
@@ -49,16 +49,6 @@ def _qint_row(n, s):
     return _divide_one_minus(_times_one_minus([1], s * n), s)
 
 
-def _component_qints(sizes, n):
-    """Product over component sizes s of the quantum integer of n in base
-    q^s, (1 - q^(sn)) / (1 - q^s): one multiply and one exact divide
-    pass per size over a dense int row."""
-    row = [1]
-    for s in sizes:
-        row = _divide_one_minus(_times_one_minus(row, s * n), s)
-    return LaurentPoly.from_powers("q", dict(enumerate(row)))
-
-
 def mq_complete(k, n):
     """Closed form for the complete graph on k vertices.
 
@@ -79,10 +69,27 @@ def bichromate(g):
 
 
 def _count_chosen(g):
-    """{(c(A), |A|): number of edge subsets A}."""
-    return group_sums(((len(sizes), chosen), count)
-                      for (sizes, chosen, _), count
-                      in g.subset_statistics().items())
+    """{(c(A), |A|): number of edge subsets A}: entry c of the cluster
+    sum with the factor x and cycle weight Y = 2^(m+1) holds, as base-Y
+    digit k, the number (at most 2^m) with nullity k = |A| - |V| + c."""
+    bits = g.edge_count + 1
+    row = g.cluster_sums((1,) * g.edge_count, [0, 1], 1 << bits)
+    return {(c, nullity + g.vertex_count - c): count
+            for c, value in enumerate(row)
+            for nullity, count in _digits(value, bits)}
+
+
+def _digits(value, bits):
+    """(k, digit k) for each nonzero digit of the int value >= 0 in base
+    2^bits, lowest first: the counts a cluster sum packs into one entry."""
+    mask = (1 << bits) - 1
+    k = 0
+    while value:
+        digit = value & mask
+        if digit:
+            yield k, digit
+        value >>= bits
+        k += 1
 
 
 def tutte(g, form="tutte"):
@@ -91,7 +98,7 @@ def tutte(g, form="tutte"):
     form="tutte": sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
     form="whitney-rank": sum over A of u^(r(E)-r(A)) v^(|A|-r(A)).
     The Tutte form equals the Whitney-rank form with u, v replaced by
-    x-1, y-1.
+    x-1, y-1.  Both read the (c(A), |A|) counts of _count_chosen.
     """
     if form not in ("tutte", "whitney-rank"):
         raise ValueError("form must be 'tutte' or 'whitney-rank', got %r" % form)
@@ -103,15 +110,25 @@ def tutte(g, form="tutte"):
              for (c, chosen), count in counts.items()}
     if form == "whitney-rank":
         return LaurentPoly(("u", "v"), ranks)
-    # (x-1)^a (y-1)^b expanded by the binomial theorem, in integers
-    terms = {}
+    width = 1 + max(b for _, b in ranks)
+    grid = [[0] * width for _ in range(1 + max(a for a, _ in ranks))]
     for (a, b), count in ranks.items():
-        for i in range(a + 1):
-            xi = count * comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                yj = comb(b, j) * (-1) ** (b - j)
-                terms[i, j] = terms.get((i, j), 0) + xi * yj
-    return LaurentPoly(("x", "y"), terms)
+        grid[a][b] = count
+    # (y-1)^b expanded along each row, then (x-1)^a down each column
+    columns = zip(*[_at_minus_one(row) for row in grid])
+    return LaurentPoly(("x", "y"), {(i, j): c
+                                    for j, column in enumerate(columns)
+                                    for i, c in enumerate(_at_minus_one(column))})
+
+
+def _at_minus_one(row):
+    """The dense int row of the sum of row[k] (z - 1)^k, by Horner's rule:
+    one (1 - z) pass, negated, per k."""
+    out = []
+    for c in reversed(row):
+        out = [-v for v in _times_one_minus(out, 1)]
+        out[0] += c
+    return out
 
 
 def q_bichromate(g, y):
@@ -120,20 +137,19 @@ def q_bichromate(g, y):
 
     y must be a positive integer so every component factor is a polynomial.
     At q=1 this reduces to the bichromate with a specialized to y and b to x.
+
+    It is the cluster sum with weight X on every edge and the quantum
+    integer of y in base q^s for a component of size s: entry e holds,
+    as base-X digit j, the coefficient of q^e x^j, a sum of at most 2^m
+    coefficients of at most y^|V| each, so X = 2^m 2^b, y^|V| < 2^b.
     """
     if y < 1:
         raise ValueError("need y >= 1, got %d" % y)
-    groups = group_sums(((sizes, chosen), count)
-                        for (sizes, chosen, _), count
-                        in g.subset_statistics().items())
-    # {sizes: {|A|: count}}, so each product of quantum integers is one factor
-    by_sizes = {}
-    for (sizes, chosen), count in groups.items():
-        by_sizes.setdefault(sizes, {})[chosen] = count
-    out = LaurentPoly()
-    for sizes, powers in by_sizes.items():
-        out = out + LaurentPoly.from_powers("x", powers) * _component_qints(sizes, y)
-    return out
+    bits = g.edge_count + (y ** g.vertex_count).bit_length()
+    row = g.cluster_sums((1 << bits,) * g.edge_count, lambda s: _qint_row(y, s))
+    return LaurentPoly(("q", "x"), {(e, j): count
+                                    for e, value in enumerate(row)
+                                    for j, count in _digits(value, bits)})
 
 
 def mdef_chord(chords, n):

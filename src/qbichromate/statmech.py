@@ -12,11 +12,10 @@ Ising model they run over -1, +1.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
-from .graphcore import (ParseError, _content_lines, _numbers, _Record,
-                        group_sums)
-from .polyq import LaurentPoly
+from .graphcore import ParseError, _content_lines, _numbers, _Record
+from .polyq import LaurentPoly, _times_one_minus
 from .qchrom import _qint_row
 
 
@@ -178,21 +177,29 @@ def vdw_pair(g, w):
     Second component: the product of c_e over all edges, times the sum
     over edge subsets A of the product of h_e/c_e over A, times
     (q - q^-1)^o(A) (q + q^-1)^(|V| - o(A)), where o(A) counts odd-degree
-    vertices of (V, A).
+    vertices of (V, A).  Multigraph.parity_sums sums the products per
+    o(A) by a sweep over the degree parities of a vertex frontier, so
+    the expansion shares no kernel with ising_direct's state sum.  With
+    z = q^2 the sum is q^-|V| times the sum over o of its row[o] (z -
+    1)^o (z + 1)^(|V| - o), built in ints one o at a time.
     """
     _require_kind(w, "ch", "vdw_pair")
     w.check_edge_count(g)
     direct = ising_direct(g, w)
-    q = LaurentPoly.variable("q")
-    minus = q - q ** -1
-    plus = q + q ** -1
-    ratios = [h / c for c, h in w.values]
-    groups = group_sums((odd, weight) for (_, _, odd), weight
-                        in g.subset_statistics(ratios).items())
-    expansion = LaurentPoly()
-    for odd, weight in groups.items():
-        expansion = expansion + weight * minus ** odd * plus ** (g.vertex_count - odd)
-    return direct, expansion * prod(c for c, _ in w.values)
+    row = g.parity_sums([h / c for c, h in w.values])
+    scale = lcm(*[x.denominator for x in row])
+    # total (z + 1) + row[o] (z - 1)^o per o, power being (1 - z)^o,
+    # which is (z - 1)^o: a subset has an even number of odd vertices
+    total, power = [], [1]
+    for o in range(g.vertex_count + 1):
+        x = int(row[o] * scale) if o < len(row) else 0
+        total = [a + b + x * c
+                 for a, b, c in zip(total + [0], [0] + total, power)]
+        power = _times_one_minus(power, 1)
+    factor = Fraction(prod(c for c, _ in w.values), scale)
+    expansion = LaurentPoly.from_powers(
+        "q", {2 * i - g.vertex_count: c * factor for i, c in enumerate(total)})
+    return direct, expansion
 
 
 def lemma_w_eval(g):

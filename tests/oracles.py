@@ -20,9 +20,12 @@ walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  components and component_count are the package's
 former per-subset queries, one fresh union-find per mask, kept as the
 reference for Multigraph.component_counts (one rollback walk over all
-masks) and for the subset-statistics histogram; cluster_sums_reference
-sums its component-factor products over every mask, as the reference
-for Multigraph.cluster_sums (a vertex frontier sweep).  poly_add_reference
+masks); cluster_sums_reference sums its component-factor products and
+cycle weights over every mask, reading c(A) from components, as the
+reference for Multigraph.cluster_sums (a vertex frontier sweep), and
+parity_sums_reference counts each mask's odd-degree vertices from its
+own edge list, as the reference for Multigraph.parity_sums (a sweep
+over degree parities).  poly_add_reference
 and poly_mul_reference are the package's former LaurentPoly sum and
 product, which build every result through the public validating
 constructor; the package's arithmetic now skips those checks for
@@ -260,22 +263,25 @@ def component_count(g, mask):
     return len(components(g, mask))
 
 
-def cluster_sums_reference(g, weights, factor):
+def cluster_sums_reference(g, weights, factor, cycle=1):
     """Multigraph.cluster_sums one mask at a time: each edge subset's
-    weight is a plain product of its weights, times one product of
-    factor rows over components(g, mask), added into a dense row whose
-    trailing zeros are then dropped.  factor is a function of a
+    weight is a plain product of its weights, times cycle^(|A| - |V| +
+    c(A)) with the components c(A) from components(g, mask), times one
+    product of factor rows over those components, added into a dense row
+    whose trailing zeros are then dropped.  factor is a function of a
     component's size or one row for every component."""
     if len(weights) != g.edge_count:
         raise ValueError("got %d weights for %d edges"
                          % (len(weights), g.edge_count))
     total = []
     for mask in range(1 << g.edge_count):
-        row = [1]
+        parts = components(g, mask)
+        nullity = bin(mask).count("1") - g.vertex_count + len(parts)
+        row = [cycle ** nullity]
         for i, w in enumerate(weights):
             if mask >> i & 1:
                 row = [w * c for c in row]
-        for component in components(g, mask):
+        for component in parts:
             f = factor(len(component)) if callable(factor) else factor
             out = [0] * (len(row) + len(f) - 1)
             for i, a in enumerate(row):
@@ -285,6 +291,34 @@ def cluster_sums_reference(g, weights, factor):
         total += [0] * (len(row) - len(total))
         for i, c in enumerate(row):
             total[i] += c
+    while total and not total[-1]:
+        total.pop()
+    if any(isinstance(w, Fraction) for w in weights):
+        return [Fraction(c) for c in total]
+    return total
+
+
+def parity_sums_reference(g, weights):
+    """Multigraph.parity_sums one mask at a time: each edge subset's
+    plain product of weights is added at the number of vertices whose
+    degree in the subset is odd, counted from the subset's edge list (a
+    loop adds 2 to its vertex), into a dense row whose trailing zeros
+    are then dropped."""
+    if len(weights) != g.edge_count:
+        raise ValueError("got %d weights for %d edges"
+                         % (len(weights), g.edge_count))
+    total = [0] * (g.vertex_count + 1)
+    for mask in range(1 << g.edge_count):
+        chosen = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+        degree = {}
+        for u, v in chosen:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        weight = 1
+        for i, w in enumerate(weights):
+            if mask >> i & 1:
+                weight *= w
+        total[sum(1 for d in degree.values() if d % 2)] += weight
     while total and not total[-1]:
         total.pop()
     if any(isinstance(w, Fraction) for w in weights):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -234,17 +234,43 @@ def test_order_vertex_out_of_range_exits_2(tmp_path, capsys):
     assert "out of range 1..2" in err
 
 
-def test_internal_fault_exits_3(tmp_path):
-    # 1999 edges: the Tutte polynomial's subset walk recurses past
-    # Python's default limit
-    graph = tmp_path / "path.g"
-    graph.write_text("vertices 2000\n"
-                     + "".join("%d %d\n" % (i, i + 1) for i in range(1, 2000)))
-    result = invoke(["tutte", "--graph", str(graph)])
-    assert result.returncode == 3
-    assert result.stderr.startswith("internal error: ")
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    # a kernel fault that is neither OSError nor ValueError
+    def broken(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(Multigraph, "cluster_sums", broken)
+    code, _ = run(["tutte", "--graph", fixture_path("tri.g")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def path200_result(argv, capsys):
+    """The result line of argv on path200.g (199 edges, 2^199 subsets)."""
+    code, _ = run(argv + ["--graph", fixture_path("path200.g")])
+    out = capsys.readouterr().out
+    assert code == 0
+    (line,) = [line for line in out.splitlines()
+               if line.startswith("result: ")]
+    return line[len("result: "):]
+
+
+def test_subset_polynomials_on_a_200_vertex_path(capsys):
+    # every subset of a tree's edges is a forest: c(A) = 200 - |A| and
+    # the nullity is 0
+    assert path200_result(["tutte"], capsys) == str(
+        LaurentPoly.variable("x") ** 199)
+    u = LaurentPoly.variable("u")
+    assert path200_result(["tutte", "--form", "whitney-rank"], capsys) == \
+        str((1 + u) ** 199)
+    a, b = LaurentPoly.variable("a"), LaurentPoly.variable("b")
+    want = LaurentPoly()
+    for j in range(200):
+        want += comb(199, j) * a ** (200 - j) * b ** j
+    assert path200_result(["bichromate"], capsys) == str(want)
 
 
 def test_potts_on_a_200_vertex_path(capsys):
@@ -261,6 +287,16 @@ def test_potts_on_a_200_vertex_path(capsys):
     assert code == 0
     assert "result: %s\n" % (3 * prod(3 + v for v in vs)) in out
     assert out.endswith("checked: 1 failed: 0\n")
+
+
+def test_vdw_on_a_200_vertex_path(capsys):
+    # 2^199 edge subsets in the high-temperature expansion
+    code, _ = run(["vdw", "--graph", fixture_path("path200.g"),
+                   "--couplings", fixture_path("path200.ch")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("PASS high-temperature expansion agrees\n"
+                        "checked: 1 failed: 0\n")
 
 
 def test_infeasible_chordal_structure_is_quiet(tmp_path):
@@ -354,6 +390,81 @@ def test_chordal_suite_output_is_pinned(z, emit, monkeypatch, capsys):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CHORDAL_SUITE_DIGESTS[z, emit]
+
+
+# sha256 of stdout, run from the repository root, as recorded while the
+# subset folds still walked all 2^|E| edge subsets.
+SUBSET_FOLD_DIGESTS = {
+    ("tutte --graph tests/fixtures/multi.g", "text"):
+        "464b5c03876688cbba378eb60272a7d1aebfbe014d5d6b7aaa0c6c64956153b5",
+    ("tutte --graph tests/fixtures/multi.g", "json"):
+        "c9aa8fcd1de00f49387f2cbb1fd5c436065dc603c5b9cdb01ccbf49bfeed45ad",
+    ("tutte --graph tests/fixtures/multi.g --form whitney-rank", "text"):
+        "99e845dc4de281f453b46227aba73a510ad2d6b2d0738664d8086cd07eb565a1",
+    ("tutte --graph tests/fixtures/multi.g --form whitney-rank", "json"):
+        "88fc0df62cf2ad9eec9f28ef41cba3ed4061debf088f2ccce0660b726470f212",
+    ("bichromate --graph tests/fixtures/multi.g", "text"):
+        "7be2e181d0595bb6cf33b25f98a2f05b9517c396796b4800903281aab5c3f337",
+    ("bichromate --graph tests/fixtures/multi.g", "json"):
+        "cf88c8e2fcdd7048d9acedb94d622e21d235c09a1f5f5a4dbf0a8d328ceac9f5",
+    ("qbichromate --graph tests/fixtures/multi.g --y 3", "text"):
+        "67f0cd81184479113bde8a94519c144c1a4bbe17358f3c460daaffd4db197a3b",
+    ("qbichromate --graph tests/fixtures/multi.g --y 3", "json"):
+        "148c5bc5f040dac2d3ef1d7415e4af690b0954069f2cefdd8c06d1d654079018",
+    ("tutte --graph tests/fixtures/loop.g", "text"):
+        "8d8f0a19cbc7c1b7d8427ce59c3c93f5e658a2bf1da261bbc1d19525568e7b5b",
+    ("tutte --graph tests/fixtures/loop.g", "json"):
+        "954b91f0ef482a2865ec737dd79898ab05d39f50603a5dfaba415ac1c16ac9b4",
+    ("tutte --graph tests/fixtures/loop.g --form whitney-rank", "text"):
+        "d7c819b231d0df607a94b99efce35e854aa58a8813c059a6d0d1355ad01ac40f",
+    ("tutte --graph tests/fixtures/loop.g --form whitney-rank", "json"):
+        "2c1fb8768c7cd8c25ef402271c31c163e85eae40db05a412898557331a4bd84e",
+    ("bichromate --graph tests/fixtures/loop.g", "text"):
+        "ab7a38003bce5eb594294439dd2918352706fee95d902376d2070c14a06f1ce6",
+    ("bichromate --graph tests/fixtures/loop.g", "json"):
+        "ac54dad166288f3e4d4f9daf26da6facf19ce9964391db010460c912046fbcc7",
+    ("qbichromate --graph tests/fixtures/loop.g --y 3", "text"):
+        "a619a5594c2cc6d6e831d072771ae4110cb68bd075cba52057325dacfffdb240",
+    ("qbichromate --graph tests/fixtures/loop.g --y 3", "json"):
+        "b1dfabdec9f4b747249d4499cfc9ee8cad82ad34361add19fae89dc3476316b3",
+    ("tutte --graph tests/fixtures/tri.g", "text"):
+        "f6969a7aa963e37c79468c9112b2ad0e552e2e49d26b15460ed3c4235cf40492",
+    ("tutte --graph tests/fixtures/tri.g", "json"):
+        "68018a00abecf9e84ae6fe0fa077a2f5ce8d3bcb67860b4e38d79d0e749d9b2e",
+    ("tutte --graph tests/fixtures/tri.g --form whitney-rank", "text"):
+        "ac3a236b0ddedbc59e175f25941fed70b9eb5531cb0c1801782c3153ba8a5b76",
+    ("tutte --graph tests/fixtures/tri.g --form whitney-rank", "json"):
+        "fb31df7cf06b492a6197e9637d97c1204545977ae66ca6d311eb2f3f630e5a97",
+    ("bichromate --graph tests/fixtures/tri.g", "text"):
+        "d125b53793a18a460fbe471fec876d7dbc0f99373d63afe56e7126429b510394",
+    ("bichromate --graph tests/fixtures/tri.g", "json"):
+        "dffb4048b5a8fd5e864c71840d84a958aca762c6092d0c226076435ce7f0797c",
+    ("qbichromate --graph tests/fixtures/tri.g --y 3", "text"):
+        "b8870ac17afec57c08025ab891b9543af063df98125030828e6c5c0c7935c8e8",
+    ("qbichromate --graph tests/fixtures/tri.g --y 3", "json"):
+        "53e58936df2489725772f25128148cf58f141835599250683d5d4499f4876d13",
+    ("vdw --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "text"):
+        "62165bcf8be0289c81eac2ee5f5340a5c0cbec716d3cb0e3d8c46209f1250430",
+    ("vdw --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "json"):
+        "7f57232c44eb5fa5e70b54c0cbc62972e6b15d9713d6516d857e674d92d78195",
+    ("vdw --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "text"):
+        "360e5d1bb35e963d3acf44bfe7bb1289255a16f76f67cdad58f905def323dc1a",
+    ("vdw --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "json"):
+        "11b15ee2b4468b98baffb2e72c7130f59bee87cb2eb77c4689a1c8862e62a619",
+    ("identities --suite bracket --pd tests/fixtures/trefoil_flip.pd", "text"):
+        "36f29da2c16f5f53660bf5b19f212055824dd25921c481719407f6475b6bc292",
+    ("identities --suite bracket --pd tests/fixtures/trefoil_flip.pd", "json"):
+        "695148724b0eb4ede58aa399ec777491af0e1ec8f664c0c72e3b2f383c5daae7",
+}
+
+
+@pytest.mark.parametrize("call, emit", sorted(SUBSET_FOLD_DIGESTS))
+def test_subset_fold_output_is_pinned(call, emit, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, _ = run(call.split() + ["--emit", emit])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SUBSET_FOLD_DIGESTS[call, emit]
 
 
 def test_colored_jones_routes_agree(capsys):

@@ -3,17 +3,18 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbichromate.graphcore import Multigraph, ParseError, group_sums, parse_graph
-from qbichromate.polyq import LaurentPoly
+from qbichromate.graphcore import Multigraph, ParseError, parse_graph
 from qbichromate.qchrom import mq_direct
 from qbichromate.statmech import potts_direct
 from conftest import load_fixture, uniform_v
 from oracles import (cluster_sums_reference, component_count, components,
-                     defected_sums_reference, state_sums_reference)
+                     defected_sums_reference, parity_sums_reference,
+                     state_sums_reference)
 
 
 def test_parse_basic():
@@ -68,84 +69,6 @@ def test_component_counts_match_per_mask_reference(catalog):
             component_count(g, mask) for mask in range(1 << g.edge_count)], g
     assert Multigraph(0, ()).component_counts() == [0]
     assert Multigraph(3, ()).component_counts() == [3]
-
-
-def reference_statistics(g, weights=None):
-    """The kernel's histogram rebuilt mask by mask from the per-subset
-    references."""
-    histogram = {}
-    for mask in range(1 << g.edge_count):
-        sizes = tuple(sorted(len(part) for part in components(g, mask)))
-        key = (sizes, bin(mask).count("1"), g.odd_degree_count(mask))
-        weight = 1
-        for i in range(g.edge_count):
-            if weights is not None and mask >> i & 1:
-                weight *= weights[i]
-        histogram[key] = histogram.get(key, 0) + weight
-    return histogram
-
-
-def subset_weight_sets(m):
-    """Weight lists for m edges, each with the value type its histogram
-    must have: int weights (zeros among them), Fractions (negative, with
-    several denominators, zero, and one of denominator 1, mixed with
-    ints) and monomial LaurentPolys, which no package caller passes but
-    the walk sums as they are."""
-    a = LaurentPoly.variable("A")
-    return [
-        ([(-1) ** i * (i % 4) for i in range(m)], int),
-        ([Fraction((-1) ** i * (i + 2), 2 * i + 3) for i in range(m)], Fraction),
-        ([(Fraction(0), Fraction(-6, 3), 5, Fraction(-7, 4))[i % 4]
-          for i in range(m)], Fraction),
-        ([a ** (2 if i % 3 else -2) for i in range(m)], LaurentPoly),
-    ]
-
-
-def test_subset_statistics_match_per_mask_reference(catalog):
-    graphs = list(catalog) + [Multigraph(0, ()), Multigraph(3, ())]
-    assert any(u == v for g in graphs for u, v in g.edges)
-    assert any(len(g.edges) != len(set(g.edges)) for g in graphs)
-    for g in graphs:
-        stats = g.subset_statistics()
-        assert stats == reference_statistics(g), g
-        assert all(type(x) is int for x in stats.values())
-        for weights, kind in subset_weight_sets(g.edge_count):
-            stats = g.subset_statistics(weights)
-            # dict equality: the same keys, those whose weights cancel to
-            # zero included, each with an equal value
-            assert stats == reference_statistics(g, weights), (g, weights)
-            if g.edge_count and kind is not LaurentPoly:
-                assert all(type(x) is kind for x in stats.values()), weights
-    # the zero-valued keys are really there
-    pair = Multigraph(2, ((1, 2), (1, 2)))
-    assert pair.subset_statistics([Fraction(1, 2), Fraction(-1, 2)]) == \
-        {((1, 1), 0, 0): 1, ((2,), 1, 2): 0, ((2,), 2, 0): Fraction(-1, 4)}
-    assert pair.subset_statistics([0, 5]) == \
-        {((1, 1), 0, 0): 1, ((2,), 1, 2): 5, ((2,), 2, 0): 0}
-
-
-def test_subset_statistics_small_cases():
-    assert Multigraph(0, ()).subset_statistics() == {((), 0, 0): 1}
-    assert Multigraph(2, ()).subset_statistics() == {((1, 1), 0, 0): 1}
-    # a loop never merges components or changes degree parity
-    loop = Multigraph(2, ((1, 1), (1, 2)))
-    assert loop.subset_statistics() == {((1, 1), 0, 0): 1, ((1, 1), 1, 0): 1,
-                                         ((2,), 1, 2): 1, ((2,), 2, 2): 1}
-    assert loop.subset_statistics([3, 5]) == {((1, 1), 0, 0): 1,
-                                              ((1, 1), 1, 0): 3,
-                                              ((2,), 1, 2): 5,
-                                              ((2,), 2, 2): 15}
-    with pytest.raises(ValueError):
-        loop.subset_statistics([1])
-
-
-def test_group_sums():
-    assert group_sums([]) == {}
-    # a group's first value is kept as it is: no 0 + value
-    first = LaurentPoly.variable("A")
-    sums = group_sums([(1, first), (2, 3), (1, first), (2, Fraction(-3))])
-    assert sums == {1: 2 * first, 2: 0}
-    assert group_sums([(0, first)])[0] is first
 
 
 def reference_state_sums(g, spins, weights, defects=None):
@@ -211,11 +134,10 @@ ROW = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
 
 
 @st.composite
-def cluster_sum_inputs(draw):
+def weighted_multigraphs(draw):
     """A multigraph with loops, parallel edges and isolated vertices
-    (Multigraph(0, ()) included), int or Fraction weights with zeros and
-    negatives, and a factor: one row for every component, or rows of
-    several lengths that depend on the component's size."""
+    (Multigraph(0, ()) included) and its edge weights: ints, or
+    Fractions with ints among them, zeros and negatives included."""
     n = draw(st.integers(0, 6))
     ends = st.integers(1, n) if n else st.nothing()
     edges = draw(st.lists(st.tuples(ends, ends), max_size=8 if n else 0))
@@ -223,24 +145,52 @@ def cluster_sum_inputs(draw):
         edges += draw(st.lists(st.sampled_from(edges), max_size=2))
     weight = draw(st.sampled_from((
         st.integers(-3, 3),
-        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))))
+        st.integers(-3, 3) | st.builds(Fraction, st.integers(-4, 4),
+                                       st.integers(1, 4)))))
     weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Multigraph(n, tuple(edges)), weights
+
+
+@st.composite
+def cluster_sum_inputs(draw):
+    """A weighted multigraph, a factor (one row for every component, or
+    rows of several lengths that depend on the component's size) and a
+    cycle weight."""
+    g, weights = draw(weighted_multigraphs())
     if draw(st.booleans()):
         factor = draw(ROW)
     else:
-        rows = draw(st.lists(ROW, min_size=max(n, 1), max_size=max(n, 1)))
+        rows = draw(st.lists(ROW, min_size=max(g.vertex_count, 1),
+                             max_size=max(g.vertex_count, 1)))
         factor = lambda size: rows[size - 1]
-    return Multigraph(n, tuple(edges)), weights, factor
+    cycle = draw(st.sampled_from((1, -2, 3)) | st.builds(
+        lambda k: 1 << k, st.integers(1, 12)))
+    return g, weights, factor, cycle
+
+
+def value_type(weights):
+    return Fraction if any(type(w) is Fraction for w in weights) else int
 
 
 @settings(max_examples=300, deadline=None)
 @given(cluster_sum_inputs())
 def test_cluster_sums_match_per_mask_reference(drawn):
-    g, weights, factor = drawn
-    got = g.cluster_sums(weights, factor)
-    assert got == cluster_sums_reference(g, weights, factor)
-    kind = Fraction if any(type(w) is Fraction for w in weights) else int
-    assert all(type(c) is kind for c in got)
+    g, weights, factor, cycle = drawn
+    got = g.cluster_sums(weights, factor, cycle)
+    assert got == cluster_sums_reference(g, weights, factor, cycle)
+    if cycle == 1:
+        assert g.cluster_sums(weights, factor) == got
+    assert all(type(c) is value_type(weights) for c in got)
+    assert not got or got[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_multigraphs())
+def test_parity_sums_match_per_mask_reference(drawn):
+    g, weights = drawn
+    got = g.parity_sums(weights)
+    assert got == parity_sums_reference(g, weights)
+    assert all(type(c) is value_type(weights) for c in got)
     assert not got or got[-1]
 
 
@@ -265,6 +215,39 @@ def test_cluster_sums_small_cases():
         pair.cluster_sums([1], [1])
 
 
+def test_cluster_sums_cycle_weight_small_cases():
+    # a loop, and each parallel edge beyond the first, closes a cycle
+    loop = Multigraph(1, ((1, 1),))
+    assert loop.cluster_sums([5], [1], 3) == [16]
+    pair = Multigraph(2, ((1, 2), (1, 2), (1, 2)))
+    # one of three, two (one cycle) or all three (two cycles) make one
+    # component, none two
+    assert pair.cluster_sums([1, 1, 1], [0, 1], 10) == [0, 3 + 30 + 100, 1]
+    # two links from v into one block: the square's fourth edge
+    square = Multigraph(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+    assert square.cluster_sums([1] * 4, [0, 1], 100) == [0, 4 + 100, 6, 4, 1]
+    # cycle weight 0 keeps the forests
+    assert square.cluster_sums([1] * 4, [1], 0) == [15]
+    assert Multigraph(0, ()).cluster_sums([], [7], 5) == [1]
+
+
+def test_parity_sums_small_cases():
+    assert Multigraph(0, ()).parity_sums([]) == [1]
+    assert Multigraph(3, ()).parity_sums([]) == [1]
+    # a loop keeps every parity
+    loop = Multigraph(2, ((1, 1), (1, 2)))
+    assert loop.parity_sums([3, 5]) == [4, 0, 20]
+    # an even choice of parallel edges flips nothing
+    pair = Multigraph(2, ((1, 2), (1, 2)))
+    assert pair.parity_sums([Fraction(1, 2), 3]) == \
+        [Fraction(5, 2), 0, Fraction(7, 2)]
+    assert type(pair.parity_sums([Fraction(1, 2), 3])[0]) is Fraction
+    # even and odd choices both weigh 0
+    assert pair.parity_sums([1, -1]) == []
+    with pytest.raises(ValueError, match="got 1 weights for 2 edges"):
+        pair.parity_sums([1])
+
+
 def test_cluster_sums_deep_graphs():
     # the sweep must not recurse per edge: on a 2000-vertex path every
     # subset has 2000 - |A| components, and a cycle adds the whole one
@@ -274,6 +257,18 @@ def test_cluster_sums_deep_graphs():
     assert path.cluster_sums([1] * (n - 1), [3]) == [3 * 4 ** (n - 1)]
     assert cycle.cluster_sums([1] * n, [3]) == [4 ** n + 2]
     assert cycle.cluster_sums([0] * n, [2]) == [2 ** n]
+    # one cycle to close, with weight 5
+    assert cycle.cluster_sums([1] * n, [1], 5) == [2 ** n + 4]
+
+
+def test_parity_sums_deep_graphs():
+    # more edges than Python's default recursion limit
+    n = 1200
+    cycle = Multigraph(n, tuple((i, i % n + 1) for i in range(1, n + 1)))
+    # each even set of a cycle's vertices is the odd set of exactly two
+    # subsets, one the other's complement
+    assert cycle.parity_sums([1] * n) == [
+        0 if o % 2 else 2 * comb(n, o) for o in range(n + 1)]
 
 
 def test_state_sums_value_types():

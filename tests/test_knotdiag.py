@@ -113,8 +113,8 @@ def test_prop_mm():
 
 def test_mixed_eta_unknot():
     # the trefoil with crossing 1 flipped: an unknot whose two shadings
-    # have eta (1, -1, -1) and (-1, 1, 1), so the kk route's histogram
-    # values carry more than one count of eta = +1 edges
+    # have eta (1, -1, -1) and (-1, 1, 1), so the kk route's cluster-sum
+    # entries carry more than one count of eta = +1 edges
     k = load_fixture("trefoil_flip.pd", parse_pd)
     assert jones(k) == LaurentPoly.constant(1)
     medians = median_graphs(k)

@@ -86,6 +86,19 @@ def test_tutte_matches_deletion_contraction_oracle(catalog):
         assert got == oracles.tutte_poly(g.edges), g
 
 
+def test_tutte_past_the_recursion_limit():
+    # more edges than Python's default recursion limit: the subset
+    # counts come from a sweep, and a tree's Tutte polynomial is x^|E|
+    n = 1100
+    path = Multigraph(n, tuple((i, i + 1) for i in range(1, n)))
+    assert tutte(path) == LaurentPoly.variable("x") ** (n - 1)
+    # one cycle: x + x^2 + ... + x^(n-1) + y
+    cycle = Multigraph(n, path.edges + ((n, 1),))
+    terms = {(i, 0): 1 for i in range(1, n)}
+    terms[0, 1] = 1
+    assert tutte(cycle) == LaurentPoly(("x", "y"), terms)
+
+
 def test_whitney_rank_relates_to_tutte():
     g = Multigraph(3, ((1, 2), (2, 3), (1, 3)))
     r = tutte(g, form="whitney-rank")

@@ -1,14 +1,16 @@
 """Every subset-side function against a side that does not read it.
 
-potts_fk, the q-Potts subset form (qpotts_pair, ising_pair) and
-mq_subset are cluster sums of Multigraph.cluster_sums; the other
-subset-side functions sum Multigraph.subset_statistics per the part of
-the key they read.  A fold that groups by the wrong part, drops a key's
-sign or size, or weighs a component by the wrong factor changes its
-value on some drawn multigraph.  The other sides are state sums
-(statmech, mq_direct), deletion-contraction (oracles.tutte_poly) and,
-for q_bichromate, the bichromate at q = 1 and the colouring sum at
-x = -1.
+potts_fk, the q-Potts subset form (qpotts_pair, ising_pair), mq_subset,
+bichromate, tutte and q_bichromate are cluster sums of
+Multigraph.cluster_sums (the last three with a cycle weight or an edge
+weight whose base-2^k digits they unpack), and vdw_pair's expansion
+folds the odd-vertex row of Multigraph.parity_sums.  A fold that reads
+the wrong digit, drops a sign or a size, or weighs a component by the
+wrong factor changes its value on some drawn multigraph.  The other
+sides are state sums (statmech, mq_direct), deletion-contraction
+(oracles.tutte_poly), per-mask (c(A), |A|) counts from
+oracles.components for bichromate and, for q_bichromate, the bichromate
+at q = 1 and the colouring sum at x = -1.
 """
 
 from fractions import Fraction
@@ -74,9 +76,34 @@ def test_subset_folds_match_their_other_sides(drawn):
         got[powers.get("x", 0), powers.get("y", 0)] = coeff
     assert got == oracles.tutte_poly(g.edges)
 
+    # a^c(A) b^|A| counted mask by mask
+    counts = {}
+    for mask in range(1 << g.edge_count):
+        key = (len(oracles.components(g, mask)), bin(mask).count("1"))
+        counts[key] = counts.get(key, 0) + 1
+    assert bichromate(g) == LaurentPoly(("a", "b"), counts)
+
     deformed = q_bichromate(g, k)
     at_q_one = deformed.substitute("q", 1).substitute(
         "x", LaurentPoly.variable("b"))
     assert at_q_one == bichromate(g).substitute("a", k)
     # x = -1 is mq_subset's sign, which keeps the component sizes
     assert deformed.substitute("x", -1) == mq_direct(g, k)
+
+
+def test_vdw_expansion_takes_no_state_sum(monkeypatch):
+    # the direct side is the only state sum; the expansion must not
+    # share its kernel
+    calls = []
+    state_sums = Multigraph.state_sums
+
+    def counted(*args):
+        calls.append(args)
+        return state_sums(*args)
+
+    monkeypatch.setattr(Multigraph, "state_sums", counted)
+    g = Multigraph(3, ((1, 2), (2, 3), (1, 3), (1, 2), (3, 3)))
+    ch = Couplings("ch", ((Fraction(5, 3), Fraction(4, 3)),) * 5)
+    direct, expansion = vdw_pair(g, ch)
+    assert direct == expansion
+    assert len(calls) == 1

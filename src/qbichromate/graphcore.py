@@ -4,10 +4,10 @@ Graphs are undirected multigraphs on vertices 1..vertex_count; loops and
 parallel edges are allowed.  Every subset expansion is a frontier
 sweep.  One with a factor per component of (V, A) is a cluster sum of
 Multigraph.cluster_sums, which folds each component's factor in as the
-component closes; its cycle weight, paid by each chosen edge that closes
-a cycle, lets an expansion that also reads |A| (the Tutte, Whitney-rank,
-bichromate and q-bichromate polynomials, the bracket's subset route)
-pack its counts into the digits of one row.  The high-temperature
+component closes; a large cycle weight (paid by each chosen edge that
+closes a cycle) or edge weight lets an expansion that also reads |A|
+(the Tutte, Whitney-rank, bichromate and q-bichromate polynomials, the
+bracket's subset route) pack its counts into digits.  The high-temperature
 expansion reads the odd-degree count, which Multigraph.parity_sums keys
 on instead.  Every agree/differ state sum folds Multigraph.state_sums;
 a defected coloring sum is a state sum over the proper colorings with
@@ -17,7 +17,7 @@ what a frontier needs, its spins, its partition into open components or
 its degree parities, so their cost grows with the frontier's width, not
 with |V| or |E|, and none recurses.  They run in integers: the subset
 sweeps split each Fraction weight into numerator and denominator
-(_split_weights) and divide once at the end, and state_sums scales each
+(_subset_sweep) and divide once at the end, and state_sums scales each
 edge's pair by its own denominator.  The per-subset queries index an
 edge subset by a bitmask where bit i selects edges[i]: component_counts
 lists the component count of every subset from one rollback walk, and

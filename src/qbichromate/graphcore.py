@@ -15,8 +15,9 @@ defect lists, and without defects it is the q-chromatic sum.  The three
 sweeps place the vertices in one order (_sweep_order) and keep only
 what a frontier needs, its spins, its partition into open components or
 its degree parities, so their cost grows with the frontier's width, not
-with |V| or |E|, and none recurses.  They run in integers: the subset
-sweeps split each Fraction weight into numerator and denominator
+with |V| or |E|, and none recurses (knotdiag.bracket_contract places a
+diagram's crossings in the same order).  They run in integers: the
+subset sweeps split each Fraction weight into numerator and denominator
 (_subset_sweep) and divide once at the end, and state_sums scales each
 edge's pair by its own denominator.  The per-subset queries index an
 edge subset by a bitmask where bit i selects edges[i]: component_counts

@@ -9,8 +9,14 @@ for a negative one.
 
 Smoothings are slot pairings: the A-smoothing connects slots 0-3 and 1-2
 (merging the corners between slots 0,1 and 2,3), the B-smoothing connects
-slots 0-1 and 2-3.  The loops of all 2^r smoothings are counted by one
-walk whose union-find rolls back on backtrack, with no geometry involved.
+slots 0-1 and 2-3.  The bracket contracts the diagram one crossing at a
+time (bracket_contract, the bracket form of Bar-Natan's local
+contraction): it keeps, per pairing of the open crossing ports, how many
+partial states close how many loops with which A-exponent, so its cost
+grows with the width of the crossing order, not with 2^r.  state_loops
+still walks all 2^r smoothings, with a union-find that rolls back on
+backtrack, for the face-graph check that compares every state's loop
+count; no geometry is involved in either.
 
 Faces are traced from the rotation system the slot order defines, so the
 combinatorial planar structure (faces, checkerboard shading, median
@@ -19,11 +25,10 @@ input: the caller picks which face is declared outside, and that face's
 color class becomes white.
 """
 
-from collections import Counter
 from math import comb
 
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
-                        _Record)
+                        _Record, _sweep_order)
 from .polyq import LaurentPoly
 from .qchrom import _digits, bichromate
 
@@ -332,23 +337,100 @@ def _loop_variable():
     return -(a ** 2) - a ** -2
 
 
+def bracket_contract(k):
+    """{(loop count, #A - #B): number of states} over the 2^r smoothings
+    of k, without visiting them.
+
+    The crossings are placed in the frontier sweeps' order
+    (graphcore._sweep_order, crossings linked by an arc).  Ports 4 ci +
+    slot whose arc leads to an unplaced crossing are open, and each
+    partial state pairs them by the paths it has drawn.  The sweep keeps
+    {pairing: {(loops closed, #A - #B): count}}.  Placing a crossing
+    tries both smoothings (A joins slots 0-3 and 1-2, B 0-1 and 2-3, as
+    in state_loops), then joins each arc whose other port is placed:
+    joining the two ends of one path closes a loop.
+    """
+    r = k.r
+    arc_in, arc_out = _port_maps(k)
+    other = {}
+    for label, (ci, slot) in arc_out.items():
+        cj, sj = arc_in[label]
+        other[4 * ci + slot] = 4 * cj + sj
+        other[4 * cj + sj] = 4 * ci + slot
+    links = [set() for _ in range(r + 1)]
+    for p, q in other.items():
+        if p // 4 != q // 4:
+            links[p // 4 + 1].add(q // 4 + 1)
+    placed = [False] * r
+    # front lists the open ports; a key's entry i is the position in
+    # front of the port that front[i]'s path ends at.
+    front = []
+    states = {(): {(0, 0): 1}}
+    for v in _sweep_order(links):
+        ci = v - 1
+        placed[ci] = True
+        f = len(front)
+        ports = front + [4 * ci + slot for slot in range(4)]
+        index = {p: i for i, p in enumerate(ports)}
+        joins = []
+        for p in ports[f:]:
+            q = other[p]
+            if placed[q // 4] and (q // 4 != ci or p < q):
+                joins.append((index[p], index[q]))
+        keep = [i for i, p in enumerate(ports) if not placed[other[p] // 4]]
+        position = [0] * len(ports)
+        for j, i in enumerate(keep):
+            position[i] = j
+        smoothings = ((1, (f + 3, f + 2, f + 1, f)),
+                      (-1, (f + 1, f, f + 3, f + 2)))
+        new = {}
+        for key, counts in states.items():
+            for step, pairs in smoothings:
+                mate = list(key)
+                mate.extend(pairs)
+                closed = 0
+                for x, y in joins:
+                    if mate[x] == y:
+                        closed += 1
+                    else:
+                        mx = mate[x]
+                        my = mate[y]
+                        mate[mx] = my
+                        mate[my] = mx
+                pairing = tuple([position[mate[i]] for i in keep])
+                out = new.setdefault(pairing, {})
+                for (loops, e), count in counts.items():
+                    state = (loops + closed, e + step)
+                    out[state] = out.get(state, 0) + count
+        states = new
+        front = [ports[i] for i in keep]
+    return states[()]
+
+
 def kauffman_f(k):
     """Writhe-normalized bracket state sum in the variable A.
 
     Sum over states of (-A^2 - A^-2)^(S(s)-1) * A^(#A - #B), multiplied
     by (-A)^(-3 W) where W is the writhe.  The result is 1 on any diagram
-    of the unknot.
+    of the unknot.  The states come grouped from bracket_contract, and
+    the sum is folded in one {A-exponent: int} dict.
     """
-    counts = Counter((loops, 2 * mask.bit_count() - k.r)
-                     for mask, loops in state_loops(k))
-    d = _loop_variable()
-    a = LaurentPoly.variable("A")
-    total = LaurentPoly()
-    for (loops, e), count in counts.items():
-        total = total + count * d ** (loops - 1) * a ** e
+    counts = bracket_contract(k)
     w = k.writhe
     sign = -1 if w % 2 else 1
-    return sign * a ** (-3 * w) * total
+    # rows[j][i] is the coefficient of A^(4i - 2j) in (-A^2 - A^-2)^j.
+    rows = [[1]]
+    for _ in range(max(loops for loops, _ in counts) - 1):
+        row = rows[-1]
+        rows.append([-a - b for a, b in zip(row + [0], [0] + row)])
+    powers = {}
+    for (loops, e), count in counts.items():
+        j = loops - 1
+        base = e - 3 * w - 2 * j
+        for i, c in enumerate(rows[j]):
+            exponent = base + 4 * i
+            powers[exponent] = powers.get(exponent, 0) + sign * count * c
+    return LaurentPoly.from_powers("A", powers)
 
 
 def jones(k):

@@ -145,12 +145,6 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def constant_value(self):
-        """Return the polynomial's value as a Fraction if it is constant."""
-        if self.variables:
-            raise ValueError("polynomial %s is not constant" % self)
-        return Fraction(self.terms.get((), 0))
-
     # ---------------------------------------------------------------- arithmetic
 
     def _aligned(self, other):
@@ -291,22 +285,6 @@ class LaurentPoly:
                     raise ZeroDivisionError("zero substituted at a negative power")
                 continue
             out = out + stripped * image ** e
-        return out
-
-    def evaluate(self, values):
-        """Evaluate at a {name: rational} assignment covering every variable."""
-        out = Fraction(0)
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for name, e in zip(self.variables, exps):
-                if name not in values:
-                    raise ValueError("no value supplied for variable %r" % name)
-                base = Fraction(values[name])
-                if e < 0:
-                    prod *= Fraction(1) / base ** (-e)
-                else:
-                    prod *= base ** e
-            out += prod
         return out
 
     # ---------------------------------------------------------------- comparison

@@ -29,7 +29,9 @@ over degree parities).  poly_add_reference
 and poly_mul_reference are the package's former LaurentPoly sum and
 product, which build every result through the public validating
 constructor; the package's arithmetic now skips those checks for
-results of canonical operands.  chord_diagrams
+results of canonical operands.  constant_value and evaluate read a
+polynomial's value from its terms; only the tests need them, so they
+left LaurentPoly.  chord_diagrams
 is the package's former ma2 layout, which tried every order of the ends
 at each vertex and weighted each distinct diagram by 1/deg; the package
 now lays out one diagram per configuration.  main_flow_weight_reference
@@ -76,6 +78,27 @@ def _poly_aligned(p1, p2):
         return out
 
     return merged, lift(p1), lift(p2)
+
+
+def constant_value(p):
+    """The value of the LaurentPoly p as a Fraction if p is constant."""
+    if p.variables:
+        raise ValueError("polynomial %s is not constant" % p)
+    return Fraction(p.terms.get((), 0))
+
+
+def evaluate(p, values):
+    """The LaurentPoly p at a {name: rational} assignment covering every
+    variable, as a Fraction."""
+    out = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for name, e in zip(p.variables, exps):
+            if name not in values:
+                raise ValueError("no value supplied for variable %r" % name)
+            term *= Fraction(values[name]) ** e
+        out += term
+    return out
 
 
 def poly_add_reference(p1, p2):

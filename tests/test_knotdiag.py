@@ -1,13 +1,16 @@
 """Planar diagrams, state sums, and the face-graph route."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qbichromate.graphcore import ParseError
-from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
-                                  kauffman_f, median_graph, median_graphs,
-                                  parse_pd, prop_mm_check, state_loops)
+from qbichromate.knotdiag import (bracket_contract, faces, jones,
+                                  jones_via_bichromate, kauffman_f,
+                                  median_graph, median_graphs, parse_pd,
+                                  prop_mm_check, state_loops)
 from qbichromate.polyq import LaurentPoly
 import oracles
 from conftest import fixture_path, load_fixture
@@ -166,6 +169,38 @@ def test_state_loops_match_port_walk_oracle():
 def test_torus_knot_jones_closed_form():
     # T(2,k): t^((k-1)/2) (1 + t^2 - t^3 + t^4 - ... - t^k)
     t = LaurentPoly.variable("t")
-    for k in range(3, 16, 2):
+    for k in (*range(3, 16, 2), 21, 31, 41):
         series = 1 + sum((-1) ** j * t ** j for j in range(2, k + 1))
         assert jones(parse_pd(torus_pd(k))) == t ** ((k - 1) // 2) * series, k
+    # the CI step that runs jones on 2^41 states reads this fixture
+    assert load_fixture("t2_41.pd", parse_pd) == parse_pd(torus_pd(41))
+
+
+def shuffled_pd(text, seed):
+    """text with its crossings listed in a random order and its arc
+    labels permuted at random: the same diagram, swept in another order."""
+    rng = random.Random(seed)
+    lines = [line for line in text.splitlines()
+             if line and not line.startswith("#")]
+    rng.shuffle(lines)
+    labels = list(range(1, 2 * len(lines) + 1))
+    rng.shuffle(labels)
+    out = []
+    for line in lines:
+        sign, *arcs = line.split()
+        out.append("%s %s\n" % (sign, " ".join(str(labels[int(a) - 1])
+                                               for a in arcs)))
+    return "".join(out)
+
+
+def test_bracket_contract_matches_state_loops():
+    texts = [read(name) for name in ("trefoil.pd", "trefoil_flip.pd",
+                                     "fig8.pd", "kink.pd", "kinkneg.pd")]
+    texts += [torus_pd(k) for k in range(3, 16, 2)]
+    texts += [shuffled_pd(text, seed) for seed, text in enumerate(texts)]
+    for text in texts:
+        k = parse_pd(text)
+        expect = Counter((loops, 2 * mask.bit_count() - k.r)
+                         for mask, loops in state_loops(k))
+        assert bracket_contract(k) == expect, text
+

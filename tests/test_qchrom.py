@@ -109,8 +109,8 @@ def test_whitney_rank_relates_to_tutte():
     t = tutte(g)
     for a in (Fraction(2), Fraction(-1), Fraction(1, 2)):
         for b in (Fraction(3), Fraction(0), Fraction(-1, 3)):
-            assert (r.evaluate({"u": a, "v": b})
-                    == t.evaluate({"x": a + 1, "y": b + 1}))
+            assert (oracles.evaluate(r, {"u": a, "v": b})
+                    == oracles.evaluate(t, {"x": a + 1, "y": b + 1}))
 
 
 def test_q_bichromate_reduces_at_q_one():

@@ -1,7 +1,7 @@
 """Exact q-deformed graph polynomials and their knot-theoretic identities."""
 
-from .polyq import LaurentPoly, qbinom, qint
+from .polyq import LaurentPoly, qbinom
 
 __version__ = "0.1.0"
 
-__all__ = ["LaurentPoly", "qint", "qbinom", "__version__"]
+__all__ = ["LaurentPoly", "qbinom", "__version__"]

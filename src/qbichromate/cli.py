@@ -300,7 +300,7 @@ def _suite_bracket(args, report):
         report.verdict_true("loop count model, outer face %d" % fid,
                             holds[fid])
         report.verdict("subset route, outer face %d" % fid,
-                       knotdiag.jones_via_bichromate(k, m, route="kk"), f)
+                       knotdiag.jones_via_bichromate(k, m), f)
 
 
 def _suite_arcflow(args, report):

@@ -19,10 +19,7 @@ with |V| or |E|, and none recurses (knotdiag.bracket_contract places a
 diagram's crossings in the same order).  They run in integers: the
 subset sweeps split each Fraction weight into numerator and denominator
 (_subset_sweep) and divide once at the end, and state_sums scales each
-edge's pair by its own denominator.  The per-subset queries index an
-edge subset by a bitmask where bit i selects edges[i]: component_counts
-lists the component count of every subset from one rollback walk, and
-odd_degree_count reads one mask.
+edge's pair by its own denominator.
 
 Text format, one declaration per line (blank lines and '#' comments skipped):
 
@@ -453,59 +450,15 @@ class Multigraph(_Record):
             return sums
         return {e: Fraction(x, scale) for e, x in sums.items()}
 
-    def component_counts(self):
-        """[c(mask) for mask in 0..2^m - 1], c(mask) being the number of
-        components of (V, the edges bit i of mask selects), isolated
-        vertices included.
-
-        One depth-first walk, edge by edge, with a union-find that rolls
-        back on backtrack (union by size, no path compression).
-
-        >>> Multigraph(3, ((1, 2), (2, 3), (1, 1))).component_counts()
-        [3, 2, 2, 1, 3, 2, 2, 1]
-        """
-        edges = self.edges
-        m = len(edges)
-        counts = [0] * (1 << m)
-        parent = list(range(self.vertex_count + 1))
-        size = [1] * (self.vertex_count + 1)
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        def walk(i, mask, c):
-            if i == m:
-                counts[mask] = c
-                return
-            walk(i + 1, mask, c)
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                walk(i + 1, mask | 1 << i, c)
-                return
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            walk(i + 1, mask | 1 << i, c - 1)
-            size[ru] -= size[rv]
-            parent[rv] = rv
-
-        walk(0, 0, self.vertex_count)
-        return counts
-
-    def odd_degree_count(self, mask):
-        """Number of vertices with odd degree in the selected subgraph.
+    def odd_degree_count(self):
+        """Number of vertices with odd degree.
 
         A loop adds 2 to its vertex's degree, so loops never change parity.
         """
         degree = [0] * (self.vertex_count + 1)
-        for i, (u, v) in enumerate(self.edges):
-            if mask >> i & 1:
-                degree[u] += 1
-                degree[v] += 1
+        for u, v in self.edges:
+            degree[u] += 1
+            degree[v] += 1
         return sum(1 for v in range(1, self.vertex_count + 1) if degree[v] % 2)
 
     def to_text(self):

@@ -13,10 +13,11 @@ slots 0-1 and 2-3.  The bracket contracts the diagram one crossing at a
 time (bracket_contract, the bracket form of Bar-Natan's local
 contraction): it keeps, per pairing of the open crossing ports, how many
 partial states close how many loops with which A-exponent, so its cost
-grows with the width of the crossing order, not with 2^r.  state_loops
-still walks all 2^r smoothings, with a union-find that rolls back on
-backtrack, for the face-graph check that compares every state's loop
-count; no geometry is involved in either.
+grows with the width of the crossing order, not with 2^r.  The face-graph
+check (prop_mm_check) still walks all 2^r smoothings once, with
+union-finds that roll back on backtrack, because it compares every
+state's loop count with the component count of both shadings' median
+graphs; no geometry is involved in either.
 
 Faces are traced from the rotation system the slot order defines, so the
 combinatorial planar structure (faces, checkerboard shading, median
@@ -30,7 +31,7 @@ from math import comb
 from .graphcore import (Multigraph, ParseError, _content_lines, _numbers,
                         _Record, _sweep_order)
 from .polyq import LaurentPoly
-from .qchrom import _digits, bichromate
+from .qchrom import _digits
 
 
 class Crossing(_Record):
@@ -279,64 +280,6 @@ def _median_graph(k, emb, outer_face):
                        tuple(b), tuple(eta), black, outer_face)
 
 
-def state_loops(k):
-    """Yield (mask, loop count) for each of the 2^r smoothings of k.
-
-    Bit ci of mask is set when crossing ci takes the A-smoothing.  Ports
-    4 ci + slot are joined along the arcs once, then crossings are smoothed
-    depth-first, A before B, by a union-find that rolls back on backtrack
-    (union by size, no path compression).  Its undo stack is the walk's
-    O(r) stack, and 4r less its height is the loop count.
-    """
-    r = k.r
-    arc_in, arc_out = _port_maps(k)
-    parent = list(range(4 * r))
-    size = [1] * (4 * r)
-    undo = []
-
-    def union(x, y):
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            if size[x] < size[y]:
-                x, y = y, x
-            parent[y] = x
-            size[x] += size[y]
-            undo.append((x, y))
-
-    for label, (ci, slot) in arc_out.items():
-        cj, sj = arc_in[label]
-        union(4 * ci + slot, 4 * cj + sj)
-    height = [0] * r  # undo-stack height before crossing ci was smoothed
-    mask = ci = 0
-    while True:
-        for cj in range(ci, r):
-            height[cj] = len(undo)
-            mask |= 1 << cj
-            union(4 * cj, 4 * cj + 3)
-            union(4 * cj + 1, 4 * cj + 2)
-        yield mask, 4 * r - len(undo)
-        if not mask:
-            return
-        # Back up to the deepest A-smoothed crossing and smooth it B.
-        ci = mask.bit_length() - 1
-        while len(undo) > height[ci]:
-            x, y = undo.pop()
-            parent[y] = y
-            size[x] -= size[y]
-        mask ^= 1 << ci
-        union(4 * ci, 4 * ci + 1)
-        union(4 * ci + 2, 4 * ci + 3)
-        ci += 1
-
-
-def _loop_variable():
-    a = LaurentPoly.variable("A")
-    return -(a ** 2) - a ** -2
-
-
 def bracket_contract(k):
     """{(loop count, #A - #B): number of states} over the 2^r smoothings
     of k, without visiting them.
@@ -346,9 +289,9 @@ def bracket_contract(k):
     slot whose arc leads to an unplaced crossing are open, and each
     partial state pairs them by the paths it has drawn.  The sweep keeps
     {pairing: {(loops closed, #A - #B): count}}.  Placing a crossing
-    tries both smoothings (A joins slots 0-3 and 1-2, B 0-1 and 2-3, as
-    in state_loops), then joins each arc whose other port is placed:
-    joining the two ends of one path closes a loop.
+    tries both smoothings (A joins slots 0-3 and 1-2, B 0-1 and 2-3),
+    then joins each arc whose other port is placed: joining the two ends
+    of one path closes a loop.
     """
     r = k.r
     arc_in, arc_out = _port_maps(k)
@@ -449,40 +392,117 @@ def jones(k):
     return LaurentPoly.from_powers("t", terms)
 
 
+class _Rollback:
+    """A union-find that rolls back on backtrack: union by size, no path
+    compression, and one (root, merged root) entry on undo per merge, so
+    the height of undo is the number of merges."""
+
+    __slots__ = ("parent", "size", "undo")
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.undo = []
+
+    def union(self, x, y):
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            size = self.size
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            self.undo.append((x, y))
+
+    def rollback(self, height):
+        """Undo the merges above the given height of undo."""
+        undo = self.undo
+        while len(undo) > height:
+            x, y = undo.pop()
+            self.parent[y] = y
+            self.size[x] -= self.size[y]
+
+
 def prop_mm_check(k, medians):
     """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for each
     median graph of medians ({face id: median graph}, as median_graphs(k)
     gives); return {face id: holds}.
 
-    The loop counts come from one strand-smoothing walk that all faces
-    share, the right side from each shading's median graph.
+    One depth-first walk smooths the crossings, A before B (A joins
+    slots 0-3 and 1-2, B 0-1 and 2-3), bit ci of mask set when crossing
+    ci takes A.  It keeps one union-find over the ports 4 ci + slot,
+    joined along the arcs first, and one over the black faces of each
+    shading: the faces of one color class give the same median graph and
+    eta, so there are at most two.  E(s) keeps edge ci where the smoothing joins
+    the black corners, A if eta = +1 and B if eta = -1.  Every union-find
+    rolls back on backtrack, and its merges are the height of its undo
+    stack: S(s) is 4r less the ports' height, c(E(s)) is |V| less a
+    shading's.  The two sides share only the walk order.
     """
-    loops = [0] * (1 << k.r)
-    for mask, count in state_loops(k):
-        loops[mask] = count
-    holds = {}
-    for fid, m in medians.items():
-        nv = m.graph.vertex_count
-        counts = m.graph.component_counts()
-        # E(s) keeps edge ci where s joins the black corners: A if eta = +1.
-        flip = sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
-        holds[fid] = all(
-            loops[mask ^ flip] == 2 * c + mask.bit_count() - nv
-            for mask, c in enumerate(counts))
-    return holds
+    r = k.r
+    arc_in, arc_out = _port_maps(k)
+    ports = _Rollback(4 * r)
+    for label, (ci, slot) in arc_out.items():
+        cj, sj = arc_in[label]
+        ports.union(4 * ci + slot, 4 * cj + sj)
+    # (graph, eta): (union-find of its faces, |V|, bits where eta = -1)
+    shadings = {}
+    for m in medians.values():
+        if (m.graph, m.eta) not in shadings:
+            shadings[m.graph, m.eta] = (
+                _Rollback(m.graph.vertex_count + 1), m.graph.vertex_count,
+                sum(1 << ci for ci, e in enumerate(m.eta) if e == -1))
+    holds = dict.fromkeys(shadings, True)
+    unions = [ports] + [faces for faces, _, _ in shadings.values()]
+    # moves[ci] lists the joins of the A-smoothing at ci and of the B one
+    moves = []
+    for ci in range(r):
+        a = [(ports, 4 * ci, 4 * ci + 3), (ports, 4 * ci + 1, 4 * ci + 2)]
+        b = [(ports, 4 * ci, 4 * ci + 1), (ports, 4 * ci + 2, 4 * ci + 3)]
+        for (graph, eta), (faces, _, _) in shadings.items():
+            u, v = graph.edges[ci]
+            (a if eta[ci] == 1 else b).append((faces, u, v))
+        moves.append((a, b))
+    height = [None] * r  # the undo heights before crossing ci was smoothed
+    mask = ci = leaves = 0
+    while True:
+        for cj in range(ci, r):
+            height[cj] = [len(uf.undo) for uf in unions]
+            mask |= 1 << cj
+            for uf, x, y in moves[cj][0]:
+                uf.union(x, y)
+        leaves += 1
+        loops = 4 * r - len(ports.undo)
+        for key, (faces, nv, flip) in shadings.items():
+            # 2 c + |E| - |V| with c = |V| - merges
+            if loops != nv - 2 * len(faces.undo) + (mask ^ flip).bit_count():
+                holds[key] = False
+        if not mask:
+            break
+        # Back up to the deepest A-smoothed crossing and smooth it B.
+        ci = mask.bit_length() - 1
+        for uf, h in zip(unions, height[ci]):
+            uf.rollback(h)
+        mask ^= 1 << ci
+        for uf, x, y in moves[ci][1]:
+            uf.union(x, y)
+        ci += 1
+    if leaves != 1 << r:
+        raise AssertionError("walked %d of %d states" % (leaves, 1 << r))
+    return {fid: holds[m.graph, m.eta] for fid, m in medians.items()}
 
 
-def jones_via_bichromate(k, m, route="kk"):
-    """kauffman_f computed through m, a median graph of k.
+def jones_via_bichromate(k, m):
+    """kauffman_f computed through m, a median graph of k (any signs).
 
-    route="kk" (any signs): sum over median edge subsets B of
+    It is the sum over median edge subsets B of
     (-A^2-A^-2)^(2c(B)+|B|-|V|-1) * A^(2 * sum of eta over B), times the
     prefactor (-A)^(-3W) * A^(-sum of eta), counted by one cluster sum
     of the median graph.
-
-    route="kkk": the same sum read off the bichromate polynomial of the
-    median graph; valid only when all crossing signs agree and all eta
-    values agree, otherwise a ValueError is raised.
 
     The per-crossing exponent uses eta (which smoothing joins the black
     faces), not the crossing sign; the two coincide for some shadings but
@@ -492,50 +512,28 @@ def jones_via_bichromate(k, m, route="kk"):
     nv = m.graph.vertex_count
     w = k.writhe
     sign = -1 if w % 2 else 1
-    if route == "kk":
-        # An eta = +1 edge weighs x = 2^(r+1), an eta = -1 edge 1, and a
-        # cycle x^(r+1), so entry c (components) holds, as base-x digit
-        # p + (r+1) k, the number (at most 2^r) of subsets with p chosen
-        # eta = +1 edges and nullity k.
-        bits = k.r + 1
-        weights = [1 << bits if e == 1 else 1 for e in m.eta]
-        row = m.graph.cluster_sums(weights, [0, 1], 1 << bits * bits)
-        # B weighs A^(2 (2p - |B|)) d^e with e = 2c + |B| - |V| - 1, d^e =
-        # (-1)^e sum over j of C(e, j) A^(4j - 2e), and the prefactor
-        # shifts every exponent by -3W - sum of eta.
-        offset = -3 * w - sum(m.eta)
-        powers = {}
-        for c, value in enumerate(row):
-            for digit, count in _digits(value, bits):
-                nullity, p = divmod(digit, bits)
-                chosen = nullity + nv - c
-                exponent = 2 * c + chosen - nv - 1
-                if exponent < 0:
-                    raise AssertionError("negative loop exponent %d" % exponent)
-                signed = sign * (-1) ** exponent * count
-                base = offset + 2 * (2 * p - chosen) - 2 * exponent
-                for j in range(exponent + 1):
-                    e = base + 4 * j
-                    powers[e] = powers.get(e, 0) + signed * comb(exponent, j)
-        return LaurentPoly.from_powers("A", powers)
-    d = _loop_variable()
-    a = LaurentPoly.variable("A")
-    prefactor = sign * a ** (-3 * w) * a ** (-sum(m.eta))
-    if route == "kkk":
-        if len(set(m.b)) > 1:
-            raise ValueError("bichromate route needs uniform crossing signs")
-        if len(set(m.eta)) > 1:
-            raise ValueError("bichromate route needs uniform eta")
-        eta0 = m.eta[0] if m.eta else 1
-        poly = bichromate(m.graph)
-        total = LaurentPoly()
-        for exps, coeff in poly.terms.items():
-            comp = dict(zip(poly.variables, exps))
-            c_count = comp.get("a", 0)
-            j_count = comp.get("b", 0)
-            exponent = 2 * c_count + j_count - nv - 1
+    # An eta = +1 edge weighs x = 2^(r+1), an eta = -1 edge 1, and a
+    # cycle x^(r+1), so entry c (components) holds, as base-x digit
+    # p + (r+1) k, the number (at most 2^r) of subsets with p chosen
+    # eta = +1 edges and nullity k.
+    bits = k.r + 1
+    weights = [1 << bits if e == 1 else 1 for e in m.eta]
+    row = m.graph.cluster_sums(weights, [0, 1], 1 << bits * bits)
+    # B weighs A^(2 (2p - |B|)) d^e with e = 2c + |B| - |V| - 1, d^e =
+    # (-1)^e sum over j of C(e, j) A^(4j - 2e), and the prefactor
+    # shifts every exponent by -3W - sum of eta.
+    offset = -3 * w - sum(m.eta)
+    powers = {}
+    for c, value in enumerate(row):
+        for digit, count in _digits(value, bits):
+            nullity, p = divmod(digit, bits)
+            chosen = nullity + nv - c
+            exponent = 2 * c + chosen - nv - 1
             if exponent < 0:
                 raise AssertionError("negative loop exponent %d" % exponent)
-            total = total + coeff * d ** exponent * a ** (2 * eta0 * j_count)
-        return prefactor * total
-    raise ValueError("route must be 'kk' or 'kkk', got %r" % route)
+            signed = sign * (-1) ** exponent * count
+            base = offset + 2 * (2 * p - chosen) - 2 * exponent
+            for j in range(exponent + 1):
+                e = base + 4 * j
+                powers[e] = powers.get(e, 0) + signed * comb(exponent, j)
+    return LaurentPoly.from_powers("A", powers)

@@ -22,12 +22,12 @@ checks: they build their results through one canonicalising step,
 coefficients, turns integral Fractions into ints and drops the variables
 no term uses (t * t^-1 = 1).
 
-The module also provides the quantum integer ``qint`` and the Gaussian
-binomial ``qbinom``, both with an arbitrary monomial base, plus a check of
-the q-binomial theorem used by the self-test suite.  Every q-product in the
-package is built from factors (1 - x^a) on dense int rows (row[i] the
-coefficient of x^i) by two private passes: ``_times_one_minus`` multiplies
-by 1 - x^a, and ``_divide_one_minus`` divides by it exactly.
+The module also provides the Gaussian binomial ``qbinom`` in one named
+variable, plus a check of the q-binomial theorem used by the self-test
+suite.  Every q-product in the package is built from factors (1 - x^a)
+on dense int rows (row[i] the coefficient of x^i) by two private passes:
+``_times_one_minus`` multiplies by 1 - x^a, and ``_divide_one_minus``
+divides by it exactly.
 """
 
 from fractions import Fraction
@@ -326,39 +326,6 @@ _set_terms = LaurentPoly.terms.__set__
 _set_hash = LaurentPoly._hash.__set__
 
 
-def _as_base(base):
-    """Accept a variable name or a monomial LaurentPoly as the q-base."""
-    if isinstance(base, str):
-        return LaurentPoly.variable(base)
-    if isinstance(base, LaurentPoly):
-        if not base.is_monomial():
-            raise ValueError("base must be a monomial, got %s" % base)
-        ((exps, coeff),) = base.terms.items()
-        if coeff != 1:
-            raise ValueError("base must have coefficient 1, got %s" % base)
-        return base
-    raise TypeError("base must be a variable name or a monomial LaurentPoly")
-
-
-def qint(n, base="q"):
-    """The quantum integer 1 + base + ... + base^(n-1).
-
-    >>> str(qint(3))
-    '1 + q + q^2'
-    >>> str(qint(0))
-    '0'
-    """
-    if n < 0:
-        raise ValueError("quantum integers need n >= 0, got %d" % n)
-    base = _as_base(base)
-    out = LaurentPoly()
-    power = LaurentPoly.constant(1)
-    for _ in range(n):
-        out = out + power
-        power = power * base
-    return out
-
-
 def _times_one_minus(row, a):
     """The dense int row times 1 - x^a, a >= 0: one shift-and-subtract pass."""
     out = row + [0] * a
@@ -383,12 +350,12 @@ def _divide_one_minus(row, a):
 
 
 def qbinom(m, n, base="q"):
-    """The Gaussian binomial coefficient [m choose n] in the given base.
+    """The Gaussian binomial coefficient [m choose n] in the variable
+    named base.
 
-    Computed as a polynomial in an abstract base x by the product of
-    (1 - x^(m-k+i)) / (1 - x^i) over i = 1..k, k = min(n, m - n), each
-    partial product being [m-k+i choose i], so each division is exact;
-    x is then replaced by the base, which may be any monomial.
+    Computed by the product of (1 - x^(m-k+i)) / (1 - x^i) over
+    i = 1..k, k = min(n, m - n), each partial product being
+    [m-k+i choose i], so each division is exact.
 
     >>> str(qbinom(4, 2))
     '1 + q + 2*q^2 + q^3 + q^4'
@@ -397,19 +364,11 @@ def qbinom(m, n, base="q"):
         raise ValueError("qbinom needs m, n >= 0")
     if n > m:
         raise ValueError("qbinom needs n <= m, got m=%d n=%d" % (m, n))
-    base = _as_base(base)
     k = min(n, m - n)
     row = [1]
     for i in range(1, k + 1):
         row = _divide_one_minus(_times_one_minus(row, m - k + i), i)
-    ((exps, _),) = base.terms.items()
-    terms = {}
-    for e, c in enumerate(row):
-        # distinct powers of the base are distinct monomials unless the
-        # base is 1
-        key = tuple(map(e.__mul__, exps))
-        terms[key] = terms.get(key, 0) + c
-    return _result(base.variables, terms)
+    return _result((base,), {(e,): c for e, c in enumerate(row)})
 
 
 def qbinomial_theorem_check(n):

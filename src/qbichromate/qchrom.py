@@ -3,10 +3,9 @@
 The central object is the q-weighted count of proper colorings with colors
 0..n-1, where a coloring contributes q raised to the sum of its colors.
 The module computes it two independent ways (direct enumeration and the
-inclusion-exclusion subset expansion over edge subsets), provides the
-closed form for complete graphs, and carries the related subset-expansion
-polynomials: the bichromate, the Whitney rank and Tutte polynomials, and
-the q-bichromate.
+inclusion-exclusion subset expansion over edge subsets), and carries the
+related subset-expansion polynomials: the bichromate, the Whitney rank
+and Tutte polynomials, and the q-bichromate.
 
 It also hosts the defect-corrected coloring sum over chord-diagram
 intersection graphs (mdef_chord); the arcflow module, which in turn imports
@@ -14,11 +13,9 @@ this one, lays out one chord diagram per flow configuration.
 """
 
 from functools import cache
-from math import factorial
 
 from .graphcore import Multigraph
-from .polyq import (LaurentPoly, _divide_one_minus, _times_one_minus,
-                    qbinom)
+from .polyq import LaurentPoly, _divide_one_minus, _times_one_minus
 
 
 def mq_direct(g, n):
@@ -47,20 +44,6 @@ def _qint_row(n, s):
     """The quantum integer of n in base q^s, (1 - q^(sn)) / (1 - q^s), as
     a dense int row: one multiply and one exact divide pass."""
     return _divide_one_minus(_times_one_minus([1], s * n), s)
-
-
-def mq_complete(k, n):
-    """Closed form for the complete graph on k vertices.
-
-    Equals k! times the Gaussian binomial [n choose k] times q^(k(k-1)/2);
-    zero when n < k (no proper coloring exists).
-    """
-    if k < 1 or n < 1:
-        raise ValueError("need k, n >= 1")
-    if n < k:
-        return LaurentPoly()
-    q = LaurentPoly.variable("q")
-    return factorial(k) * qbinom(n, k, "q") * q ** (k * (k - 1) // 2)
 
 
 def bichromate(g):

@@ -209,7 +209,6 @@ def lemma_w_eval(g):
     sums = g.state_sums((-1, 1), ((1, -1),) * g.edge_count)
     lhs = LaurentPoly.from_powers("q", sums)
     q = LaurentPoly.variable("q")
-    full = (1 << g.edge_count) - 1
-    odd = g.odd_degree_count(full)
+    odd = g.odd_degree_count()
     rhs = (q - q ** -1) ** odd * (q + q ** -1) ** (g.vertex_count - odd)
     return lhs, rhs

@@ -18,9 +18,8 @@ edge's source and target rather than the package's entering orders.
 state_sums_reference is the package's former state kernel, a depth-first
 walk over all k^|V| states, kept as the reference for the frontier sweep
 that replaced it.  components and component_count are the package's
-former per-subset queries, one fresh union-find per mask, kept as the
-reference for Multigraph.component_counts (one rollback walk over all
-masks); cluster_sums_reference sums its component-factor products and
+former per-subset queries, one fresh union-find per mask;
+cluster_sums_reference sums its component-factor products and
 cycle weights over every mask, reading c(A) from components, as the
 reference for Multigraph.cluster_sums (a vertex frontier sweep), and
 parity_sums_reference counts each mask's odd-degree vertices from its
@@ -49,12 +48,18 @@ the package now makes it a sign, a shift and one (1 - t) pass per red
 unit.  qbinom_reference is the package's former Gaussian binomial, the
 Pascal recursion in integer dicts; the package now multiplies and
 divides (1 - x^a) factors.  None of these references imports those
-(1 - x^a) passes.
+(1 - x^a) passes.  state_loops_reference is the package's former
+state-loop kernel, one rollback walk over all 2^r smoothings that pairs
+the ports by arc label itself, kept as the reference for
+knotdiag.bracket_contract (a tangle contraction); no reference calls
+knotdiag.prop_mm_check's walk.  qint (powers added one at a time) and
+mq_complete (the paper's closed form for complete graphs, built on
+qbinom_reference) left the package because only the tests read them.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import factorial, lcm
 
 from qbichromate.arcflow import red_copies
 from qbichromate.polyq import LaurentPoly
@@ -430,6 +435,65 @@ def _loop_count(r, arc_pairs, state):
     return loops
 
 
+def state_loops_reference(k):
+    """Yield (mask, loop count) for each of the 2^r smoothings of the
+    KnotPD k, bit ci of mask set when crossing ci takes the A-smoothing.
+
+    The package's former state-loop kernel, kept as the reference for
+    knotdiag.bracket_contract: ports 4 ci + slot are joined along the
+    arcs once (each arc label joins the two ports it labels), then the
+    crossings are smoothed depth-first, A before B, by a union-find that
+    rolls back on backtrack (union by size, no path compression).  Its
+    undo stack is the walk's O(r) stack, and 4r less its height is the
+    loop count.
+    """
+    r = len(k.crossings)
+    parent = list(range(4 * r))
+    size = [1] * (4 * r)
+    undo = []
+
+    def union(x, y):
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            undo.append((x, y))
+
+    first = {}
+    for ci, c in enumerate(k.crossings):
+        for slot, label in enumerate(c.slots):
+            if label in first:
+                union(first[label], 4 * ci + slot)
+            else:
+                first[label] = 4 * ci + slot
+    height = [0] * r  # undo-stack height before crossing ci was smoothed
+    mask = ci = 0
+    while True:
+        for cj in range(ci, r):
+            height[cj] = len(undo)
+            mask |= 1 << cj
+            union(4 * cj, 4 * cj + 3)
+            union(4 * cj + 1, 4 * cj + 2)
+        yield mask, 4 * r - len(undo)
+        if not mask:
+            return
+        # Back up to the deepest A-smoothed crossing and smooth it B.
+        ci = mask.bit_length() - 1
+        while len(undo) > height[ci]:
+            x, y = undo.pop()
+            parent[y] = y
+            size[x] -= size[y]
+        mask ^= 1 << ci
+        union(4 * ci, 4 * ci + 1)
+        union(4 * ci + 2, 4 * ci + 3)
+        ci += 1
+
+
 def bracket_f(text):
     """Normalized bracket of a PD text as a dict {A-exponent: coeff}."""
     signs, arc_pairs = _parse_pd_ports(text)
@@ -589,6 +653,33 @@ def qbinom_reference(m, k, base):
         key = tuple(e * x for x in exps)
         terms[key] = terms.get(key, 0) + c
     return LaurentPoly(base.variables, terms)
+
+
+def qint(n, base="q"):
+    """The quantum integer 1 + base + ... + base^(n-1), base a variable
+    name or a monomial LaurentPoly, one power added at a time."""
+    if n < 0:
+        raise ValueError("quantum integers need n >= 0, got %d" % n)
+    if isinstance(base, str):
+        base = LaurentPoly.variable(base)
+    out = LaurentPoly()
+    power = LaurentPoly.constant(1)
+    for _ in range(n):
+        out = out + power
+        power = power * base
+    return out
+
+
+def mq_complete(k, n):
+    """The paper's closed form for the q-chromatic sum of the complete
+    graph on k vertices: k! [n choose k]_q q^(k(k-1)/2), zero when n < k
+    (no proper coloring exists)."""
+    if k < 1 or n < 1:
+        raise ValueError("need k, n >= 1")
+    if n < k:
+        return LaurentPoly()
+    q = LaurentPoly.variable("q")
+    return factorial(k) * qbinom_reference(n, k, q) * q ** (k * (k - 1) // 2)
 
 
 def mult_t(g, f):

@@ -22,13 +22,13 @@ from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
                                   kauffman_f, median_graphs, parse_pd,
                                   prop_mm_check)
 from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check)
-from qbichromate.qchrom import (bichromate, mq_complete, mq_direct, mq_subset,
-                                q_bichromate)
+from qbichromate.qchrom import bichromate, mq_direct, mq_subset, q_bichromate
 from qbichromate.statmech import (Couplings, lemma_w_eval, potts_direct,
                                   potts_fk, qpotts_pair, vdw_pair)
 
 import oracles
 from conftest import fixture_path, load_fixture, uniform_ch
+from oracles import mq_complete
 
 ONE = LaurentPoly.constant(1)
 Q = LaurentPoly.variable("q")
@@ -172,7 +172,7 @@ def test_face_graph_route_recovers_bracket():
         k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
         for face, m in median_graphs(k).items():
-            assert jones_via_bichromate(k, m, route="kk") == f, (name, face)
+            assert jones_via_bichromate(k, m) == f, (name, face)
 
 
 def test_jones_normalization_and_oracle():

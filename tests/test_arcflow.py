@@ -14,13 +14,13 @@ from qbichromate.arcflow import (ROUTES, ArcGraph, _ahead, catmm_flow_sum,
                                  ma2_flow_sum, main_flow_weight, parse_arc,
                                  red_copies, z_nf)
 from qbichromate.graphcore import ParseError
-from qbichromate.polyq import LaurentPoly, qint
+from qbichromate.polyq import LaurentPoly
 from conftest import FIXTURES, load_fixture
 from oracles import (admissible_pairs_reference, catmm_terms_reference,
                      catmm_walk_reference, chord_diagrams,
                      configurations_reference, figure_eight_colored_jones,
                      flows_reference, is_conserved, ma2_terms_reference,
-                     main_flow_weight_reference, qbinom_reference,
+                     main_flow_weight_reference, qbinom_reference, qint,
                      torus_2k_colored_jones, trefoil_colored_jones,
                      z_nf_reference)
 

@@ -9,8 +9,9 @@ from qbichromate.chordal import (NotChordal, _qints, parse_structure,
                                  peo, graph_of_structure, str2_pair,
                                  str20_pair, structure_count, tree_structures)
 from qbichromate.graphcore import Multigraph, ParseError
-from qbichromate.polyq import LaurentPoly, qint
+from qbichromate.polyq import LaurentPoly
 from conftest import load_fixture
+from oracles import qint
 
 
 def test_peo_path():

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from qbichromate.graphcore import ParseError
-from qbichromate.knotdiag import (bracket_contract, faces, jones,
-                                  jones_via_bichromate, kauffman_f,
+from qbichromate.knotdiag import (MedianGraph, bracket_contract, faces,
+                                  jones, jones_via_bichromate, kauffman_f,
                                   median_graph, median_graphs, parse_pd,
-                                  prop_mm_check, state_loops)
+                                  prop_mm_check)
 from qbichromate.polyq import LaurentPoly
+from qbichromate.qchrom import bichromate
 import oracles
 from conftest import fixture_path, load_fixture
 
@@ -102,22 +103,10 @@ def test_median_graph_trefoil():
         median_graph(k, 99)
 
 
-def test_prop_mm():
-    for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
-        k = load_fixture(name, parse_pd)
-        medians = median_graphs(k)
-        assert medians == {face.id: median_graph(k, face.id)
-                           for face in faces(k)}
-        holds = prop_mm_check(k, medians)
-        assert sorted(holds) == list(range(len(faces(k))))
-        for face in range(len(faces(k))):
-            assert holds[face]
-
-
 def test_mixed_eta_unknot():
     # the trefoil with crossing 1 flipped: an unknot whose two shadings
-    # have eta (1, -1, -1) and (-1, 1, 1), so the kk route's cluster-sum
-    # entries carry more than one count of eta = +1 edges
+    # have eta (1, -1, -1) and (-1, 1, 1), so the subset route's
+    # cluster-sum entries carry more than one count of eta = +1 edges
     k = load_fixture("trefoil_flip.pd", parse_pd)
     assert jones(k) == LaurentPoly.constant(1)
     medians = median_graphs(k)
@@ -127,7 +116,7 @@ def test_mixed_eta_unknot():
     assert f == expect
     holds = prop_mm_check(k, medians)
     for face, m in medians.items():
-        assert jones_via_bichromate(k, m, route="kk") == f, face
+        assert jones_via_bichromate(k, m) == f, face
         assert holds[face], face
 
 
@@ -136,18 +125,41 @@ def test_bichromate_route_equals_bracket():
         k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
         for m in median_graphs(k).values():
-            assert jones_via_bichromate(k, m, route="kk") == f
+            assert jones_via_bichromate(k, m) == f
+
+
+def uniform_bracket(k, m):
+    """kauffman_f read off the bichromate polynomial of m, a median graph
+    of k: the sum over the bichromate's terms a^c b^j of
+    (-A^2 - A^-2)^(2c + j - |V| - 1) A^(2 eta j), times the prefactor
+    (-A)^(-3W) A^(-sum of eta).  It holds only when all crossing signs
+    and all eta values agree; otherwise it raises ValueError."""
+    if len(set(m.b)) > 1:
+        raise ValueError("bichromate route needs uniform crossing signs")
+    if len(set(m.eta)) > 1:
+        raise ValueError("bichromate route needs uniform eta")
+    eta0 = m.eta[0] if m.eta else 1
+    a = LaurentPoly.variable("A")
+    d = -(a ** 2) - a ** -2
+    nv = m.graph.vertex_count
+    poly = bichromate(m.graph)
+    total = LaurentPoly()
+    for exps, coeff in poly.terms.items():
+        comp = dict(zip(poly.variables, exps))
+        j = comp.get("b", 0)
+        exponent = 2 * comp.get("a", 0) + j - nv - 1
+        assert exponent >= 0, exponent
+        total = total + coeff * d ** exponent * a ** (2 * eta0 * j)
+    sign = -1 if k.writhe % 2 else 1
+    return sign * a ** (-3 * k.writhe) * a ** (-sum(m.eta)) * total
 
 
 def test_uniform_sign_route():
     tre = load_fixture("trefoil.pd", parse_pd)
-    assert jones_via_bichromate(tre, median_graph(tre, 0), route="kkk") == \
-        kauffman_f(tre)
+    assert uniform_bracket(tre, median_graph(tre, 0)) == kauffman_f(tre)
     fig8 = load_fixture("fig8.pd", parse_pd)
     with pytest.raises(ValueError):
-        jones_via_bichromate(fig8, median_graph(fig8, 0), route="kkk")
-    with pytest.raises(ValueError):
-        jones_via_bichromate(tre, median_graph(tre, 0), route="bogus")
+        uniform_bracket(fig8, median_graph(fig8, 0))
 
 
 def test_state_loops_match_port_walk_oracle():
@@ -158,7 +170,7 @@ def test_state_loops_match_port_walk_oracle():
         k = parse_pd(text)
         _, arc_pairs = oracles._parse_pd_ports(text)
         masks = []
-        for mask, loops in state_loops(k):
+        for mask, loops in oracles.state_loops_reference(k):
             masks.append(mask)
             state = [1 if mask >> ci & 1 else -1 for ci in range(k.r)]
             assert loops == oracles._loop_count(k.r, arc_pairs, state), \
@@ -201,6 +213,44 @@ def test_bracket_contract_matches_state_loops():
     for text in texts:
         k = parse_pd(text)
         expect = Counter((loops, 2 * mask.bit_count() - k.r)
-                         for mask, loops in state_loops(k))
+                         for mask, loops in oracles.state_loops_reference(k))
         assert bracket_contract(k) == expect, text
 
+
+def negated(m):
+    """m with every eta flipped: the wrong smoothing joins its black
+    corners."""
+    return MedianGraph(m.graph, m.b, tuple(-e for e in m.eta),
+                       m.black_faces, m.outer_face)
+
+
+def test_prop_mm():
+    texts = [read(name) for name in ("kink.pd", "kinkneg.pd", "trefoil.pd",
+                                     "trefoil_flip.pd", "fig8.pd")]
+    texts += [torus_pd(k) for k in range(3, 12, 2)]
+    texts += [shuffled_pd(text, seed) for seed, text in enumerate(texts)]
+    for text in texts:
+        k = parse_pd(text)
+        medians = median_graphs(k)
+        assert medians == {face.id: median_graph(k, face.id)
+                           for face in faces(k)}
+        assert prop_mm_check(k, medians) == dict.fromkeys(
+            range(len(faces(k))), True), text
+
+
+def test_prop_mm_fails_on_a_negated_eta():
+    # one face's median graph with its eta negated keeps the edges but
+    # joins them on the wrong smoothing: that face fails, and the others,
+    # walked in the same pass, still hold
+    for name in ("trefoil.pd", "trefoil_flip.pd", "fig8.pd"):
+        k = load_fixture(name, parse_pd)
+        medians = median_graphs(k)
+        medians[1] = negated(medians[1])
+        holds = prop_mm_check(k, medians)
+        assert holds == {face: face != 1 for face in medians}, name
+    # any dict of faces: the negated face alone in its shading, or none
+    k = parse_pd(torus_pd(5))
+    medians = median_graphs(k)
+    wrong = {0: negated(medians[0]), 1: medians[1]}
+    assert prop_mm_check(k, wrong) == {0: False, 1: True}
+    assert prop_mm_check(k, {}) == {}

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbichromate import polyq
-from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check,
-                               qint)
+from qbichromate.polyq import LaurentPoly, qbinom, qbinomial_theorem_check
 from oracles import (constant_value, evaluate, poly_add_reference,
-                     poly_mul_reference)
+                     poly_mul_reference, qint)
 
 # Constants, one variable (the product's own loop) and several variables;
 # operands from different sets are aligned to merged names, which
@@ -211,11 +210,10 @@ def test_qbinom_values():
 def test_qbinom_pascal():
     # qbinom multiplies (1 - x^a) factors, so the symmetry and both
     # Pascal recursions check it against a construction it does not use
-    t = LaurentPoly.variable("t")
-    for base in ("q", t ** -1, t ** 2):
+    for base in ("q", "t"):
         table = {(m, j): qbinom(m, j, base)
                  for m in range(21) for j in range(m + 1)}
-        q = LaurentPoly.variable(base) if isinstance(base, str) else base
+        q = LaurentPoly.variable(base)
         for m in range(1, 21):
             for j in range(m + 1):
                 lhs = table[m, j]

@@ -8,11 +8,12 @@ import pytest
 from qbichromate import qchrom
 from qbichromate.arcflow import enumerate_flows, ma2_flow_sum, parse_arc
 from qbichromate.graphcore import Multigraph
-from qbichromate.polyq import LaurentPoly, qbinom, qint
-from qbichromate.qchrom import (bichromate, mdef_chord, mq_complete, mq_direct,
-                                mq_subset, q_bichromate, tutte)
+from qbichromate.polyq import LaurentPoly, qbinom
+from qbichromate.qchrom import (bichromate, mdef_chord, mq_direct, mq_subset,
+                                q_bichromate, tutte)
 from conftest import load_fixture
 import oracles
+from oracles import mq_complete, qint
 
 Q = LaurentPoly.variable("q")
 

@@ -189,11 +189,11 @@ def _cmd_median(args, report):
         report.add("hint", "rerun with --outer-face ID to build the graph")
         return
     m = knotdiag.median_graph(k, args.outer_face)
-    report.add("outer face", m.outer_face)
+    report.add("outer face", args.outer_face)
     report.add("black faces", list(m.black_faces))
     for line in m.graph.to_text().splitlines():
         report.add("graph", line)
-    report.add("signs", list(m.b))
+    report.add("signs", [c.sign for c in k.crossings])
     report.add("eta", list(m.eta))
 
 
@@ -294,13 +294,15 @@ def _suite_vdw(args, report):
 def _suite_bracket(args, report):
     k = report.add_input("pd", _need(args, "pd"), knotdiag.parse_pd)
     f = knotdiag.kauffman_f(k)
-    medians = knotdiag.median_graphs(k)
-    holds = knotdiag.prop_mm_check(k, medians)
-    for fid, m in medians.items():
+    shadings = knotdiag.shadings(k)
+    holds = knotdiag.prop_mm_check(k, shadings)
+    routes = [knotdiag.jones_via_bichromate(k, m) for m in shadings]
+    for fid in range(k.r + 2):
+        # the face is the outer face of the shading in which it is white
+        i = 1 if fid in shadings[0].black_faces else 0
         report.verdict_true("loop count model, outer face %d" % fid,
-                            holds[fid])
-        report.verdict("subset route, outer face %d" % fid,
-                       knotdiag.jones_via_bichromate(k, m), f)
+                            holds[i])
+        report.verdict("subset route, outer face %d" % fid, routes[i], f)
 
 
 def _suite_arcflow(args, report):

@@ -19,11 +19,16 @@ union-finds that roll back on backtrack, because it compares every
 state's loop count with the component count of both shadings' median
 graphs; no geometry is involved in either.
 
+Every walk of the diagram (the strand check, the face tracing, the
+contraction and the state walk) reads one pairing of the 4r ports
+4 ci + slot: other[p] is the port at the far end of p's arc.
+
 Faces are traced from the rotation system the slot order defines, so the
 combinatorial planar structure (faces, checkerboard shading, median
-graph) comes from the crossing list alone.  The outer face is an explicit
-input: the caller picks which face is declared outside, and that face's
-color class becomes white.
+graph) comes from the crossing list alone.  A diagram has two
+checkerboard shadings, one per color class taken as black; shadings(k)
+gives the median graph of each, and median_graph(k, face) the one in
+which the given face is white.
 """
 
 from math import comb
@@ -90,25 +95,35 @@ def parse_pd(text):
     return k
 
 
-def _port_maps(k):
-    """Return (entry port, exit port) maps per arc label.
+def _pairing(k):
+    """other[4 ci + slot] is the port at the far end of the arc at that
+    slot of crossing ci: the one pairing of the 4r ports that every walk
+    of the diagram reads.
 
-    A port is a (crossing index, slot) pair.  Entry ports are slot 0 and
-    the over-in slot; exit ports are slot 2 and the over-out slot.
+    Entry ports are slot 0 and the over-in slot; exit ports are slot 2
+    and the over-out slot.
     """
-    arc_in = {}
-    arc_out = {}
+    entries = {}
+    exits = {}
     for ci, c in enumerate(k.crossings):
         for slot, label in enumerate(c.slots):
             if slot in (0, c.over_in):
-                if label in arc_in:
+                if label in entries:
                     raise ValueError("arc %d enters two crossings" % label)
-                arc_in[label] = (ci, slot)
+                entries[label] = 4 * ci + slot
             else:
-                if label in arc_out:
+                if label in exits:
                     raise ValueError("arc %d leaves two crossings" % label)
-                arc_out[label] = (ci, slot)
-    return arc_in, arc_out
+                exits[label] = 4 * ci + slot
+    if entries.keys() != exits.keys():
+        raise ValueError("each arc label must occur once as an entry and "
+                         "once as an exit")
+    other = [0] * (4 * k.r)
+    for label, p in entries.items():
+        q = exits[label]
+        other[p] = q
+        other[q] = p
+    return other
 
 
 def _validate(k):
@@ -119,21 +134,19 @@ def _validate(k):
     expected = set(range(1, 2 * k.r + 1))
     if set(labels) != expected or any(n != 2 for n in labels.values()):
         raise ValueError("arc labels must be 1..%d, each exactly twice" % (2 * k.r))
-    arc_in, arc_out = _port_maps(k)
-    if set(arc_in) != expected or set(arc_out) != expected:
-        raise ValueError("each arc label must occur once as an entry and "
-                         "once as an exit")
-    # The strand must close into a single component.
-    seen = set()
-    label = 1
-    while label not in seen:
-        seen.add(label)
-        ci, slot = arc_in[label]
-        c = k.crossings[ci]
-        label = c.slots[2] if slot == 0 else c.slots[c.over_out]
-    if len(seen) != 2 * k.r:
+    other = _pairing(k)
+    # The strand must close into a single component.  Follow it from the
+    # entry port of arc 1: it goes straight through a crossing, from
+    # slot j to slot j + 2, and p ^ 2 is that exit port.
+    start = port = next(4 * ci + slot for ci, c in enumerate(k.crossings)
+                        for slot in (0, c.over_in) if c.slots[slot] == 1)
+    arcs = 1
+    while other[port ^ 2] != start:
+        port = other[port ^ 2]
+        arcs += 1
+    if arcs != 2 * k.r:
         raise ValueError("strand closes after %d of %d arcs; "
-                         "diagram is not a single knot" % (len(seen), 2 * k.r))
+                         "diagram is not a single knot" % (arcs, 2 * k.r))
     # Tracing the faces checks planarity.
     _Embedding(k)
 
@@ -149,40 +162,24 @@ class _Embedding:
     """Traced faces plus the lookup tables the shading machinery needs."""
 
     def __init__(self, k):
-        arc_in, arc_out = _port_maps(k)
-        tail_to_head = {}
-        tail_label = {}
-        tail_forward = {}
-        for label in arc_out:
-            out_port = arc_out[label]
-            in_port = arc_in[label]
-            tail_to_head[out_port] = in_port
-            tail_label[out_port] = label
-            tail_forward[out_port] = True
-            tail_to_head[in_port] = out_port
-            tail_label[in_port] = label
-            tail_forward[in_port] = False
-        self.arc_in = arc_in
-        self.arc_out = arc_out
+        self.other = other = _pairing(k)
         self.faces = []
-        self.face_of_corner = {}
-        self.face_of_tail = {}
-        visited = set()
-        for start in sorted(tail_to_head):
-            if start in visited:
-                continue
+        # face_of_corner[4 ci + j]: the face holding corner (ci, j)
+        self.face_of_corner = face_of = [None] * (4 * k.r)
+        for start in range(4 * k.r):
+            if face_of[other[start]] is not None:
+                continue  # the arc from start is on a traced face
             fid = len(self.faces)
             corners = []
             arcs = []
             port = start
             while True:
-                visited.add(port)
-                self.face_of_tail[port] = fid
-                arcs.append((tail_label[port], tail_forward[port]))
-                ci, slot = tail_to_head[port]
+                c = k.crossings[port // 4]
+                arcs.append((c.slots[port % 4], port % 4 in (2, c.over_out)))
+                ci, slot = divmod(other[port], 4)
                 corners.append((ci, slot))
-                self.face_of_corner[(ci, slot)] = fid
-                port = (ci, (slot + 1) % 4)
+                face_of[4 * ci + slot] = fid
+                port = 4 * ci + (slot + 1) % 4
                 if port == start:
                     break
             self.faces.append(Face(fid, tuple(corners), tuple(arcs)))
@@ -192,28 +189,25 @@ class _Embedding:
             raise ValueError("diagram is not planar: traced %d faces, "
                              "expected %d" % (len(self.faces), k.r + 2))
 
-    def colors(self, outer_face):
-        """Checkerboard 2-coloring; the outer face's class is white (0)."""
-        if not 0 <= outer_face < len(self.faces):
-            raise ValueError("outer face id %d out of range 0..%d"
-                             % (outer_face, len(self.faces) - 1))
-        adjacency = {f.id: set() for f in self.faces}
-        for label, out_port in self.arc_out.items():
-            f1 = self.face_of_tail[out_port]
-            f2 = self.face_of_tail[self.arc_in[label]]
-            adjacency[f1].add(f2)
-            adjacency[f2].add(f1)
-        colors = {outer_face: 0}
-        queue = [outer_face]
+    def colors(self):
+        """Checkerboard 2-coloring: face 0's class is 0, the other 1."""
+        face_of = self.face_of_corner
+        # the arc from port p runs between the faces of corners p and other[p]
+        adjacency = [set() for _ in self.faces]
+        for p, q in enumerate(self.other):
+            adjacency[face_of[p]].add(face_of[q])
+        colors = [None] * len(self.faces)
+        colors[0] = 0
+        queue = [0]
         while queue:
             fid = queue.pop()
-            for other in adjacency[fid]:
-                if other not in colors:
-                    colors[other] = 1 - colors[fid]
-                    queue.append(other)
-                elif colors[other] == colors[fid]:
+            for fj in adjacency[fid]:
+                if colors[fj] is None:
+                    colors[fj] = 1 - colors[fid]
+                    queue.append(fj)
+                elif colors[fj] == colors[fid]:
                     raise AssertionError("faces are not checkerboard colorable")
-        if len(colors) != len(self.faces):
+        if None in colors:
             raise AssertionError("face adjacency is not connected")
         return colors
 
@@ -229,55 +223,59 @@ def faces(k):
 
 
 class MedianGraph(_Record):
-    """Graph on the black faces, one edge per crossing.
+    """The median graph of one checkerboard shading: a graph on its black
+    faces, one edge per crossing.
 
-    b[i] is the sign of crossing i; eta[i] is +1 when the A-smoothing at
-    crossing i joins the two black corners (corners 0 and 2), -1 when the
-    B-smoothing does.  black_faces[j] is the face id of graph vertex j+1.
+    eta[i] is +1 when the A-smoothing at crossing i joins the two black
+    corners (corners 0 and 2), -1 when the B-smoothing does.
+    black_faces[j] is the face id of graph vertex j+1.
     """
 
-    __slots__ = ("graph", "b", "eta", "black_faces", "outer_face")
+    __slots__ = ("graph", "eta", "black_faces")
 
-    def __init__(self, graph, b, eta, black_faces, outer_face):
-        _Record.__init__(self, graph, b, eta, black_faces, outer_face)
+    def __init__(self, graph, eta, black_faces):
+        _Record.__init__(self, graph, eta, black_faces)
+
+
+def shadings(k):
+    """The median graphs of k's two checkerboard shadings, from one traced
+    embedding: first the one in which face 0 is white, then the one in
+    which it is black."""
+    emb = _Embedding(k)
+    colors = emb.colors()
+    return tuple(_median_graph(emb, [color ^ flip for color in colors])
+                 for flip in (0, 1))
 
 
 def median_graph(k, outer_face):
-    """The median graph of k whose outer face is the given face id."""
-    return _median_graph(k, _Embedding(k), outer_face)
+    """The median graph of k's shading in which the given face id is
+    white, as the outer face."""
+    both = shadings(k)
+    if not 0 <= outer_face < k.r + 2:
+        raise ValueError("outer face id %d out of range 0..%d"
+                         % (outer_face, k.r + 1))
+    return both[1 if outer_face in both[0].black_faces else 0]
 
 
-def median_graphs(k):
-    """{face id: median_graph(k, face id)} for every face of k, from one
-    traced embedding."""
-    emb = _Embedding(k)
-    return {face.id: _median_graph(k, emb, face.id) for face in emb.faces}
-
-
-def _median_graph(k, emb, outer_face):
-    colors = emb.colors(outer_face)
-    black = tuple(sorted(fid for fid, color in colors.items() if color == 1))
-    vertex_of = {fid: i + 1 for i, fid in enumerate(black)}
+def _median_graph(emb, black):
+    """The median graph whose black faces are those with black[id] = 1."""
+    black_faces = tuple(fid for fid, color in enumerate(black) if color)
+    vertex_of = {fid: i + 1 for i, fid in enumerate(black_faces)}
+    face_of = emb.face_of_corner
     edges = []
-    b = []
     eta = []
-    for ci, c in enumerate(k.crossings):
-        corner_color = [colors[emb.face_of_corner[(ci, j)]] for j in range(4)]
+    for ci in range(len(face_of) // 4):
+        corner = face_of[4 * ci:4 * ci + 4]
+        corner_color = [black[fid] for fid in corner]
         if corner_color[0] != corner_color[2] or corner_color[1] != corner_color[3] \
                 or corner_color[0] == corner_color[1]:
             raise AssertionError("corner colors do not alternate at crossing %d" % ci)
-        if corner_color[0] == 1:
-            pair = (0, 2)
-            eta.append(1)
-        else:
-            pair = (1, 3)
-            eta.append(-1)
-        u = vertex_of[emb.face_of_corner[(ci, pair[0])]]
-        v = vertex_of[emb.face_of_corner[(ci, pair[1])]]
-        edges.append((u, v))
-        b.append(c.sign)
-    return MedianGraph(Multigraph(len(black), tuple(edges)),
-                       tuple(b), tuple(eta), black, outer_face)
+        # corners 0 and 2 are black when eta = +1, corners 1 and 3 otherwise
+        j = 0 if corner_color[0] else 1
+        edges.append((vertex_of[corner[j]], vertex_of[corner[j + 2]]))
+        eta.append(1 if corner_color[0] else -1)
+    return MedianGraph(Multigraph(len(black_faces), tuple(edges)),
+                       tuple(eta), black_faces)
 
 
 def bracket_contract(k):
@@ -294,14 +292,9 @@ def bracket_contract(k):
     of one path closes a loop.
     """
     r = k.r
-    arc_in, arc_out = _port_maps(k)
-    other = {}
-    for label, (ci, slot) in arc_out.items():
-        cj, sj = arc_in[label]
-        other[4 * ci + slot] = 4 * cj + sj
-        other[4 * cj + sj] = 4 * ci + slot
+    other = _pairing(k)
     links = [set() for _ in range(r + 1)]
-    for p, q in other.items():
+    for p, q in enumerate(other):
         if p // 4 != q // 4:
             links[p // 4 + 1].add(q // 4 + 1)
     placed = [False] * r
@@ -427,45 +420,40 @@ class _Rollback:
             self.size[x] -= self.size[y]
 
 
-def prop_mm_check(k, medians):
+def prop_mm_check(k, shadings):
     """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for each
-    median graph of medians ({face id: median graph}, as median_graphs(k)
-    gives); return {face id: holds}.
+    median graph of k in shadings (as shadings(k) gives them); return one
+    bool per median graph, in order: whether it holds.
 
     One depth-first walk smooths the crossings, A before B (A joins
     slots 0-3 and 1-2, B 0-1 and 2-3), bit ci of mask set when crossing
     ci takes A.  It keeps one union-find over the ports 4 ci + slot,
     joined along the arcs first, and one over the black faces of each
-    shading: the faces of one color class give the same median graph and
-    eta, so there are at most two.  E(s) keeps edge ci where the smoothing joins
-    the black corners, A if eta = +1 and B if eta = -1.  Every union-find
-    rolls back on backtrack, and its merges are the height of its undo
-    stack: S(s) is 4r less the ports' height, c(E(s)) is |V| less a
-    shading's.  The two sides share only the walk order.
+    median graph.  E(s) keeps edge ci where the smoothing joins the black
+    corners, A if eta = +1 and B if eta = -1.  Every union-find rolls
+    back on backtrack, and its merges are the height of its undo stack:
+    S(s) is 4r less the ports' height, c(E(s)) is |V| less a median
+    graph's.  The two sides share only the walk order.
     """
     r = k.r
-    arc_in, arc_out = _port_maps(k)
     ports = _Rollback(4 * r)
-    for label, (ci, slot) in arc_out.items():
-        cj, sj = arc_in[label]
-        ports.union(4 * ci + slot, 4 * cj + sj)
-    # (graph, eta): (union-find of its faces, |V|, bits where eta = -1)
-    shadings = {}
-    for m in medians.values():
-        if (m.graph, m.eta) not in shadings:
-            shadings[m.graph, m.eta] = (
-                _Rollback(m.graph.vertex_count + 1), m.graph.vertex_count,
-                sum(1 << ci for ci, e in enumerate(m.eta) if e == -1))
-    holds = dict.fromkeys(shadings, True)
-    unions = [ports] + [faces for faces, _, _ in shadings.values()]
+    for p, q in enumerate(_pairing(k)):
+        if p < q:
+            ports.union(p, q)
+    # per median graph: (union-find of its faces, |V|, bits where eta = -1)
+    sides = [(_Rollback(m.graph.vertex_count + 1), m.graph.vertex_count,
+              sum(1 << ci for ci, e in enumerate(m.eta) if e == -1))
+             for m in shadings]
+    holds = [True] * len(sides)
+    unions = [ports] + [faces for faces, _, _ in sides]
     # moves[ci] lists the joins of the A-smoothing at ci and of the B one
     moves = []
     for ci in range(r):
         a = [(ports, 4 * ci, 4 * ci + 3), (ports, 4 * ci + 1, 4 * ci + 2)]
         b = [(ports, 4 * ci, 4 * ci + 1), (ports, 4 * ci + 2, 4 * ci + 3)]
-        for (graph, eta), (faces, _, _) in shadings.items():
-            u, v = graph.edges[ci]
-            (a if eta[ci] == 1 else b).append((faces, u, v))
+        for m, (faces, _, _) in zip(shadings, sides):
+            u, v = m.graph.edges[ci]
+            (a if m.eta[ci] == 1 else b).append((faces, u, v))
         moves.append((a, b))
     height = [None] * r  # the undo heights before crossing ci was smoothed
     mask = ci = leaves = 0
@@ -477,10 +465,10 @@ def prop_mm_check(k, medians):
                 uf.union(x, y)
         leaves += 1
         loops = 4 * r - len(ports.undo)
-        for key, (faces, nv, flip) in shadings.items():
+        for i, (faces, nv, flip) in enumerate(sides):
             # 2 c + |E| - |V| with c = |V| - merges
             if loops != nv - 2 * len(faces.undo) + (mask ^ flip).bit_count():
-                holds[key] = False
+                holds[i] = False
         if not mask:
             break
         # Back up to the deepest A-smoothed crossing and smooth it B.
@@ -493,7 +481,7 @@ def prop_mm_check(k, medians):
         ci += 1
     if leaves != 1 << r:
         raise AssertionError("walked %d of %d states" % (leaves, 1 << r))
-    return {fid: holds[m.graph, m.eta] for fid, m in medians.items()}
+    return holds
 
 
 def jones_via_bichromate(k, m):

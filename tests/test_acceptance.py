@@ -19,8 +19,8 @@ from qbichromate.chordal import (parse_structure, str2_pair, str20_pair,
                                  structure_count, tree_structures)
 from qbichromate.graphcore import Multigraph
 from qbichromate.knotdiag import (faces, jones, jones_via_bichromate,
-                                  kauffman_f, median_graphs, parse_pd,
-                                  prop_mm_check)
+                                  kauffman_f, median_graph, parse_pd,
+                                  prop_mm_check, shadings)
 from qbichromate.polyq import (LaurentPoly, qbinom, qbinomial_theorem_check)
 from qbichromate.qchrom import bichromate, mq_direct, mq_subset, q_bichromate
 from qbichromate.statmech import (Couplings, lemma_w_eval, potts_direct,
@@ -162,16 +162,18 @@ def test_even_subgraph_count_identity(tiny_catalog):
 def test_face_graph_state_model():
     for name in ("kink.pd", "kinkneg.pd", "trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
-        holds = prop_mm_check(k, median_graphs(k))
-        for face in range(len(faces(k))):
-            assert holds[face], (name, face)
+        both = shadings(k)
+        holds = prop_mm_check(k, both)
+        for face in faces(k):
+            assert holds[both.index(median_graph(k, face.id))], (name, face)
 
 
 def test_face_graph_route_recovers_bracket():
     for name in ("trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
-        for face, m in median_graphs(k).items():
+        for face in faces(k):
+            m = median_graph(k, face.id)
             assert jones_via_bichromate(k, m) == f, (name, face)
 
 

@@ -17,7 +17,7 @@ from qbichromate import chordal, cli, knotdiag
 from qbichromate.cli import run
 from qbichromate.graphcore import Multigraph
 from qbichromate.polyq import LaurentPoly
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 
 def invoke(argv):
@@ -99,8 +99,18 @@ def test_median_without_face_lists_faces(capsys):
     assert "eta" in out
 
 
+def test_median_outer_face_out_of_range_exits_2(capsys):
+    for face in ("5", "-1"):
+        code, _ = run(["median", "--pd", fixture_path("trefoil.pd"),
+                       "--outer-face", face])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "out of range 0..4" in captured.err
+
+
 def test_bracket_suite_traces_the_embedding_twice(capsys, monkeypatch):
-    # once to validate the PD, once for the median graphs of all faces
+    # once to validate the PD, once for both shadings
     builds = []
 
     class Counted(knotdiag._Embedding):
@@ -117,6 +127,54 @@ def test_bracket_suite_traces_the_embedding_twice(capsys, monkeypatch):
         assert code == 0
         assert out.endswith("checked: %d failed: 0\n" % (2 * face_count))
         assert len(builds) == 2, name
+
+
+def test_bracket_suite_runs_the_subset_route_once_per_shading(
+        capsys, monkeypatch):
+    calls = []
+    route = knotdiag.jones_via_bichromate
+
+    def counted(k, m):
+        calls.append(m)
+        return route(k, m)
+
+    monkeypatch.setattr(knotdiag, "jones_via_bichromate", counted)
+    for name, face_count in (("trefoil.pd", 5), ("fig8.pd", 6),
+                             ("t2_7.pd", 9)):
+        calls.clear()
+        code, _ = run(["identities", "--suite", "bracket",
+                       "--pd", fixture_path(name)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("checked: %d failed: 0\n" % (2 * face_count))
+        assert len(calls) == 2, name
+
+
+def test_bracket_suite_fails_on_the_faces_of_a_wrong_shading(
+        capsys, monkeypatch):
+    # a shading with its eta negated fails the loop count model on the
+    # faces it serves as outer faces (its white class), and on no other
+    real = knotdiag.shadings
+    for name in ("trefoil.pd", "fig8.pd"):
+        k = load_fixture(name, knotdiag.parse_pd)
+        for wrong in (0, 1):
+            def one_negated(k):
+                both = list(real(k))
+                m = both[wrong]
+                both[wrong] = knotdiag.MedianGraph(
+                    m.graph, tuple(-e for e in m.eta), m.black_faces)
+                return tuple(both)
+
+            monkeypatch.setattr(knotdiag, "shadings", one_negated)
+            code, _ = run(["identities", "--suite", "bracket",
+                           "--pd", fixture_path(name)])
+            out = capsys.readouterr().out
+            assert code == 1
+            failed = {int(line.rsplit(" ", 1)[1]) for line in out.splitlines()
+                      if line.startswith("FAIL loop count model, outer face ")}
+            white = set(range(k.r + 2)) - set(real(k)[wrong].black_faces)
+            assert failed == white, (name, wrong)
+            assert out.count("PASS loop count model") == k.r + 2 - len(white)
 
 
 def test_timing_goes_to_stderr():
@@ -465,6 +523,79 @@ def test_subset_fold_output_is_pinned(call, emit, monkeypatch, capsys):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == SUBSET_FOLD_DIGESTS[call, emit]
+
+
+# sha256 of stdout, run from the repository root, as recorded while the
+# median command and the bracket suite built one median graph per face.
+SHADING_DIGESTS = {
+    ("median --pd tests/fixtures/trefoil.pd", "text"):
+        "6bb3f59a1bb88ddd14c67be33dc3649704e6f051266858dd4cb2e38d1ab58256",
+    ("median --pd tests/fixtures/trefoil.pd --outer-face 0", "text"):
+        "931a5d4459b436f8f59b5a101cdd486a08f3f587d11ef598de11f623f4fb45bb",
+    ("median --pd tests/fixtures/trefoil.pd --outer-face 1", "text"):
+        "6ba693ece909260ef50f18554a9a479e03eb2d805474dfbb9ab017af4d0d9126",
+    ("median --pd tests/fixtures/trefoil.pd --outer-face 2", "text"):
+        "bf19c70214ac8cb5eafc98d4c0fa3e5c494c6199636b02e18f43fb651c8ee75b",
+    ("median --pd tests/fixtures/trefoil.pd --outer-face 3", "text"):
+        "48f375bfb0514057d86dd7e4a6224e15a84296bf97b52592ebfa06b40d96e507",
+    ("median --pd tests/fixtures/trefoil.pd --outer-face 4", "text"):
+        "df5da0fa8a9c90e63076395c146e63e97adece2bdffc96003e2cca336cc953a2",
+    ("median --pd tests/fixtures/trefoil_flip.pd", "text"):
+        "abe0b3c3b85ef3ac3aeeff079d98574d619aa2708928d66e629a38f26b2cf660",
+    ("median --pd tests/fixtures/trefoil_flip.pd --outer-face 0", "text"):
+        "ba9973377e6818ecbd2d1ae25c480692c5ab391eb252f34102d1d8296a7bc99a",
+    ("median --pd tests/fixtures/trefoil_flip.pd --outer-face 1", "text"):
+        "5a6553431e176277b7fc750dda7bd0bc623b95ae7020156fd050dcc47350ca89",
+    ("median --pd tests/fixtures/trefoil_flip.pd --outer-face 2", "text"):
+        "4fc34d0510e2e2932f42eb5817545afcd0d4f02c4f0fe3043b0e935b1aec5d66",
+    ("median --pd tests/fixtures/trefoil_flip.pd --outer-face 3", "text"):
+        "280fccee561febd43ab19cb707808c34c08ddbba662f592eab63a2ae1253d8f3",
+    ("median --pd tests/fixtures/trefoil_flip.pd --outer-face 4", "text"):
+        "6a7eb16765c859a6a4901f11ffce4e7abe83dd0e8600a78d83542be434815caf",
+    ("median --pd tests/fixtures/fig8.pd", "text"):
+        "4e8b60a745a61122b704ddc528755d5f59205d7dad23c7faebb6b4d01cd126dc",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 0", "text"):
+        "0a445cc8529c57b65c9558acfc98e0e3ad810ad7329104a2a44369cff10fcfef",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 1", "text"):
+        "8eefb93d4f55e44af6ca15f53e3e2a54915006dd86923245280e2db157d2cc6d",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 2", "text"):
+        "2518be1d545a80d56bf39f8dfd4c005cbbef9dd2e4c0418960f5725add0d1827",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 3", "text"):
+        "a66d2340acdb54aaf92a6681bf5e7d2f7f5c46a149a7ddd717d2dd5c1b11c8a8",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 4", "text"):
+        "725e18260aa1750d0883d89113d60686be962535717e3f4cfea7a99d6e795506",
+    ("median --pd tests/fixtures/fig8.pd --outer-face 5", "text"):
+        "ba918caee6530dc0b31adad11973b1783d4796699ffd1ee7b84a3a21007a4b30",
+    ("median --pd tests/fixtures/kink.pd", "text"):
+        "9927fed1fd155aa15e3d3526d0cebf276aa480dfe2f6373123ffe7b54691aa7e",
+    ("median --pd tests/fixtures/kink.pd --outer-face 0", "text"):
+        "feff3b0d4f43787f1d78f9e1aaf6d1db464c36b48b0a102281fa47de7322b1b6",
+    ("median --pd tests/fixtures/kink.pd --outer-face 1", "text"):
+        "424f605bcc1062a79d1fecb7b32d9f144cad02d3706fb78a19b3bbba87610939",
+    ("median --pd tests/fixtures/kink.pd --outer-face 2", "text"):
+        "3007d6a7560b4ded77e877a4e5d7f75f4fade6f718569ae373d7ded21b55cace",
+    ("identities --suite bracket --pd tests/fixtures/fig8.pd", "text"):
+        "f8fecc472592a96e20d07b9379f380e0d62c17da215f9172ffbff7921f07c854",
+    ("identities --suite bracket --pd tests/fixtures/fig8.pd", "json"):
+        "3e77e02dc2c7727465d1b10c0d662ad10d495ae321c7db981bbefb2def8c5d19",
+    ("identities --suite bracket --pd tests/fixtures/kink.pd", "text"):
+        "ec839fa66fd16839af5f7a2ed0851e6cb5ce2b6d3b967f77288409d235c9a06d",
+    ("identities --suite bracket --pd tests/fixtures/kink.pd", "json"):
+        "61d4cecb464e519cbb45929551f2c4127743d31a47a8d97a555a2b15259b406b",
+    ("identities --suite bracket --pd tests/fixtures/t2_7.pd", "text"):
+        "df89fff346692622bc49ac1182c0643b86a9c1b67af366cfac082593aae230e8",
+    ("identities --suite bracket --pd tests/fixtures/t2_7.pd", "json"):
+        "a15f15b31845a2f0f4d3b64c3261bb653fdc757848bc328a31e0ad9bc9efbde9",
+}
+
+
+@pytest.mark.parametrize("call, emit", sorted(SHADING_DIGESTS))
+def test_shading_output_is_pinned(call, emit, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, _ = run(call.split() + ["--emit", emit])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SHADING_DIGESTS[call, emit]
 
 
 def test_colored_jones_routes_agree(capsys):

@@ -9,8 +9,8 @@ import pytest
 from qbichromate.graphcore import ParseError
 from qbichromate.knotdiag import (MedianGraph, bracket_contract, faces,
                                   jones, jones_via_bichromate, kauffman_f,
-                                  median_graph, median_graphs, parse_pd,
-                                  prop_mm_check)
+                                  median_graph, parse_pd, prop_mm_check,
+                                  shadings)
 from qbichromate.polyq import LaurentPoly
 from qbichromate.qchrom import bichromate
 import oracles
@@ -96,11 +96,12 @@ def test_median_graph_trefoil():
     assert m.graph.vertex_count == 3
     assert sorted(m.graph.edges) == [(1, 2), (2, 3), (3, 1)] or \
         sorted(tuple(sorted(e)) for e in m.graph.edges) == [(1, 2), (1, 3), (2, 3)]
-    assert m.b == (1, 1, 1)
     assert m.eta == (1, 1, 1)
     assert m.black_faces == (1, 3, 4)
-    with pytest.raises(ValueError):
-        median_graph(k, 99)
+    for face in (99, 5, -1):
+        with pytest.raises(ValueError) as e:
+            median_graph(k, face)
+        assert str(e.value) == "outer face id %d out of range 0..4" % face
 
 
 def test_mixed_eta_unknot():
@@ -109,22 +110,21 @@ def test_mixed_eta_unknot():
     # cluster-sum entries carry more than one count of eta = +1 edges
     k = load_fixture("trefoil_flip.pd", parse_pd)
     assert jones(k) == LaurentPoly.constant(1)
-    medians = median_graphs(k)
-    assert {m.eta for m in medians.values()} == {(1, -1, -1), (-1, 1, 1)}
+    both = shadings(k)
+    assert {m.eta for m in both} == {(1, -1, -1), (-1, 1, 1)}
     f = kauffman_f(k)
     expect = LaurentPoly.from_powers("A", oracles.bracket_f(read("trefoil_flip.pd")))
     assert f == expect
-    holds = prop_mm_check(k, medians)
-    for face, m in medians.items():
-        assert jones_via_bichromate(k, m) == f, face
-        assert holds[face], face
+    assert prop_mm_check(k, both) == [True, True]
+    for m in both:
+        assert jones_via_bichromate(k, m) == f, m
 
 
 def test_bichromate_route_equals_bracket():
     for name in ("trefoil.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
         f = kauffman_f(k)
-        for m in median_graphs(k).values():
+        for m in shadings(k):
             assert jones_via_bichromate(k, m) == f
 
 
@@ -134,7 +134,7 @@ def uniform_bracket(k, m):
     (-A^2 - A^-2)^(2c + j - |V| - 1) A^(2 eta j), times the prefactor
     (-A)^(-3W) A^(-sum of eta).  It holds only when all crossing signs
     and all eta values agree; otherwise it raises ValueError."""
-    if len(set(m.b)) > 1:
+    if len({c.sign for c in k.crossings}) > 1:
         raise ValueError("bichromate route needs uniform crossing signs")
     if len(set(m.eta)) > 1:
         raise ValueError("bichromate route needs uniform eta")
@@ -220,8 +220,7 @@ def test_bracket_contract_matches_state_loops():
 def negated(m):
     """m with every eta flipped: the wrong smoothing joins its black
     corners."""
-    return MedianGraph(m.graph, m.b, tuple(-e for e in m.eta),
-                       m.black_faces, m.outer_face)
+    return MedianGraph(m.graph, tuple(-e for e in m.eta), m.black_faces)
 
 
 def test_prop_mm():
@@ -231,26 +230,27 @@ def test_prop_mm():
     texts += [shuffled_pd(text, seed) for seed, text in enumerate(texts)]
     for text in texts:
         k = parse_pd(text)
-        medians = median_graphs(k)
-        assert medians == {face.id: median_graph(k, face.id)
-                           for face in faces(k)}
-        assert prop_mm_check(k, medians) == dict.fromkeys(
-            range(len(faces(k))), True), text
+        both = shadings(k)
+        # the distinct median graphs over all outer faces, in face order
+        assert both == tuple(dict.fromkeys(median_graph(k, face.id)
+                                           for face in faces(k))), text
+        assert prop_mm_check(k, both) == [True, True], text
 
 
 def test_prop_mm_fails_on_a_negated_eta():
-    # one face's median graph with its eta negated keeps the edges but
-    # joins them on the wrong smoothing: that face fails, and the others,
-    # walked in the same pass, still hold
+    # one shading's median graph with its eta negated keeps the edges but
+    # joins them on the wrong smoothing: that shading fails, and the
+    # other, walked in the same pass, still holds
     for name in ("trefoil.pd", "trefoil_flip.pd", "fig8.pd"):
         k = load_fixture(name, parse_pd)
-        medians = median_graphs(k)
-        medians[1] = negated(medians[1])
-        holds = prop_mm_check(k, medians)
-        assert holds == {face: face != 1 for face in medians}, name
-    # any dict of faces: the negated face alone in its shading, or none
+        for wrong in (0, 1):
+            both = list(shadings(k))
+            both[wrong] = negated(both[wrong])
+            assert prop_mm_check(k, both) == [i != wrong for i in (0, 1)], \
+                (name, wrong)
+    # any list of median graphs: one per entry, a shading given twice
+    # with one copy negated, or none
     k = parse_pd(torus_pd(5))
-    medians = median_graphs(k)
-    wrong = {0: negated(medians[0]), 1: medians[1]}
-    assert prop_mm_check(k, wrong) == {0: False, 1: True}
-    assert prop_mm_check(k, {}) == {}
+    m = shadings(k)[0]
+    assert prop_mm_check(k, [negated(m), m]) == [False, True]
+    assert prop_mm_check(k, []) == []

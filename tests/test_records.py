@@ -19,8 +19,8 @@ RECORDS = {
     KnotPD: (((Crossing(1, (1, 2, 3, 4)),),),
              ((Crossing(-1, (1, 2, 3, 4)),),)),
     Face: ((0, ((0, 1),), (1, 2)), (1, ((0, 1),), (1, 2))),
-    MedianGraph: ((Multigraph(1, ()), (1,), (1,), (2,), 0),
-                  (Multigraph(1, ()), (1,), (-1,), (2,), 0)),
+    MedianGraph: ((Multigraph(1, ()), (1,), (2,)),
+                  (Multigraph(1, ()), (-1,), (2,))),
     TreeStructure: (((0,), (frozenset({1}),), (frozenset(),)),
                     ((0,), (frozenset({2}),), (frozenset(),))),
     Couplings: (("v", (Fraction(1, 2),)), ("v", (Fraction(1, 3),))),

@@ -14,14 +14,15 @@ time (bracket_contract, the bracket form of Bar-Natan's local
 contraction): it keeps, per pairing of the open crossing ports, how many
 partial states close how many loops with which A-exponent, so its cost
 grows with the width of the crossing order, not with 2^r.  The face-graph
-check (prop_mm_check) still walks all 2^r smoothings once, with
-union-finds that roll back on backtrack, because it compares every
-state's loop count with the component count of both shadings' median
-graphs; no geometry is involved in either.
+check (prop_mm_check) reads the same contraction: given median graphs,
+it also keeps, per graph, the partition of the open faces by the chosen
+edges and the loops closed less the model 2 c + |E| - |V| so far.  One
+contraction serves both; there is no union-find, no rollback and no
+depth-first walk over the states, and no geometry is involved.
 
-Every walk of the diagram (the strand check, the face tracing, the
-contraction and the state walk) reads one pairing of the 4r ports
-4 ci + slot: other[p] is the port at the far end of p's arc.
+Every walk of the diagram (the strand check, the face tracing and the
+contraction) reads one pairing of the 4r ports 4 ci + slot: other[p] is
+the port at the far end of p's arc.
 
 Faces are traced from the rotation system the slot order defines, so the
 combinatorial planar structure (faces, checkerboard shading, median
@@ -250,10 +251,10 @@ def shadings(k):
 def median_graph(k, outer_face):
     """The median graph of k's shading in which the given face id is
     white, as the outer face."""
-    both = shadings(k)
     if not 0 <= outer_face < k.r + 2:
         raise ValueError("outer face id %d out of range 0..%d"
                          % (outer_face, k.r + 1))
+    both = shadings(k)
     return both[1 if outer_face in both[0].black_faces else 0]
 
 
@@ -278,18 +279,30 @@ def _median_graph(emb, black):
                        tuple(eta), black_faces)
 
 
-def bracket_contract(k):
-    """{(loop count, #A - #B): number of states} over the 2^r smoothings
-    of k, without visiting them.
+def bracket_contract(k, shadings=()):
+    """{model differences: {(loop count, #A - #B): number of states}} over
+    the 2^r smoothings of k, without visiting them.
 
     The crossings are placed in the frontier sweeps' order
     (graphcore._sweep_order, crossings linked by an arc).  Ports 4 ci +
     slot whose arc leads to an unplaced crossing are open, and each
-    partial state pairs them by the paths it has drawn.  The sweep keeps
-    {pairing: {(loops closed, #A - #B): count}}.  Placing a crossing
-    tries both smoothings (A joins slots 0-3 and 1-2, B 0-1 and 2-3),
-    then joins each arc whose other port is placed: joining the two ends
-    of one path closes a loop.
+    partial state pairs them by the paths it has drawn.  Placing a
+    crossing tries both smoothings (A joins slots 0-3 and 1-2, B 0-1 and
+    2-3), then joins each arc whose other port is placed: joining the two
+    ends of one path closes a loop.
+
+    For each median graph of k in shadings (as shadings(k) gives them), a
+    partial state also partitions the graph's open faces (those with an
+    unplaced crossing) by the edges it has chosen: edge ci where the
+    smoothing joins the black corners, A if eta = +1 and B if eta = -1.
+    It keeps the loops closed so far less the model 2 c + |E| - |V| so
+    far, which gains 1 per chosen edge, -1 per face whose last crossing
+    is placed and 2 per block that loses its last open face.  The sweep
+    keeps {(pairing, (partition, difference) per median graph):
+    {(loops closed, #A - #B): count}}, and the result is grouped by the
+    final differences: S(s) = 2 c(E(s)) + |E(s)| - |V| holds for every
+    state exactly when a median graph's difference is 0 in every group.
+    The two sides share only the sweep order and the smoothing.
     """
     r = k.r
     other = _pairing(k)
@@ -297,13 +310,22 @@ def bracket_contract(k):
     for p, q in enumerate(other):
         if p // 4 != q // 4:
             links[p // 4 + 1].add(q // 4 + 1)
+    order = [v - 1 for v in _sweep_order(links)]
+    # last[i][v]: the sweep position of the last crossing at face v of
+    # shadings[i].  A face at no crossing is a component of its own from
+    # the start, so each one starts the difference at -1.
+    last = [{v: n for n, ci in enumerate(order) for v in m.graph.edges[ci]}
+            for m in shadings]
+    model = tuple(((), len(at) - m.graph.vertex_count)
+                  for m, at in zip(shadings, last))
     placed = [False] * r
     # front lists the open ports; a key's entry i is the position in
-    # front of the port that front[i]'s path ends at.
+    # front of the port that front[i]'s path ends at.  open_faces[i]
+    # lists the open faces of shadings[i] that a placed crossing touches.
     front = []
-    states = {(): {(0, 0): 1}}
-    for v in _sweep_order(links):
-        ci = v - 1
+    open_faces = [[] for _ in shadings]
+    states = {((), model): {(0, 0): 1}}
+    for n, ci in enumerate(order):
         placed[ci] = True
         f = len(front)
         ports = front + [4 * ci + slot for slot in range(4)]
@@ -319,8 +341,17 @@ def bracket_contract(k):
             position[i] = j
         smoothings = ((1, (f + 3, f + 2, f + 1, f)),
                       (-1, (f + 1, f, f + 3, f + 2)))
+        moves = []
+        for i, m in enumerate(shadings):
+            ends = m.graph.edges[ci]
+            faces = open_faces[i] + [v for v in dict.fromkeys(ends)
+                                     if v not in open_faces[i]]
+            stay = [j for j, v in enumerate(faces) if last[i][v] != n]
+            open_faces[i] = [faces[j] for j in stay]
+            moves.append((m.eta[ci], [faces.index(v) for v in ends],
+                          len(faces), stay, {}))
         new = {}
-        for key, counts in states.items():
+        for (key, model), counts in states.items():
             for step, pairs in smoothings:
                 mate = list(key)
                 mate.extend(pairs)
@@ -334,13 +365,51 @@ def bracket_contract(k):
                         mate[mx] = my
                         mate[my] = mx
                 pairing = tuple([position[mate[i]] for i in keep])
-                out = new.setdefault(pairing, {})
+                # kauffman_f gives no median graph: its model stays ()
+                # without a generator per state
+                if moves:
+                    moved = tuple(_face_move(part, difference + closed,
+                                             step, move)
+                                  for (part, difference), move
+                                  in zip(model, moves))
+                else:
+                    moved = model
+                out = new.setdefault((pairing, moved), {})
                 for (loops, e), count in counts.items():
                     state = (loops + closed, e + step)
                     out[state] = out.get(state, 0) + count
         states = new
         front = [ports[i] for i in keep]
-    return states[()]
+    return {tuple(difference for _, difference in model): counts
+            for (_, model), counts in states.items()}
+
+
+def _face_move(part, difference, step, move):
+    """One median graph's (partition, difference) after a crossing is
+    placed with the smoothing step (+1 for A, -1 for B).
+
+    part labels the open faces in order, first occurrence numbered first.
+    move is (eta at the crossing, the positions of its edge's ends among
+    the open faces and the faces it opens, how many those are, the
+    positions of those that stay open, a cache per (part, chosen)); the
+    faces the crossing opens join as singletons."""
+    eta, (x, y), width, stay, memo = move
+    chosen = step == eta
+    moved = memo.get((part, chosen))
+    if moved is None:
+        block = list(part)
+        block.extend(range(len(part), width))
+        a, b = block[x], block[y]
+        if chosen and a != b:
+            block = [a if c == b else c for c in block]
+        label = {}
+        for j in stay:
+            label.setdefault(block[j], len(label))
+        closed = len(set(block)) - len(label)
+        moved = memo[part, chosen] = (
+            tuple([label[block[j]] for j in stay]),
+            len(block) - len(stay) - chosen - 2 * closed)
+    return moved[0], difference + moved[1]
 
 
 def kauffman_f(k):
@@ -351,7 +420,7 @@ def kauffman_f(k):
     of the unknot.  The states come grouped from bracket_contract, and
     the sum is folded in one {A-exponent: int} dict.
     """
-    counts = bracket_contract(k)
+    counts = bracket_contract(k)[()]
     w = k.writhe
     sign = -1 if w % 2 else 1
     # rows[j][i] is the coefficient of A^(4i - 2j) in (-A^2 - A^-2)^j.
@@ -385,103 +454,20 @@ def jones(k):
     return LaurentPoly.from_powers("t", terms)
 
 
-class _Rollback:
-    """A union-find that rolls back on backtrack: union by size, no path
-    compression, and one (root, merged root) entry on undo per merge, so
-    the height of undo is the number of merges."""
-
-    __slots__ = ("parent", "size", "undo")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.undo = []
-
-    def union(self, x, y):
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x != y:
-            size = self.size
-            if size[x] < size[y]:
-                x, y = y, x
-            parent[y] = x
-            size[x] += size[y]
-            self.undo.append((x, y))
-
-    def rollback(self, height):
-        """Undo the merges above the given height of undo."""
-        undo = self.undo
-        while len(undo) > height:
-            x, y = undo.pop()
-            self.parent[y] = y
-            self.size[x] -= self.size[y]
-
-
 def prop_mm_check(k, shadings):
     """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for each
     median graph of k in shadings (as shadings(k) gives them); return one
     bool per median graph, in order: whether it holds.
 
-    One depth-first walk smooths the crossings, A before B (A joins
-    slots 0-3 and 1-2, B 0-1 and 2-3), bit ci of mask set when crossing
-    ci takes A.  It keeps one union-find over the ports 4 ci + slot,
-    joined along the arcs first, and one over the black faces of each
-    median graph.  E(s) keeps edge ci where the smoothing joins the black
-    corners, A if eta = +1 and B if eta = -1.  Every union-find rolls
-    back on backtrack, and its merges are the height of its undo stack:
-    S(s) is 4r less the ports' height, c(E(s)) is |V| less a median
-    graph's.  The two sides share only the walk order.
+    It reads the groups of bracket_contract(k, shadings): a median graph
+    holds when its difference is 0 in every group.
     """
-    r = k.r
-    ports = _Rollback(4 * r)
-    for p, q in enumerate(_pairing(k)):
-        if p < q:
-            ports.union(p, q)
-    # per median graph: (union-find of its faces, |V|, bits where eta = -1)
-    sides = [(_Rollback(m.graph.vertex_count + 1), m.graph.vertex_count,
-              sum(1 << ci for ci, e in enumerate(m.eta) if e == -1))
-             for m in shadings]
-    holds = [True] * len(sides)
-    unions = [ports] + [faces for faces, _, _ in sides]
-    # moves[ci] lists the joins of the A-smoothing at ci and of the B one
-    moves = []
-    for ci in range(r):
-        a = [(ports, 4 * ci, 4 * ci + 3), (ports, 4 * ci + 1, 4 * ci + 2)]
-        b = [(ports, 4 * ci, 4 * ci + 1), (ports, 4 * ci + 2, 4 * ci + 3)]
-        for m, (faces, _, _) in zip(shadings, sides):
-            u, v = m.graph.edges[ci]
-            (a if m.eta[ci] == 1 else b).append((faces, u, v))
-        moves.append((a, b))
-    height = [None] * r  # the undo heights before crossing ci was smoothed
-    mask = ci = leaves = 0
-    while True:
-        for cj in range(ci, r):
-            height[cj] = [len(uf.undo) for uf in unions]
-            mask |= 1 << cj
-            for uf, x, y in moves[cj][0]:
-                uf.union(x, y)
-        leaves += 1
-        loops = 4 * r - len(ports.undo)
-        for i, (faces, nv, flip) in enumerate(sides):
-            # 2 c + |E| - |V| with c = |V| - merges
-            if loops != nv - 2 * len(faces.undo) + (mask ^ flip).bit_count():
-                holds[i] = False
-        if not mask:
-            break
-        # Back up to the deepest A-smoothed crossing and smooth it B.
-        ci = mask.bit_length() - 1
-        for uf, h in zip(unions, height[ci]):
-            uf.rollback(h)
-        mask ^= 1 << ci
-        for uf, x, y in moves[ci][1]:
-            uf.union(x, y)
-        ci += 1
-    if leaves != 1 << r:
-        raise AssertionError("walked %d of %d states" % (leaves, 1 << r))
-    return holds
+    groups = bracket_contract(k, shadings)
+    states = sum(sum(counts.values()) for counts in groups.values())
+    if states != 1 << k.r:
+        raise AssertionError("counted %d of %d states" % (states, 1 << k.r))
+    return [all(differences[i] == 0 for differences in groups)
+            for i in range(len(shadings))]
 
 
 def jones_via_bichromate(k, m):

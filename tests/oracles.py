@@ -51,10 +51,14 @@ divides (1 - x^a) factors.  None of these references imports those
 (1 - x^a) passes.  state_loops_reference is the package's former
 state-loop kernel, one rollback walk over all 2^r smoothings that pairs
 the ports by arc label itself, kept as the reference for
-knotdiag.bracket_contract (a tangle contraction); no reference calls
-knotdiag.prop_mm_check's walk.  qint (powers added one at a time) and
-mq_complete (the paper's closed form for complete graphs, built on
-qbinom_reference) left the package because only the tests read them.
+knotdiag.bracket_contract (a tangle contraction).
+model_groups_reference builds bracket_contract's groups for given median
+graphs one mask at a time, from state_loops_reference's loop counts and
+component_count on each median graph, as the reference for the model
+side of the contraction that knotdiag.prop_mm_check reads.  qint
+(powers added one at a time) and mq_complete (the paper's closed form
+for complete graphs, built on qbinom_reference) left the package
+because only the tests read them.
 """
 
 from fractions import Fraction
@@ -493,6 +497,31 @@ def state_loops_reference(k):
         union(4 * ci + 2, 4 * ci + 3)
         ci += 1
 
+
+
+def model_groups_reference(k, shadings):
+    """knotdiag.bracket_contract(k, shadings) one mask at a time: {model
+    differences: {(loop count, #A - #B): number of states}}.
+
+    The loop count of each mask is state_loops_reference's.  For each
+    median graph in shadings, the state chooses the edges of mask XOR the
+    bits where eta = -1, and its difference is the loop count less
+    2 c + |E| - |V|, with c from component_count.
+    """
+    flips = [sum(1 << ci for ci, e in enumerate(m.eta) if e == -1)
+             for m in shadings]
+    groups = {}
+    for mask, loops in state_loops_reference(k):
+        differences = []
+        for m, flip in zip(shadings, flips):
+            chosen = mask ^ flip
+            model = (2 * component_count(m.graph, chosen)
+                     + bin(chosen).count("1") - m.graph.vertex_count)
+            differences.append(loops - model)
+        counts = groups.setdefault(tuple(differences), {})
+        state = (loops, 2 * bin(mask).count("1") - len(k.crossings))
+        counts[state] = counts.get(state, 0) + 1
+    return groups
 
 def bracket_f(text):
     """Normalized bracket of a PD text as a dict {A-exponent: coeff}."""

@@ -150,6 +150,16 @@ def test_bracket_suite_runs_the_subset_route_once_per_shading(
         assert len(calls) == 2, name
 
 
+
+def test_bracket_suite_on_t2_41(capsys):
+    # T(2,41) has 2^41 states: a loop count model check that walks them
+    # does not finish
+    code, _ = run(["identities", "--suite", "bracket",
+                   "--pd", fixture_path("t2_41.pd")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("checked: 86 failed: 0\n")
+
 def test_bracket_suite_fails_on_the_faces_of_a_wrong_shading(
         capsys, monkeypatch):
     # a shading with its eta negated fails the loop count model on the

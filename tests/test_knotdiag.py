@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from qbichromate.graphcore import ParseError
+from qbichromate import knotdiag
+from qbichromate.graphcore import Multigraph, ParseError
 from qbichromate.knotdiag import (MedianGraph, bracket_contract, faces,
                                   jones, jones_via_bichromate, kauffman_f,
                                   median_graph, parse_pd, prop_mm_check,
                                   shadings)
 from qbichromate.polyq import LaurentPoly
 from qbichromate.qchrom import bichromate
+import braids
 import oracles
 from conftest import fixture_path, load_fixture
 
@@ -102,6 +104,18 @@ def test_median_graph_trefoil():
         with pytest.raises(ValueError) as e:
             median_graph(k, face)
         assert str(e.value) == "outer face id %d out of range 0..4" % face
+
+
+def test_median_graph_checks_the_face_before_tracing(monkeypatch):
+    k = load_fixture("trefoil.pd", parse_pd)
+
+    def untraced(k):
+        raise AssertionError("traced the embedding")
+
+    monkeypatch.setattr(knotdiag, "_Embedding", untraced)
+    with pytest.raises(ValueError) as e:
+        median_graph(k, 5)
+    assert str(e.value) == "outer face id 5 out of range 0..4"
 
 
 def test_mixed_eta_unknot():
@@ -214,13 +228,39 @@ def test_bracket_contract_matches_state_loops():
         k = parse_pd(text)
         expect = Counter((loops, 2 * mask.bit_count() - k.r)
                          for mask, loops in oracles.state_loops_reference(k))
-        assert bracket_contract(k) == expect, text
+        # no median graph: one group, keyed by no differences
+        assert bracket_contract(k) == {(): expect}, text
 
 
 def negated(m):
     """m with every eta flipped: the wrong smoothing joins its black
     corners."""
     return MedianGraph(m.graph, tuple(-e for e in m.eta), m.black_faces)
+
+
+def test_bracket_contract_groups_match_reference():
+    texts = [read(name) for name in ("trefoil.pd", "trefoil_flip.pd",
+                                     "fig8.pd", "kink.pd", "kinkneg.pd",
+                                     "t2_7.pd")]
+    texts += [torus_pd(k) for k in range(3, 12, 2)]
+    texts += [shuffled_pd(text, seed) for seed, text in enumerate(texts)]
+    for text in texts:
+        k = parse_pd(text)
+        both = shadings(k)
+        for given in (both, (negated(both[0]), both[1]),
+                      (both[0], negated(both[1]))):
+            expect = oracles.model_groups_reference(k, given)
+            assert bracket_contract(k, given) == expect, (text, given)
+        # the true shadings close every state with difference 0
+        assert list(bracket_contract(k, both)) == [(0, 0)], text
+    # a median graph with a vertex at no crossing, a component of its own
+    k = load_fixture("trefoil.pd", parse_pd)
+    m = shadings(k)[0]
+    extra = MedianGraph(Multigraph(m.graph.vertex_count + 1, m.graph.edges),
+                        m.eta, m.black_faces)
+    expect = oracles.model_groups_reference(k, [extra])
+    assert bracket_contract(k, [extra]) == expect
+    assert prop_mm_check(k, [extra]) == [False]
 
 
 def test_prop_mm():
@@ -254,3 +294,46 @@ def test_prop_mm_fails_on_a_negated_eta():
     m = shadings(k)[0]
     assert prop_mm_check(k, [negated(m), m]) == [False, True]
     assert prop_mm_check(k, []) == []
+
+
+def braid_knots(seed, count):
+    """count seeded braid-closure knots on 3 to 5 strands, r <= 14."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(3, 5)
+        word = braids.random_knot_word(rng, strands, 14)
+        out.append((word, parse_pd(braids.closure_pd(word, strands))))
+    return out
+
+
+def test_braid_closures_are_knots():
+    t = LaurentPoly.variable("t")
+    # the closures of sigma_1^3 on two strands and of (sigma_1
+    # sigma_2^-1)^2 on three: a trefoil and the figure-eight knot
+    tre = parse_pd(braids.closure_pd([1, 1, 1], 2))
+    assert jones(tre) == t ** -1 + t ** -3 - t ** -4
+    fig8 = parse_pd(braids.closure_pd([1, -2, 1, -2], 3))
+    assert jones(fig8) == jones(load_fixture("fig8.pd", parse_pd))
+    assert not braids.is_knot([1, 2, 1], 3)
+    # parse_pd accepts each closure: one planar knot
+    for word, k in braid_knots(1, 20):
+        assert k.r == len(word) <= 14
+
+
+def test_prop_mm_on_braid_closures():
+    for word, k in braid_knots(2, 25):
+        both = shadings(k)
+        assert prop_mm_check(k, both) == [True, True], word
+        for wrong in (0, 1):
+            given = list(both)
+            given[wrong] = negated(given[wrong])
+            assert prop_mm_check(k, given) == [i != wrong for i in (0, 1)], \
+                (word, wrong)
+
+
+def test_bichromate_route_on_braid_closures():
+    for word, k in braid_knots(3, 25):
+        f = kauffman_f(k)
+        for m in shadings(k):
+            assert jones_via_bichromate(k, m) == f, word

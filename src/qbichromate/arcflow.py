@@ -317,13 +317,13 @@ def delta_flow(g, f):
 
 def _times_qbinom(row, m, k):
     """The dense int row times the Gaussian binomial [m choose k] in base
-    t, whose terms are read from qbinom.  The one in base t^-1 is
-    t^(-k(m-k)) times this one."""
+    t, whose coefficients are read from qbinom's (in q).  The one in base
+    t^-1 is t^(-k(m-k)) times this one."""
     if k in (0, m):
         # the constant 1, whose exponent key is () rather than a 1-tuple
         return row
     out = [0] * (len(row) + k * (m - k))
-    for (e,), c in qbinom(m, k, "t").terms.items():
+    for (e,), c in qbinom(m, k).terms.items():
         for i, c1 in enumerate(row, e):
             out[i] += c * c1
     return out

@@ -293,9 +293,8 @@ def _suite_vdw(args, report):
 
 def _suite_bracket(args, report):
     k = report.add_input("pd", _need(args, "pd"), knotdiag.parse_pd)
-    f = knotdiag.kauffman_f(k)
     shadings = knotdiag.shadings(k)
-    holds = knotdiag.prop_mm_check(k, shadings)
+    holds, f = knotdiag.prop_mm_check(k, shadings)
     routes = [knotdiag.jones_via_bichromate(k, m) for m in shadings]
     for fid in range(k.r + 2):
         # the face is the outer face of the shading in which it is white

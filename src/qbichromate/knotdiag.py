@@ -16,9 +16,10 @@ partial states close how many loops with which A-exponent, so its cost
 grows with the width of the crossing order, not with 2^r.  The face-graph
 check (prop_mm_check) reads the same contraction: given median graphs,
 it also keeps, per graph, the partition of the open faces by the chosen
-edges and the loops closed less the model 2 c + |E| - |V| so far.  One
-contraction serves both; there is no union-find, no rollback and no
-depth-first walk over the states, and no geometry is involved.
+edges and the loops closed less the model 2 c + |E| - |V| so far, and
+its groups summed give the bracket too.  One contraction serves both;
+there is no union-find, no rollback and no depth-first walk over the
+states, and no geometry is involved.
 
 Every walk of the diagram (the strand check, the face tracing and the
 contraction) reads one pairing of the 4r ports 4 ci + slot: other[p] is
@@ -418,9 +419,14 @@ def kauffman_f(k):
     Sum over states of (-A^2 - A^-2)^(S(s)-1) * A^(#A - #B), multiplied
     by (-A)^(-3 W) where W is the writhe.  The result is 1 on any diagram
     of the unknot.  The states come grouped from bracket_contract, and
-    the sum is folded in one {A-exponent: int} dict.
+    _bracket folds them.
     """
-    counts = bracket_contract(k)[()]
+    return _bracket(k, bracket_contract(k)[()])
+
+
+def _bracket(k, counts):
+    """kauffman_f from the state histogram {(loops, #A - #B): count},
+    folded in one {A-exponent: int} dict."""
     w = k.writhe
     sign = -1 if w % 2 else 1
     # rows[j][i] is the coefficient of A^(4i - 2j) in (-A^2 - A^-2)^j.
@@ -456,18 +462,25 @@ def jones(k):
 
 def prop_mm_check(k, shadings):
     """Check S(s) = 2 c(E(s)) + |E(s)| - |V| over all states, for each
-    median graph of k in shadings (as shadings(k) gives them); return one
-    bool per median graph, in order: whether it holds.
+    median graph of k in shadings (as shadings(k) gives them).  Return
+    (one bool per median graph, in order: whether it holds; kauffman_f(k)).
 
     It reads the groups of bracket_contract(k, shadings): a median graph
-    holds when its difference is 0 in every group.
+    holds when its difference is 0 in every group, and the groups summed
+    are the state histogram that kauffman_f folds, so one contraction
+    gives both.
     """
     groups = bracket_contract(k, shadings)
-    states = sum(sum(counts.values()) for counts in groups.values())
+    counts = {}
+    for group in groups.values():
+        for state, count in group.items():
+            counts[state] = counts.get(state, 0) + count
+    states = sum(counts.values())
     if states != 1 << k.r:
         raise AssertionError("counted %d of %d states" % (states, 1 << k.r))
-    return [all(differences[i] == 0 for differences in groups)
-            for i in range(len(shadings))]
+    holds = [all(differences[i] == 0 for differences in groups)
+             for i in range(len(shadings))]
+    return holds, _bracket(k, counts)
 
 
 def jones_via_bichromate(k, m):

@@ -22,9 +22,8 @@ checks: they build their results through one canonicalising step,
 coefficients, turns integral Fractions into ints and drops the variables
 no term uses (t * t^-1 = 1).
 
-The module also provides the Gaussian binomial ``qbinom`` in one named
-variable, plus a check of the q-binomial theorem used by the self-test
-suite.  Every q-product in the package is built from factors (1 - x^a)
+The module also provides the Gaussian binomial ``qbinom`` in q, plus a
+check of the q-binomial theorem used by the self-test suite.  Every q-product in the package is built from factors (1 - x^a)
 on dense int rows (row[i] the coefficient of x^i) by two private passes:
 ``_times_one_minus`` multiplies by 1 - x^a, and ``_divide_one_minus``
 divides by it exactly.
@@ -139,9 +138,6 @@ class LaurentPoly:
 
     # ---------------------------------------------------------------- predicates
 
-    def is_zero(self):
-        return not self.terms
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -255,38 +251,6 @@ class LaurentPoly:
                 return out
             base = base * base
 
-    # ---------------------------------------------------------------- substitution
-
-    def substitute(self, name, image):
-        """Replace a variable by a monomial or a rational constant.
-
-        The image may be an int, a Fraction, or a monomial LaurentPoly
-        (general polynomial images would need polynomial powers of negative
-        exponents, which do not exist in the Laurent ring).
-        """
-        if name not in self.variables:
-            return self
-        image = self._coerce(image)
-        if image is None:
-            raise TypeError("substitution image must be a number or LaurentPoly")
-        if not image.is_monomial() and not image.is_zero():
-            raise ValueError("substitution image must be a monomial or constant")
-        idx = self.variables.index(name)
-        rest = self.variables[:idx] + self.variables[idx + 1:]
-        out = LaurentPoly()
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            stripped = LaurentPoly(rest, {exps[:idx] + exps[idx + 1:]: coeff})
-            if e == 0:
-                out = out + stripped
-                continue
-            if image.is_zero():
-                if e < 0:
-                    raise ZeroDivisionError("zero substituted at a negative power")
-                continue
-            out = out + stripped * image ** e
-        return out
-
     # ---------------------------------------------------------------- comparison
 
     def __eq__(self, other):
@@ -349,9 +313,8 @@ def _divide_one_minus(row, a):
     return out[:cut]
 
 
-def qbinom(m, n, base="q"):
-    """The Gaussian binomial coefficient [m choose n] in the variable
-    named base.
+def qbinom(m, n):
+    """The Gaussian binomial coefficient [m choose n] in q.
 
     Computed by the product of (1 - x^(m-k+i)) / (1 - x^i) over
     i = 1..k, k = min(n, m - n), each partial product being
@@ -368,7 +331,7 @@ def qbinom(m, n, base="q"):
     row = [1]
     for i in range(1, k + 1):
         row = _divide_one_minus(_times_one_minus(row, m - k + i), i)
-    return _result((base,), {(e,): c for e, c in enumerate(row)})
+    return _result(("q",), {(e,): c for e, c in enumerate(row)})
 
 
 def qbinomial_theorem_check(n):
@@ -387,7 +350,7 @@ def qbinomial_theorem_check(n):
     rhs = LaurentPoly()
     for i in range(n + 1):
         sign = -1 if i % 2 else 1
-        rhs = rhs + (sign * qbinom(n, i, "q") * q ** (i * (i - 1) // 2)
+        rhs = rhs + (sign * qbinom(n, i) * q ** (i * (i - 1) // 2)
                      * a ** (n - i) * z ** i)
     assert lhs == rhs, "q-binomial theorem failed at n=%d" % n
     return True

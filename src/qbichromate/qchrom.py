@@ -7,6 +7,11 @@ inclusion-exclusion subset expansion over edge subsets), and carries the
 related subset-expansion polynomials: the bichromate, the Whitney rank
 and Tutte polynomials, and the q-bichromate.
 
+The subset expansion, the q-bichromate and statmech's q-Potts subset
+form (and the Ising route through it) are one fold with their own edge
+weights, _qint_cluster_sums: a cluster sum in which a component of size
+s weighs the quantum integer of m in base q^s.
+
 It also hosts the defect-corrected coloring sum over chord-diagram
 intersection graphs (mdef_chord); the arcflow module, which in turn imports
 this one, lays out one chord diagram per flow configuration.
@@ -30,34 +35,44 @@ def mq_subset(g, n):
     """The same sum by inclusion-exclusion over edge subsets.
 
     Each subset A contributes (-1)^|A| times the product over components W
-    of (V, A) of the quantum integer of n in base q^|W|: the cluster sum
-    of Multigraph.cluster_sums with weight -1 on every edge, which folds
-    each component's quantum integer in as the frontier sweep closes it.
+    of (V, A) of the quantum integer of n in base q^|W|: _qint_cluster_sums
+    with weight -1 on every edge, which folds each component's quantum
+    integer in as the frontier sweep closes it.
     """
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
-    row = g.cluster_sums((-1,) * g.edge_count, lambda s: _qint_row(n, s))
+    row = _qint_cluster_sums(g, (-1,) * g.edge_count, n)
     return LaurentPoly.from_powers("q", dict(enumerate(row)))
 
 
-def _qint_row(n, s):
-    """The quantum integer of n in base q^s, (1 - q^(sn)) / (1 - q^s), as
-    a dense int row: one multiply and one exact divide pass."""
-    return _divide_one_minus(_times_one_minus([1], s * n), s)
+def _qint_cluster_sums(g, weights, m):
+    """The row of g.cluster_sums with the given edge weights in which a
+    component of size s weighs the quantum integer of m in base q^s,
+    (1 - q^(sm)) / (1 - q^s): one multiply and one exact divide pass per
+    size.  mq_subset, q_bichromate and the q-Potts subset form
+    (statmech.qpotts_pair and ising_pair) are this sum with their own
+    weights."""
+    return g.cluster_sums(
+        weights, lambda s: _divide_one_minus(_times_one_minus([1], s * m), s))
 
 
 def bichromate(g):
-    """The subset-expansion polynomial sum over A of a^c(A) * b^|A|."""
-    return LaurentPoly(("a", "b"), _count_chosen(g))
+    """The subset-expansion polynomial sum over A of a^c(A) * b^|A|,
+    with |A| = nullity + |V| - c(A)."""
+    nv = g.vertex_count
+    return LaurentPoly(("a", "b"), {(c, nullity + nv - c): count
+                                    for (c, nullity), count
+                                    in _count_chosen(g).items()})
 
 
 def _count_chosen(g):
-    """{(c(A), |A|): number of edge subsets A}: entry c of the cluster
-    sum with the factor x and cycle weight Y = 2^(m+1) holds, as base-Y
-    digit k, the number (at most 2^m) with nullity k = |A| - |V| + c."""
+    """{(c(A), nullity of A): number of edge subsets A}: entry c of the
+    cluster sum with the factor x and cycle weight Y = 2^(m+1) holds, as
+    base-Y digit k, the number (at most 2^m) with nullity k =
+    |A| - |V| + c."""
     bits = g.edge_count + 1
     row = g.cluster_sums((1,) * g.edge_count, [0, 1], 1 << bits)
-    return {(c, nullity + g.vertex_count - c): count
+    return {(c, nullity): count
             for c, value in enumerate(row)
             for nullity, count in _digits(value, bits)}
 
@@ -81,16 +96,16 @@ def tutte(g, form="tutte"):
     form="tutte": sum over A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)).
     form="whitney-rank": sum over A of u^(r(E)-r(A)) v^(|A|-r(A)).
     The Tutte form equals the Whitney-rank form with u, v replaced by
-    x-1, y-1.  Both read the (c(A), |A|) counts of _count_chosen.
+    x-1, y-1.  Both read the (c(A), nullity) counts of _count_chosen:
+    r(E) - r(A) = c(A) - c(E), with c(E) the least c(A), and
+    |A| - r(A) is the nullity.
     """
     if form not in ("tutte", "whitney-rank"):
         raise ValueError("form must be 'tutte' or 'whitney-rank', got %r" % form)
     counts = _count_chosen(g)
-    nv = g.vertex_count
-    c_full = next(c for c, chosen in counts if chosen == g.edge_count)
-    # (r(E) - r(A), |A| - r(A)): the pair is one-to-one with (c(A), |A|)
-    ranks = {(c - c_full, chosen - nv + c): count
-             for (c, chosen), count in counts.items()}
+    c_full = min(c for c, _ in counts)
+    ranks = {(c - c_full, nullity): count
+             for (c, nullity), count in counts.items()}
     if form == "whitney-rank":
         return LaurentPoly(("u", "v"), ranks)
     width = 1 + max(b for _, b in ranks)
@@ -121,15 +136,14 @@ def q_bichromate(g, y):
     y must be a positive integer so every component factor is a polynomial.
     At q=1 this reduces to the bichromate with a specialized to y and b to x.
 
-    It is the cluster sum with weight X on every edge and the quantum
-    integer of y in base q^s for a component of size s: entry e holds,
+    It is _qint_cluster_sums with weight X on every edge: entry e holds,
     as base-X digit j, the coefficient of q^e x^j, a sum of at most 2^m
     coefficients of at most y^|V| each, so X = 2^m 2^b, y^|V| < 2^b.
     """
     if y < 1:
         raise ValueError("need y >= 1, got %d" % y)
     bits = g.edge_count + (y ** g.vertex_count).bit_length()
-    row = g.cluster_sums((1 << bits,) * g.edge_count, lambda s: _qint_row(y, s))
+    row = _qint_cluster_sums(g, (1 << bits,) * g.edge_count, y)
     return LaurentPoly(("q", "x"), {(e, j): count
                                     for e, value in enumerate(row)
                                     for j, count in _digits(value, bits)})

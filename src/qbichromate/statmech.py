@@ -8,7 +8,9 @@ module is then a polynomial identity over the rationals.
 
 The q-weighted sums attach q^(sum of spin values) to each state.  For the
 k-state model the spin values run over 0..k-1 (see qpotts_pair); for the
-Ising model they run over -1, +1.
+Ising model they run over -1, +1.  The q-Potts subset form is qchrom's
+q-integer cluster fold (_qint_cluster_sums) with the weights v_e, and the
+Ising route reads that fold's row at k = 2, entry e at q^(2e - |V|).
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from math import lcm, prod
 
 from .graphcore import ParseError, _content_lines, _numbers, _Record
 from .polyq import LaurentPoly, _times_one_minus
-from .qchrom import _qint_row
+from .qchrom import _qint_cluster_sums
 
 
 class Couplings(_Record):
@@ -112,9 +114,10 @@ def qpotts_pair(g, k, w):
 
     First component (subset form): sum over A of the product over
     components W of the quantum integer of k in base q^|W|, times the
-    product of v_e over A.  Multigraph.cluster_sums sweeps a vertex
-    frontier for it and multiplies each component's quantum integer in
-    as the component closes, without visiting the 2^|E| subsets.
+    product of v_e over A.  qchrom's _qint_cluster_sums with the weights
+    v_e sweeps a vertex frontier for it and multiplies each component's
+    quantum integer in as the component closes, without visiting the
+    2^|E| subsets.
 
     Second component (state form): sum over s: V -> {0..k-1} of
     q^(sum s(v)) times the product over edges of (1 + v_e) on agreement.
@@ -127,15 +130,8 @@ def qpotts_pair(g, k, w):
     w.check_edge_count(g)
     sums = g.state_sums(range(k), [(1 + v, 1) for v in w.values])
     state_form = LaurentPoly.from_powers("q", sums)
-    return _qpotts_subset_form(g, k, w.values), state_form
-
-
-def _qpotts_subset_form(g, k, vs):
-    """The subset form of qpotts_pair, with edge weights vs: the cluster
-    sum whose component of size s weighs the quantum integer of k in
-    base q^s."""
-    row = g.cluster_sums(vs, lambda s: _qint_row(k, s))
-    return LaurentPoly.from_powers("q", dict(enumerate(row)))
+    row = _qint_cluster_sums(g, w.values, k)
+    return LaurentPoly.from_powers("q", dict(enumerate(row))), state_form
 
 
 def ising_direct(g, w):
@@ -156,18 +152,16 @@ def ising_pair(g, w):
     v'_e = e^(2 J_e) - 1 = (c_e + h_e)^2 - 1, and the q-weight into
     q^(-|V|) times (q^2)^(sum of 0/1 spins); the 0/1 state sum is then the
     subset form of the q-weighted Potts identity at k=2 with q replaced
-    by q^2.
+    by q^2.  So entry e of that form's row, times the product of
+    e^(-J_e) = c_e - h_e, is the coefficient of q^(2e - |V|).
     """
     _require_kind(w, "ch", "ising_pair")
     w.check_edge_count(g)
     direct = ising_direct(g, w)
-    subset_form = _qpotts_subset_form(
-        g, 2, [(c + h) ** 2 - 1 for c, h in w.values])
-    q = LaurentPoly.variable("q")
-    prefactor = Fraction(1)
-    for c, h in w.values:
-        prefactor *= c - h
-    via_potts = prefactor * q ** (-g.vertex_count) * subset_form.substitute("q", q ** 2)
+    row = _qint_cluster_sums(g, [(c + h) ** 2 - 1 for c, h in w.values], 2)
+    prefactor = prod(c - h for c, h in w.values)
+    via_potts = LaurentPoly.from_powers(
+        "q", {2 * e - g.vertex_count: prefactor * x for e, x in enumerate(row)})
     return direct, via_potts
 
 

@@ -29,8 +29,9 @@ and poly_mul_reference are the package's former LaurentPoly sum and
 product, which build every result through the public validating
 constructor; the package's arithmetic now skips those checks for
 results of canonical operands.  constant_value and evaluate read a
-polynomial's value from its terms; only the tests need them, so they
-left LaurentPoly.  chord_diagrams
+polynomial's value from its terms, and substitute replaces a variable by
+a number or a monomial term by term in plain dicts; only the tests need
+them, so they left LaurentPoly.  chord_diagrams
 is the package's former ma2 layout, which tried every order of the ends
 at each vertex and weighted each distinct diagram by 1/deg; the package
 now lays out one diagram per configuration.  main_flow_weight_reference
@@ -108,6 +109,31 @@ def evaluate(p, values):
             term *= Fraction(values[name]) ** e
         out += term
     return out
+
+
+def substitute(p, name, image):
+    """The LaurentPoly p with the variable name replaced by image: an
+    int, a Fraction or a monomial LaurentPoly (a general polynomial has
+    no negative powers in the Laurent ring).  Zero at a negative power
+    raises ZeroDivisionError."""
+    if not isinstance(image, LaurentPoly):
+        image = LaurentPoly.constant(image)
+    if len(image.terms) > 1:
+        raise ValueError("substitution image must be a monomial or constant")
+    if name not in p.variables:
+        return p
+    ((image_exps, image_coeff),) = image.terms.items() or [((), 0)]
+    image_powers = dict(zip(image.variables, image_exps))
+    merged = sorted((set(p.variables) - {name}) | set(image.variables))
+    terms = {}
+    for exps, coeff in p.terms.items():
+        powers = dict(zip(p.variables, exps))
+        e = powers.pop(name)
+        for v, x in image_powers.items():
+            powers[v] = powers.get(v, 0) + e * x
+        key = tuple(powers.get(v, 0) for v in merged)
+        terms[key] = terms.get(key, 0) + coeff * Fraction(image_coeff) ** e
+    return LaurentPoly(merged, terms)
 
 
 def poly_add_reference(p1, p2):

@@ -153,4 +153,4 @@ def test_qints_is_the_product_of_qint(values):
     for v in values:
         product = product * qint(max(v, 0))
     assert _qints(values) == product
-    assert _qints(values).is_zero() == any(v <= 0 for v in values)
+    assert (not _qints(values).terms) == any(v <= 0 for v in values)

@@ -151,6 +151,27 @@ def test_bracket_suite_runs_the_subset_route_once_per_shading(
 
 
 
+def test_bracket_suite_contracts_the_diagram_once(capsys, monkeypatch):
+    # prop_mm_check's groups, summed, give the bracket as well
+    calls = []
+    contract = knotdiag.bracket_contract
+
+    def counted(k, shadings=()):
+        calls.append(len(shadings))
+        return contract(k, shadings)
+
+    monkeypatch.setattr(knotdiag, "bracket_contract", counted)
+    for name, face_count in (("trefoil.pd", 5), ("fig8.pd", 6),
+                             ("t2_7.pd", 9)):
+        calls.clear()
+        code, _ = run(["identities", "--suite", "bracket",
+                       "--pd", fixture_path(name)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("checked: %d failed: 0\n" % (2 * face_count))
+        assert calls == [2], name
+
+
 def test_bracket_suite_on_t2_41(capsys):
     # T(2,41) has 2^41 states: a loop count model check that walks them
     # does not finish
@@ -606,6 +627,122 @@ def test_shading_output_is_pinned(call, emit, monkeypatch, capsys):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == SHADING_DIGESTS[call, emit]
+
+
+# sha256 of stdout, recorded before qchrom's q-integer cluster fold served
+# mq_subset, q_bichromate, qpotts_pair and ising_pair: every reader of the
+# fold, and vdw beside ising, on the fixtures, text and JSON.
+CLUSTER_FOLD_DIGESTS = {
+    ("qchrom --graph tests/fixtures/k2.g --n 3", "text"):
+        "27683d2b870ae7dbaae6708e59eedc9f5123eeff4745ba77ca86e6ea2fb2d54c",
+    ("qchrom --graph tests/fixtures/k2.g --n 3", "json"):
+        "8ed3b8d88906c8b0fafac3fbad646434b9a3b7a6bf42cb970846bd9852fcb77a",
+    ("qbichromate --graph tests/fixtures/k2.g --y 3", "text"):
+        "d89d8019c7bde73da37a4a3bcebcb4f0d3d80c93e29c4a8e66a6e887e80dba7b",
+    ("qbichromate --graph tests/fixtures/k2.g --y 3", "json"):
+        "497f1ab6f687374aabe2cb34f004a12fe8e18eabb0b647eb86dc54adf9b9c85e",
+    ("identities --suite qchrom --graph tests/fixtures/k2.g", "text"):
+        "f073c37124d6a264f4643861d9c67b2d2e767a92ee69bab4ffe714c652a1eae9",
+    ("identities --suite qchrom --graph tests/fixtures/k2.g", "json"):
+        "77bf157381287c89abb90cd45f5c6dc7a0b8cc0528ca458cab0be596a2ea4ec7",
+    ("qchrom --graph tests/fixtures/tri.g --n 3", "text"):
+        "a413d207375fb196acf8102cc31d51f1ddfaa8c2b028fb410492898e5116f187",
+    ("qchrom --graph tests/fixtures/tri.g --n 3", "json"):
+        "5f795539626549ed26c1ca3eeb474ab7e7b85b7c6e574da70cb17db877e3b004",
+    ("qbichromate --graph tests/fixtures/tri.g --y 3", "text"):
+        "b8870ac17afec57c08025ab891b9543af063df98125030828e6c5c0c7935c8e8",
+    ("qbichromate --graph tests/fixtures/tri.g --y 3", "json"):
+        "53e58936df2489725772f25128148cf58f141835599250683d5d4499f4876d13",
+    ("identities --suite qchrom --graph tests/fixtures/tri.g", "text"):
+        "110eb2e705dbe17f2b41b571e4d1d56ea2e3c3090a34df886db5f2a2dd0ee29b",
+    ("identities --suite qchrom --graph tests/fixtures/tri.g", "json"):
+        "4740300ec3a843f8112a87a71615f365328dbff2dac271b153f7fabbc3cc2826",
+    ("qchrom --graph tests/fixtures/multi.g --n 3", "text"):
+        "2021c2ffcfaad99499106f3d34464240687bdeecc81c62ca814f80621be1ca2e",
+    ("qchrom --graph tests/fixtures/multi.g --n 3", "json"):
+        "04ec192a87f08d3c5014002c5f230b6a42276e534c92da1d1e3761d1b2ab1b15",
+    ("qbichromate --graph tests/fixtures/multi.g --y 3", "text"):
+        "67f0cd81184479113bde8a94519c144c1a4bbe17358f3c460daaffd4db197a3b",
+    ("qbichromate --graph tests/fixtures/multi.g --y 3", "json"):
+        "148c5bc5f040dac2d3ef1d7415e4af690b0954069f2cefdd8c06d1d654079018",
+    ("identities --suite qchrom --graph tests/fixtures/multi.g", "text"):
+        "31de7ffc146c7f92dde1425d00665ba66ab19ebaa6ff4600a650294fea974dab",
+    ("identities --suite qchrom --graph tests/fixtures/multi.g", "json"):
+        "d43f74632ec72f8b0cd50bb47aeab079b3f07097d4250682aca508e8050abc25",
+    ("qchrom --graph tests/fixtures/loop.g --n 3", "text"):
+        "86f54538c18a8d00c406d1c0a40d0fdbd187b2d703228f3f0e4e6c00a5975bf9",
+    ("qchrom --graph tests/fixtures/loop.g --n 3", "json"):
+        "f08276bf64e4b977502a1ee0c33c954d0507ff066d363f65a449337959a4931b",
+    ("qbichromate --graph tests/fixtures/loop.g --y 3", "text"):
+        "a619a5594c2cc6d6e831d072771ae4110cb68bd075cba52057325dacfffdb240",
+    ("qbichromate --graph tests/fixtures/loop.g --y 3", "json"):
+        "b1dfabdec9f4b747249d4499cfc9ee8cad82ad34361add19fae89dc3476316b3",
+    ("identities --suite qchrom --graph tests/fixtures/loop.g", "text"):
+        "600faf6a44a10a33c4289fb265a7df519163382d5fc734206efd4fa6801f1a19",
+    ("identities --suite qchrom --graph tests/fixtures/loop.g", "json"):
+        "aace517280e4e36833ff433d462c4c002fbeb1d30154a7b9033cdb1034256336",
+    ("qchrom --graph tests/fixtures/c4.g --n 3", "text"):
+        "f23159fdd2ad7d614cdefabe747c343484a2d77f4debeb1003e8e5ebbebddabf",
+    ("qchrom --graph tests/fixtures/c4.g --n 3", "json"):
+        "53db5a4015eccba1919efe631449b358b9abb64745fe7b51a39bccb18a0b419c",
+    ("qbichromate --graph tests/fixtures/c4.g --y 3", "text"):
+        "98c82025d1bab6fa2d8727685be1088bba980d8a36e61d141e1387d7e0381fb1",
+    ("qbichromate --graph tests/fixtures/c4.g --y 3", "json"):
+        "2818e357db58995bbcc7cfd5e5f4fdb0ff0567b7078e43888dd193cf4ea0b6b7",
+    ("identities --suite qchrom --graph tests/fixtures/c4.g", "text"):
+        "f45538ecda56219a362fba1e15d1118b6a5915d4d291a39703846c4503c104f2",
+    ("identities --suite qchrom --graph tests/fixtures/c4.g", "json"):
+        "fe500aa38a93d3c527ff9137a4bc9a6348817e5176c7bdfbc6f9e50e9663c826",
+    ("qpotts --graph tests/fixtures/tri.g --couplings tests/fixtures/v.c --k 3", "text"):
+        "641ab9f088bc72f255b9eb4e724194870eebe5133f4a3bba7bf126f247d29f04",
+    ("qpotts --graph tests/fixtures/tri.g --couplings tests/fixtures/v.c --k 3", "json"):
+        "2cf7630f0d2f2470c3b0c00d1cf0b2b2b2d8eb79232047d532891f2b3bfabc76",
+    ("ising --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "text"):
+        "38aed1af1ba224daff14db1df85068c667149fcd33acb02262168ba3034c3175",
+    ("ising --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "json"):
+        "e449d28399d16f7565eb8f0eb29c06ef550651e71475429257632fbb64ec5b71",
+    ("vdw --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "text"):
+        "62165bcf8be0289c81eac2ee5f5340a5c0cbec716d3cb0e3d8c46209f1250430",
+    ("vdw --graph tests/fixtures/tri.g --couplings tests/fixtures/hyp.c", "json"):
+        "7f57232c44eb5fa5e70b54c0cbc62972e6b15d9713d6516d857e674d92d78195",
+    ("qpotts --graph tests/fixtures/multi.g --couplings tests/fixtures/v.c --k 3", "text"):
+        "16cf6e3ebc269260b0702e897752c132e35742d916f0c57d88e1a756a9ab0825",
+    ("qpotts --graph tests/fixtures/multi.g --couplings tests/fixtures/v.c --k 3", "json"):
+        "5812acd144835326af1a4149a3f5dce58ebf4ff8dc26fdb13de67f5b885ab92e",
+    ("ising --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "text"):
+        "ac481849140a595bfb75303ecdaac6dc4dda33af3888de4a42404906c5ef2fd6",
+    ("ising --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "json"):
+        "9ffc9a905391c298fddea4df9703e8beed5fc4eaf3dff740d64714dfd69474f8",
+    ("vdw --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "text"):
+        "360e5d1bb35e963d3acf44bfe7bb1289255a16f76f67cdad58f905def323dc1a",
+    ("vdw --graph tests/fixtures/multi.g --couplings tests/fixtures/hyp.c", "json"):
+        "11b15ee2b4468b98baffb2e72c7130f59bee87cb2eb77c4689a1c8862e62a619",
+    ("identities --suite qpotts --graph tests/fixtures/tri.g", "text"):
+        "e5d0a59f9030271b4f1e039138194b0611a16b5e296b06080e07eebe1f14dca3",
+    ("identities --suite qpotts --graph tests/fixtures/tri.g", "json"):
+        "3daa98a5b75a970dce0c76bb24e8097247d4ccbeac47130bc20b41d1ec2e6db6",
+    ("identities --suite qpotts --graph tests/fixtures/loop.g", "text"):
+        "60cb5773bd30270ccbc30473c823dfc67271c0a2bd9cd7d151b62d87e02dbd8d",
+    ("identities --suite qpotts --graph tests/fixtures/loop.g", "json"):
+        "bc6e5cb32d05eaf4f1cbd9a996c766c6d22b172229566d78a789224dbba8ec32",
+    ("identities --suite qpotts --graph tests/fixtures/c4.g", "text"):
+        "4ac9ebeb7714b893dca3f13b4ce346ca1eda9e9fe83248b926c715695da39594",
+    ("identities --suite qpotts --graph tests/fixtures/c4.g", "json"):
+        "54b1bcc22767347cabdb67bf155c9b4b50d2da9891a30b536f428f1e920d1d0a",
+    ("identities --suite qpotts --graph tests/fixtures/tri.g --couplings tests/fixtures/v.c --k 2", "text"):
+        "f5e5aea4caf5d36edcf8490fce8dfd544fce3f02f624878f37e1dd2723f6fbad",
+    ("identities --suite qpotts --graph tests/fixtures/tri.g --couplings tests/fixtures/v.c --k 2", "json"):
+        "bc48644af12577ff11eee361131e3aae2e828ef9dfa6994f52cf2f78a585f2f1",
+}
+
+
+@pytest.mark.parametrize("call, emit", sorted(CLUSTER_FOLD_DIGESTS))
+def test_cluster_fold_output_is_pinned(call, emit, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, _ = run(call.split() + ["--emit", emit])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLUSTER_FOLD_DIGESTS[call, emit]
 
 
 def test_colored_jones_routes_agree(capsys):

@@ -129,7 +129,7 @@ def test_mixed_eta_unknot():
     f = kauffman_f(k)
     expect = LaurentPoly.from_powers("A", oracles.bracket_f(read("trefoil_flip.pd")))
     assert f == expect
-    assert prop_mm_check(k, both) == [True, True]
+    assert prop_mm_check(k, both) == ([True, True], f)
     for m in both:
         assert jones_via_bichromate(k, m) == f, m
 
@@ -260,7 +260,7 @@ def test_bracket_contract_groups_match_reference():
                         m.eta, m.black_faces)
     expect = oracles.model_groups_reference(k, [extra])
     assert bracket_contract(k, [extra]) == expect
-    assert prop_mm_check(k, [extra]) == [False]
+    assert prop_mm_check(k, [extra])[0] == [False]
 
 
 def test_prop_mm():
@@ -274,7 +274,9 @@ def test_prop_mm():
         # the distinct median graphs over all outer faces, in face order
         assert both == tuple(dict.fromkeys(median_graph(k, face.id)
                                            for face in faces(k))), text
-        assert prop_mm_check(k, both) == [True, True], text
+        # the groups summed are the bracket's state histogram
+        expect = LaurentPoly.from_powers("A", oracles.bracket_f(text))
+        assert prop_mm_check(k, both) == ([True, True], expect), text
 
 
 def test_prop_mm_fails_on_a_negated_eta():
@@ -286,14 +288,15 @@ def test_prop_mm_fails_on_a_negated_eta():
         for wrong in (0, 1):
             both = list(shadings(k))
             both[wrong] = negated(both[wrong])
-            assert prop_mm_check(k, both) == [i != wrong for i in (0, 1)], \
-                (name, wrong)
+            # a wrong shading changes the groups, not their sum
+            assert prop_mm_check(k, both) == (
+                [i != wrong for i in (0, 1)], kauffman_f(k)), (name, wrong)
     # any list of median graphs: one per entry, a shading given twice
     # with one copy negated, or none
     k = parse_pd(torus_pd(5))
     m = shadings(k)[0]
-    assert prop_mm_check(k, [negated(m), m]) == [False, True]
-    assert prop_mm_check(k, []) == []
+    assert prop_mm_check(k, [negated(m), m])[0] == [False, True]
+    assert prop_mm_check(k, []) == ([], kauffman_f(k))
 
 
 def braid_knots(seed, count):
@@ -324,12 +327,12 @@ def test_braid_closures_are_knots():
 def test_prop_mm_on_braid_closures():
     for word, k in braid_knots(2, 25):
         both = shadings(k)
-        assert prop_mm_check(k, both) == [True, True], word
+        assert prop_mm_check(k, both)[0] == [True, True], word
         for wrong in (0, 1):
             given = list(both)
             given[wrong] = negated(given[wrong])
-            assert prop_mm_check(k, given) == [i != wrong for i in (0, 1)], \
-                (word, wrong)
+            assert prop_mm_check(k, given)[0] == [
+                i != wrong for i in (0, 1)], (word, wrong)
 
 
 def test_bichromate_route_on_braid_closures():

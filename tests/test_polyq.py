@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qbichromate import polyq
 from qbichromate.polyq import LaurentPoly, qbinom, qbinomial_theorem_check
 from oracles import (constant_value, evaluate, poly_add_reference,
-                     poly_mul_reference, qint)
+                     poly_mul_reference, qint, substitute)
 
 # Constants, one variable (the product's own loop) and several variables;
 # operands from different sets are aligned to merged names, which
@@ -128,7 +128,7 @@ def test_coefficient_types():
     one = exact(LaurentPoly.constant(True))
     assert one == LaurentPoly.constant(1)
     assert type(one.terms[()]) is int
-    assert LaurentPoly.constant(Fraction(0)).is_zero()
+    assert not LaurentPoly.constant(Fraction(0)).terms
     assert type(constant_value(one)) is Fraction
     assert type(evaluate(q + 1, {"q": 2})) is Fraction
     with pytest.raises(TypeError):
@@ -167,8 +167,18 @@ def test_pow_and_substitute():
     with pytest.raises(ValueError):
         (q + 1) ** -1
     p = (q + 1) ** 2
-    assert p.substitute("q", LaurentPoly.constant(1)) == LaurentPoly.constant(4)
-    assert p.substitute("q", q ** -1) == (q ** -1 + 1) ** 2
+    assert substitute(p, "q", LaurentPoly.constant(1)) == LaurentPoly.constant(4)
+    assert substitute(p, "q", q ** -1) == (q ** -1 + 1) ** 2
+    # a monomial image in other variables, a rational, a zero
+    x, y = LaurentPoly.variable("x"), LaurentPoly.variable("y")
+    assert substitute(p * y, "q", -2 * x * y ** -1) == (1 - 2 * x * y ** -1) ** 2 * y
+    assert substitute(q ** -1 + 3, "q", Fraction(1, 2)) == LaurentPoly.constant(5)
+    assert substitute(p, "q", 0) == LaurentPoly.constant(1)
+    assert substitute(p, "y", 5) is p
+    with pytest.raises(ZeroDivisionError):
+        substitute(q ** -1, "q", 0)
+    with pytest.raises(ValueError):
+        substitute(p, "q", q + 1)
     assert evaluate(p, {"q": Fraction(2)}) == Fraction(9)
 
 
@@ -204,29 +214,27 @@ def test_qbinom_values():
             assert qbinom(m, j) == qbinom(m, m - j)
     # q = 1 gives binomial coefficients
     one = LaurentPoly.constant(1)
-    assert qbinom(6, 3).substitute("q", one) == LaurentPoly.constant(20)
+    assert substitute(qbinom(6, 3), "q", one) == LaurentPoly.constant(20)
 
 
 def test_qbinom_pascal():
     # qbinom multiplies (1 - x^a) factors, so the symmetry and both
     # Pascal recursions check it against a construction it does not use
-    for base in ("q", "t"):
-        table = {(m, j): qbinom(m, j, base)
-                 for m in range(21) for j in range(m + 1)}
-        q = LaurentPoly.variable(base)
-        for m in range(1, 21):
-            for j in range(m + 1):
-                lhs = table[m, j]
-                assert lhs == table[m, m - j]
-                rhs = table[m - 1, j - 1] if j else LaurentPoly()
-                if j < m:
-                    rhs = rhs + q ** j * table[m - 1, j]
-                assert lhs == rhs
-                # the mirrored recursion
-                rhs2 = table[m - 1, j] if j < m else LaurentPoly()
-                if j:
-                    rhs2 = rhs2 + q ** (m - j) * table[m - 1, j - 1]
-                assert lhs == rhs2
+    table = {(m, j): qbinom(m, j) for m in range(21) for j in range(m + 1)}
+    q = LaurentPoly.variable("q")
+    for m in range(1, 21):
+        for j in range(m + 1):
+            lhs = table[m, j]
+            assert lhs == table[m, m - j]
+            rhs = table[m - 1, j - 1] if j else LaurentPoly()
+            if j < m:
+                rhs = rhs + q ** j * table[m - 1, j]
+            assert lhs == rhs
+            # the mirrored recursion
+            rhs2 = table[m - 1, j] if j < m else LaurentPoly()
+            if j:
+                rhs2 = rhs2 + q ** (m - j) * table[m - 1, j - 1]
+            assert lhs == rhs2
 
 
 ROWS = st.lists(st.integers(-5, 5), max_size=8)

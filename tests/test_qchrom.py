@@ -118,8 +118,9 @@ def test_q_bichromate_reduces_at_q_one():
     g = Multigraph(3, ((1, 2), (2, 3)))
     one = LaurentPoly.constant(1)
     for y in (2, 3):
-        lhs = q_bichromate(g, y).substitute("q", one).substitute("x", LaurentPoly.variable("b"))
-        rhs = bichromate(g).substitute("a", LaurentPoly.constant(y))
+        lhs = oracles.substitute(oracles.substitute(q_bichromate(g, y), "q", one),
+                                 "x", LaurentPoly.variable("b"))
+        rhs = oracles.substitute(bichromate(g), "a", LaurentPoly.constant(y))
         assert lhs == rhs
 
 

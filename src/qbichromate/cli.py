@@ -19,16 +19,26 @@ numbers; its one parser registers every subcommand.
 
 A plain call imports the package's own modules and, from the standard
 library, only those they name at the top: collections, fractions,
-functools, hashlib, itertools, math, operator, sys, time and types.
-argparse loads only when _parser() or its _integer type runs, json only
-for --emit json, and random only for the seeded qpotts suite.
+functools, itertools, math, operator, sys, time and types.  The input
+digests take SHA-256 from the interpreter's builtin module (_sha2, or
+_sha256 before Python 3.12), so hashlib and the OpenSSL it loads are
+imported only by a build that has neither.  argparse loads only when
+_parser() or its _integer type runs, json only for --emit json, and
+random only for the seeded qpotts suite.
 """
 
-import hashlib
 import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import arcflow, chordal, knotdiag, qchrom, statmech
 from .graphcore import ParseError, _numbers, parse_graph
@@ -47,7 +57,7 @@ class Report:
         """Read path once, record its digest and return parse(its text)."""
         with open(path, "rb") as handle:
             data = handle.read()
-        digest = hashlib.sha256(data).hexdigest()[:12]
+        digest = sha256(data).hexdigest()[:12]
         self.fields.append((name, "%s sha256=%s" % (path, digest)))
         return parse(data.decode("utf-8"))
 
@@ -55,7 +65,8 @@ class Report:
         self.fields.append((name, str(value)))
 
     def verdict(self, name, lhs, rhs):
-        self.verdicts.append((name, lhs == rhs, str(lhs), str(rhs)))
+        """Record lhs == rhs; the sides are stringified only when printed."""
+        self.verdicts.append((name, lhs == rhs, lhs, rhs))
 
     def verdict_true(self, name, ok):
         self.verdicts.append((name, bool(ok), "true" if ok else "false", "true"))
@@ -86,7 +97,7 @@ class Report:
             "fields": [{"name": n, "value": v} for n, v in self.fields],
             "verdicts": [
                 {"name": n, "status": "PASS" if ok else "FAIL",
-                 "lhs": lhs, "rhs": rhs}
+                 "lhs": str(lhs), "rhs": str(rhs)}
                 for n, ok, lhs, rhs in self.verdicts
             ],
         }

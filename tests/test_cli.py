@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, emit formats."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
@@ -414,9 +415,9 @@ def test_deep_chordal_structure(tmp_path):
     assert result.stdout.endswith("checked: 3 failed: 0\n")
 
 
-def test_chordal_invariance_compares_left_sides(monkeypatch, capsys):
-    # the right side depends only on the sizes, so only a left side that
-    # changes with the structure can fail the invariance verdicts
+def shift_left_sides(monkeypatch):
+    """Multiply each left side of str2_pair by q^(least element of its
+    second block), so structures with different such elements fail."""
     pair = chordal.str2_pair
     q = LaurentPoly.variable("q")
 
@@ -424,15 +425,45 @@ def test_chordal_invariance_compares_left_sides(monkeypatch, capsys):
         lhs, rhs = pair(s, z)
         return lhs * q ** min(s.b_sets[1]), rhs
 
+    monkeypatch.setattr(chordal, "str2_pair", shifted)
+
+
+def test_chordal_invariance_compares_left_sides(monkeypatch, capsys):
+    # the right side depends only on the sizes, so only a left side that
+    # changes with the structure can fail the invariance verdicts
     code, _ = run(["identities", "--suite", "chordal",
                    "--structure", fixture_path("chain.s")])
     passing = capsys.readouterr().out
     assert code == 0 and "PASS invariance, structure 3\n" in passing
-    monkeypatch.setattr(chordal, "str2_pair", shifted)
+    shift_left_sides(monkeypatch)
     code, _ = run(["identities", "--suite", "chordal",
                    "--structure", fixture_path("chain.s")])
     assert code == 1
     assert "FAIL invariance, structure" in capsys.readouterr().out
+
+
+def test_verdict_sides_are_pinned(monkeypatch, capsys):
+    # Recorded while Report.verdict still stringified both sides at once:
+    # text shows the sides of a FAIL only, JSON those of every verdict.
+    shift_left_sides(monkeypatch)
+    argv = ["identities", "--suite", "chordal",
+            "--structure", fixture_path("chain.s")]
+    assert run(argv)[0] == 1
+    text = capsys.readouterr().out
+    assert "\nPASS invariance, structure 1\nFAIL defected sum" in text
+    assert ("\nFAIL invariance, structure 2\n"
+            "  lhs: q^2 + 4*q^3 + 7*q^4 + 7*q^5 + 4*q^6 + q^7\n"
+            "  rhs: q + 4*q^2 + 7*q^3 + 7*q^4 + 4*q^5 + q^6\n") in text
+    assert run(argv + ["--emit", "json"])[0] == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts[4:6] == [
+        {"name": "invariance, structure 1", "status": "PASS",
+         "lhs": "q + 4*q^2 + 7*q^3 + 7*q^4 + 4*q^5 + q^6",
+         "rhs": "q + 4*q^2 + 7*q^3 + 7*q^4 + 4*q^5 + q^6"},
+        {"name": "defected sum, structure 2", "status": "FAIL",
+         "lhs": "q^2 + 4*q^3 + 7*q^4 + 7*q^5 + 4*q^6 + q^7",
+         "rhs": "1 + 4*q + 7*q^2 + 7*q^3 + 4*q^4 + q^5"},
+    ]
 
 
 def test_chordal_suite_sums_each_structure_once(monkeypatch, capsys):
@@ -840,24 +871,30 @@ def test_canonical_samples_run_without_a_parser(name, monkeypatch, capsys):
 
 # Modules a plain call never needs: dataclasses (and the inspect it
 # loads), argparse and what argparse loads on its first parse (terminal
-# width, message lookup), json and random.
+# width, message lookup), json and random; and, where the interpreter
+# has a builtin SHA-256 for the input digests, hashlib and the OpenSSL
+# binding _hashlib.
+BUILTIN_SHA256 = any(importlib.util.find_spec(name)
+                     for name in ("_sha2", "_sha256"))
 LAZY = ("dataclasses", "inspect", "argparse", "json", "random", "shutil",
-        "locale")
+        "locale") + (("hashlib", "_hashlib") if BUILTIN_SHA256 else ())
 
 
-def fresh_main(argv):
-    """cli.main(argv) in a fresh python -S -E: (exit code, stdout, the
-    LAZY modules loaded); the run must write nothing to stderr."""
+def fresh_main(argv, prelude="", watch=LAZY):
+    """cli.main(argv) in a fresh python -S -E that runs prelude before
+    importing cli: (exit code, stdout, the watched modules loaded); the
+    run must write nothing to stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     script = ("import sys\n"
               "sys.path.insert(0, %r)\n"
+              "%s"
               "from qbichromate import cli\n"
               "try:\n"
               "    code = cli.main(%r)\n"
               "except SystemExit as exc:\n"
               "    code = exc.code\n"
               "print(code, sorted(set(%r) & set(sys.modules)),"
-              " file=sys.stderr)\n" % (src, argv, LAZY))
+              " file=sys.stderr)\n" % (src, prelude, argv, watch))
     result = subprocess.run([sys.executable, "-S", "-E", "-c", script],
                             capture_output=True, text=True)
     code, loaded = result.stderr.split(" ", 1)
@@ -878,6 +915,17 @@ def assert_fresh_run_matches(argv, loaded, capsys):
 def test_plain_run_skips_argparse_first_use_imports(capsys):
     assert_fresh_run_matches(["chordal-check", "--graph", fixture_path("tri.g")],
                              [], capsys)
+
+
+def test_digests_fall_back_to_hashlib(capsys):
+    # With the builtin modules blocked, cli takes sha256 from hashlib,
+    # which loads _hashlib; the digest lines must not change.
+    argv = ["tutte", "--graph", fixture_path("tri.g")]
+    assert run(argv)[0] == 0
+    out = capsys.readouterr().out
+    assert " sha256=" in out
+    blocked = 'sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+    assert fresh_main(argv, blocked, ("_hashlib",)) == (0, out, "['_hashlib']")
 
 
 @pytest.mark.parametrize("argv, loaded", [
